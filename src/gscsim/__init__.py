@@ -16,9 +16,7 @@ from .chains import (
     chain_productivity_theta_sensitivity,
     composite_cost,
     enumerate_paths,
-    final_demand_share,
     final_demand_shares,
-    intermediate_flow_share,
     intermediate_flow_shares,
     kappa,
     local_chain_real_wage,

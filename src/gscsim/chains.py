@@ -6,7 +6,9 @@ labour with the tier n-1 input under a Cobb-Douglas technology (labour share
 alpha[n]), and idea-level productivities are Frechet so that chain-level
 trade shares take the usual CES-gravity form.  This module computes chain
 cost scales, path-level trade shares, price indices and the tier
-participation shares that the wage equilibrium needs.
+participation shares that the wage equilibrium needs.  Sums over the J**N
+chains come from a tier-by-tier matrix recursion; only the functions that
+return one value per chain enumerate the chains.
 
 Conventions used throughout:
 
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Exhaustive path enumeration is exact but exponential in the number of
+# Per-path output needs one row per chain, exponential in the number of
 # tiers; refuse silently huge problems instead of sampling.
 MAX_PATHS = 1_000_000
 
@@ -228,6 +230,26 @@ def _tier_factors(params: EconomyParams, costs: np.ndarray):
     return F, G
 
 
+def _chain_sums(params: EconomyParams, costs):
+    """Sums of chain cost scales over all J**N paths, tier by tier.
+
+    A chain's scale is the product of its hop factors, so the sums factorise
+    (Antras & de Gortari 2020; the forward-backward pass of Rabiner 1989).
+    Returns the tier factors ``F``; ``fwd[n][a]``, summed over chain heads
+    that place tier n in a; ``bwd[n][a, j]``, summed from tier n in a down
+    to destination j; and the totals ``S[j]`` over every chain serving j.
+    """
+    costs = _check_costs(costs, params.n_locations)
+    F, G = _tier_factors(params, costs)
+    fwd = [np.ones(params.n_locations)]
+    for Fn in F:
+        fwd.append(fwd[-1] @ Fn)
+    bwd = [G]
+    for Fn in reversed(F):
+        bwd.insert(0, Fn @ bwd[0])
+    return F, fwd, bwd, fwd[-1] @ G
+
+
 def path_scale_matrix(params: EconomyParams, costs) -> tuple[np.ndarray, np.ndarray]:
     """Chain cost scales for every path and destination.
 
@@ -279,10 +301,8 @@ def chain_cost_scale(path, dest: int, params: EconomyParams, costs) -> float:
 
 def path_share(path, dest: int, params: EconomyParams, costs) -> float:
     """Probability that destination ``dest`` sources along ``path``."""
-    paths, scales = path_scale_matrix(params, costs)
-    path = np.asarray(path, dtype=np.intp)
-    idx = int(np.ravel_multi_index(tuple(path), (params.n_locations,) * params.n_tiers))
-    return float(scales[idx, dest] / scales[:, dest].sum())
+    S = _chain_sums(params, costs)[-1]
+    return chain_cost_scale(path, dest, params, costs) / float(S[dest])
 
 
 def path_share_matrix(params: EconomyParams, costs) -> tuple[np.ndarray, np.ndarray]:
@@ -293,9 +313,8 @@ def path_share_matrix(params: EconomyParams, costs) -> tuple[np.ndarray, np.ndar
 
 def price_indices(params: EconomyParams, costs) -> np.ndarray:
     """CES price index of the final good in every destination."""
-    _, scales = path_scale_matrix(params, costs)
-    k = kappa(params.theta, params.sigma)
-    return k * scales.sum(axis=0) ** (-1.0 / params.theta)
+    S = _chain_sums(params, costs)[-1]
+    return kappa(params.theta, params.sigma) * S ** (-1.0 / params.theta)
 
 
 def price_index(dest: int, params: EconomyParams, costs) -> float:
@@ -311,15 +330,7 @@ def final_demand_shares(params: EconomyParams, costs) -> np.ndarray:
     fraction of dest's final-good purchases assembled in src, aggregated
     over every upstream configuration.
     """
-    paths, shares = path_share_matrix(params, costs)
-    J = params.n_locations
-    out = np.zeros((J, J))
-    np.add.at(out, paths[:, -1], shares)
-    return out
-
-
-def final_demand_share(src: int, dest: int, params: EconomyParams, costs) -> float:
-    return float(final_demand_shares(params, costs)[src, dest])
+    return tier_participation(params, costs)[-1]
 
 
 def tier_participation(params: EconomyParams, costs) -> np.ndarray:
@@ -328,12 +339,8 @@ def tier_participation(params: EconomyParams, costs) -> np.ndarray:
     Returns an array of shape (N, J, J) indexed ``[tier, location, dest]``;
     each (tier, dest) slice sums to 1 over locations.
     """
-    paths, shares = path_share_matrix(params, costs)
-    J, N = params.n_locations, params.n_tiers
-    out = np.zeros((N, J, J))
-    for n in range(N):
-        np.add.at(out[n], paths[:, n], shares)
-    return out
+    _, fwd, bwd, S = _chain_sums(params, costs)
+    return np.stack([f[:, None] * b / S for f, b in zip(fwd, bwd)])
 
 
 def intermediate_flow_shares(params: EconomyParams, costs,
@@ -354,19 +361,11 @@ def intermediate_flow_shares(params: EconomyParams, costs,
     else:
         w = _positive_array(expenditure_weights, (J,), "expenditure_weights")
         w = w / w.sum()
-    paths, shares = path_share_matrix(params, costs)
-    weighted = shares @ w  # (P,) spending share of each chain
-    flows = np.zeros((J, J))
-    for n in range(params.n_tiers - 1):
-        np.add.at(flows, (paths[:, n], paths[:, n + 1]),
-                  params.beta[n] * weighted)
+    F, fwd, bwd, S = _chain_sums(params, costs)
+    flows = sum(params.beta[n] * fwd[n][:, None] * F[n] * (bwd[n + 1] @ (w / S))
+                for n in range(params.n_tiers - 1))
     total = flows.sum(axis=0, keepdims=True)
     return np.divide(flows, total, out=np.zeros_like(flows), where=total > 0)
-
-
-def intermediate_flow_share(src: int, dest: int, params: EconomyParams, costs,
-                            expenditure_weights=None) -> float:
-    return float(intermediate_flow_shares(params, costs, expenditure_weights)[src, dest])
 
 
 def local_chain_real_wage(j: int, params: EconomyParams, pi_jj: float) -> float:

@@ -49,10 +49,7 @@ def _configure_logging():
 
 
 def _load_json(path: Path) -> dict:
-    try:
-        text = path.read_text()
-    except OSError as err:
-        raise err
+    text = path.read_text()
     try:
         return json.loads(text)
     except json.JSONDecodeError as err:

@@ -43,8 +43,6 @@ class SolverConfig:
     max_iterations: int = 5000
     world_income: float = 1.0     # normalisation target for sum(w * L)
     initial_wages: np.ndarray | None = None
-    inner_tolerance: float = 1e-14
-    inner_max_iterations: int = 500
 
     def __post_init__(self):
         if not 0.0 < self.damping <= 1.0:
@@ -78,6 +76,8 @@ def solve_costs(wages, params: EconomyParams,
     c -> w**gamma * P(c)**(1-gamma), a log-space contraction with modulus
     1 - gamma.  Returns (costs, prices).
     """
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
     w = np.asarray(wages, dtype=float)
     if params.gamma == 1.0:
         return w.copy(), price_indices(params, w)

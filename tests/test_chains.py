@@ -14,6 +14,7 @@ from gscsim import (
     final_demand_shares,
     intermediate_flow_shares,
     kappa,
+    labor_market_residuals,
     local_chain_real_wage,
     path_share,
     path_share_matrix,
@@ -141,6 +142,11 @@ def test_doubling_trade_cost_halves_scale():
 # ---------------------------------------------------------------------------
 # oracle equivalence on random economies
 
+# (J, N) shapes appended to the small random draws of the oracle tests, so
+# the tier recursion is checked against enumeration on longer chains too.
+LARGE_SHAPES = [(4, 4), (5, 2), (2, 5), (5, 5)]
+
+
 def test_chain_cost_scale_matches_oracle():
     rng = np.random.default_rng(101)
     for _ in range(30):
@@ -168,8 +174,8 @@ def test_path_shares_sum_to_one():
 
 def test_price_index_matches_oracle():
     rng = np.random.default_rng(303)
-    for _ in range(20):
-        params = random_economy(rng)
+    for J, N in [(None, None)] * 20 + LARGE_SHAPES:
+        params = random_economy(rng, J=J, N=N)
         costs = random_costs(rng, params.n_locations)
         P = price_indices(params, costs)
         for dest in range(params.n_locations):
@@ -188,8 +194,8 @@ def test_final_demand_shares_match_oracle():
 
 def test_tier_participation_matches_oracle():
     rng = np.random.default_rng(505)
-    for _ in range(15):
-        params = random_economy(rng)
+    for J, N in [(None, None)] * 15 + LARGE_SHAPES:
+        params = random_economy(rng, J=J, N=N)
         costs = random_costs(rng, params.n_locations)
         got = tier_participation(params, costs)
         np.testing.assert_allclose(got, oracle_participation(params, costs), atol=1e-12)
@@ -198,13 +204,29 @@ def test_tier_participation_matches_oracle():
 
 def test_intermediate_flow_shares_match_oracle():
     rng = np.random.default_rng(606)
-    for _ in range(15):
-        params = random_economy(rng, N=int(rng.integers(2, 4)))
+    for J, N in [(None, None)] * 15 + LARGE_SHAPES:
+        N = int(rng.integers(2, 4)) if N is None else N
+        params = random_economy(rng, J=J, N=N)
         costs = random_costs(rng, params.n_locations)
         weights = rng.uniform(0.5, 2.0, size=params.n_locations)
         weights /= weights.sum()
         got = intermediate_flow_shares(params, costs, expenditure_weights=weights)
         np.testing.assert_allclose(got, oracle_flows(params, costs, weights), atol=1e-12)
+
+
+def test_aggregates_past_enumeration_cap():
+    # 11**6 chains exceed MAX_PATHS; aggregates never enumerate them
+    rng = np.random.default_rng(1106)
+    params = random_economy(rng, J=11, N=6)
+    costs = random_costs(rng, 11)
+    part = tier_participation(params, costs)
+    np.testing.assert_allclose(part.sum(axis=1), 1.0, atol=1e-12)
+    assert abs(float(labor_market_residuals(costs, params).sum())) < 1e-12
+    prices = price_indices(params, costs)
+    for j in range(params.n_locations):
+        pi_jj = path_share((j,) * params.n_tiers, j, params, costs)
+        got = local_chain_real_wage(j, params, pi_jj)
+        assert got == pytest.approx(costs[j] / prices[j], rel=1e-10)
 
 
 def test_intermediate_flow_shares_symmetric_and_autarkic():

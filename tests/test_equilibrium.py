@@ -116,6 +116,14 @@ def test_solve_costs_gamma_one_passthrough():
     np.testing.assert_allclose(prices, price_indices(params, wages))
 
 
+def test_solve_costs_rejects_empty_iteration_budget():
+    params = EconomyParams.two_tier(T1=[1.0, 1.0], T2=[1.0, 1.0], L=[1.0, 1.0],
+                                    tau=np.ones((2, 2)), alpha2=0.5,
+                                    theta=4.0, sigma=2.0, gamma=0.7)
+    with pytest.raises(ValueError):
+        solve_costs(np.array([0.7, 1.1]), params, max_iterations=0)
+
+
 def test_wage_validation():
     params = symmetric_two_tier()
     with pytest.raises(ValueError):
