@@ -28,6 +28,9 @@ logger = logging.getLogger(__name__)
 # Relative slack for accounting identities in published tables.
 BALANCE_RTOL = 1e-3
 LEONTIEF_RESIDUAL_TOL = 1e-10
+# Entries of (I - A)^-1 below -NONNEGATIVE_RTOL times its largest magnitude
+# count as negative; rounding leaves structural zeros far closer to zero.
+NONNEGATIVE_RTOL = 1e-9
 
 FD_PREFIX = "FD"
 VA_LABEL = "VA"
@@ -115,37 +118,30 @@ def technical_coefficients(table: WorldIOTable) -> np.ndarray:
     return out
 
 
-def _spectral_radius(A: np.ndarray, iterations: int = 200) -> float:
-    # Power iteration; A is nonnegative so the dominant eigenvalue is real.
-    n = A.shape[0]
-    vec = np.full(n, 1.0 / n)
-    radius = 0.0
-    for _ in range(iterations):
-        nxt = A @ vec
-        norm = float(np.linalg.norm(nxt))
-        if norm == 0.0:
-            return 0.0
-        prev, radius = radius, norm / float(np.linalg.norm(vec))
-        vec = nxt / norm
-        if abs(radius - prev) < 1e-12:
-            break
-    return radius
-
-
 def leontief_inverse(table: WorldIOTable) -> np.ndarray:
     """B = (I - A)^-1 with productivity and accuracy guards.
 
     Requires the spectral radius of A to be strictly below one, and checks
-    the inverse to ``LEONTIEF_RESIDUAL_TOL`` in the max norm.
+    the inverse to ``LEONTIEF_RESIDUAL_TOL`` in the max norm.  For
+    nonnegative A the largest column sum and the largest row sum both bound
+    the spectral radius from above; when neither is below one the exact
+    test decides: the radius is below one iff (I - A)^-1 exists and is
+    nonnegative (Miller & Blair, Input-Output Analysis, ch. 2).
     """
     A = technical_coefficients(table)
-    radius = _spectral_radius(A)
-    if radius >= 1.0:
-        raise TableFormatError(
-            f"input coefficients are not productive (spectral radius {radius:.6f})")
     n = A.shape[0]
     eye = np.eye(n)
-    B = np.linalg.solve(eye - A, eye)
+    try:
+        B = np.linalg.solve(eye - A, eye)
+    except np.linalg.LinAlgError:
+        B = None
+    bound = min(A.sum(axis=0).max(initial=0.0), A.sum(axis=1).max(initial=0.0))
+    productive = bound < 1.0 or (
+        B is not None and B.min() >= -NONNEGATIVE_RTOL * np.abs(B).max())
+    if not productive:
+        raise TableFormatError(
+            "input coefficients are not productive (column and row sums reach "
+            f"{bound:.6f} and (I - A)^-1 is not nonnegative)")
     residual = float(np.max(np.abs(B @ (eye - A) - eye)))
     if residual > LEONTIEF_RESIDUAL_TOL:
         raise TableFormatError(

@@ -22,7 +22,7 @@ import numpy as np
 
 from .chains import EconomyParams
 from .equilibrium import EquilibriumSolution, SolverConfig, solve_equilibrium
-from .shocks import EAST, SOUTH, ShockDraw, ShockParams, draw_shock
+from .shocks import EAST, SOUTH, ShockDraw, ShockParams, _draw_branches
 from .sourcing import (
     BeliefSet,
     SourcingAllocation,
@@ -263,9 +263,11 @@ def monte_carlo_survival(config: ScenarioConfig, n_runs: int,
                          seed: int) -> MonteCarloSummary:
     """Survival frequency when the shock realisation is drawn per run.
 
-    Each run draws once at the shock period using an independent stream
-    derived from (seed, run index), then replays the scripted engine.  A
-    run counts as surviving when the chain is alive in every period.
+    One generator seeded with ``seed`` draws all ``n_runs`` uniforms at
+    once; run r's shock is the :func:`draw_shock` outcome of element r.
+    Only three realisations exist, so each is replayed once through the
+    scripted engine and the runs are tallied per realisation.  A run
+    counts as surviving when the chain is alive in every period.
     ``stderr`` is the binomial standard error of the survival rate.
     """
     if n_runs < 1:
@@ -273,25 +275,20 @@ def monte_carlo_survival(config: ScenarioConfig, n_runs: int,
     solution = solve_equilibrium(config.economy, SolverConfig())
     allocation = choose_allocation(config, solution)
 
-    # Only three realisations exist; precompute each outcome once.
-    outcome = {}
-    for realization in REALIZATIONS:
+    alive = np.empty(len(REALIZATIONS))
+    welfare = np.empty(len(REALIZATIONS))
+    for k, realization in enumerate(REALIZATIONS):
         ts = run_scenario(replace(config, realization=realization),
                           solution=solution, allocation=allocation)
-        outcome[realization] = (bool(ts.chain_alive.all()),
-                                float(ts.welfare.mean()))
+        alive[k] = ts.chain_alive.all()
+        welfare[k] = ts.welfare.mean()
 
-    survived = 0
-    welfare_sum = 0.0
-    for run in range(n_runs):
-        u = float(np.random.default_rng([seed, run]).random())
-        draw = draw_shock(config.shock, u)
-        alive, mean_welfare = outcome[draw.label]
-        survived += int(alive)
-        welfare_sum += mean_welfare
+    u = np.random.default_rng(seed).random(n_runs)
+    # Branches 0, 1, 2 are none, East, South: the order of REALIZATIONS.
+    tally = np.bincount(_draw_branches(config.shock, u), minlength=len(REALIZATIONS))
 
-    rate = survived / n_runs
+    rate = float(tally @ alive) / n_runs
     stderr = float(np.sqrt(rate * (1.0 - rate) / n_runs))
     return MonteCarloSummary(survival_rate=rate,
-                             mean_welfare=welfare_sum / n_runs,
+                             mean_welfare=float(tally @ welfare) / n_runs,
                              stderr=stderr, n_runs=n_runs)

@@ -92,9 +92,12 @@ def step_regime(state: RegimeState, params: ShockParams, rand) -> RegimeState:
 def simulate_regime(params: ShockParams, draws, initial: int = NORMAL) -> np.ndarray:
     """Single-location regime path over a sequence of uniform draws.
 
-    Applies the same transition rule as :func:`step_regime` but in a tight
-    scalar loop, so million-period occupancy experiments stay cheap.
-    Returns the regime after each draw.
+    Applies the same transition rule as :func:`step_regime` to the whole
+    path at once.  A draw below both eta and lam flips the regime, a draw
+    below exactly one of them sets it (SHOCK when only eta's test passes,
+    NORMAL when only lam's does), and any other draw keeps it.  The regime
+    after draw t is therefore the last value set, flipped once per flip
+    since.  Returns the regime after each draw.
     """
     if initial not in (NORMAL, SHOCK):
         raise ValueError("initial regime must be NORMAL or SHOCK")
@@ -103,17 +106,20 @@ def simulate_regime(params: ShockParams, draws, initial: int = NORMAL) -> np.nda
         raise ValueError("draws must be a 1-d sequence of uniforms")
     if u.size and (u.min() < 0.0 or u.max() >= 1.0):
         raise ValueError("uniform draws must lie in [0, 1)")
-    eta, lam = params.eta, params.lam
-    state = initial
-    out = np.empty(u.size, dtype=np.intp)
-    for t, x in enumerate(u.tolist()):
-        if state == NORMAL:
-            if x < eta:
-                state = SHOCK
-        elif x < lam:
-            state = NORMAL
-        out[t] = state
-    return out
+    hit = u < params.eta
+    recover = u < params.lam
+    # set_to[k] is the regime set by draw k-1; slot 0 holds the start.
+    set_to = np.empty(u.size + 1, dtype=np.uint8)
+    set_to[0] = initial
+    set_to[1:] = hit
+    last = np.arange(1, u.size + 1)
+    last[hit == recover] = 0
+    np.maximum.accumulate(last, out=last)
+    # Flip counts wrap at 256 in uint8, which keeps their parity.
+    flips = np.zeros(u.size + 1, dtype=np.uint8)
+    np.cumsum(hit & recover, dtype=np.uint8, out=flips[1:])
+    since = flips[1:] - flips[last]
+    return ((since & 1) ^ set_to[last]).astype(np.intp)
 
 
 @dataclass(frozen=True)
@@ -138,11 +144,23 @@ def draw_shock(params: ShockParams, rand: float) -> ShockDraw:
     u = float(rand)
     if not 0.0 <= u < 1.0:
         raise ValueError("uniform draw must lie in [0, 1)")
-    if u < 1.0 - params.eta:
+    none_below, east_below = _draw_cuts(params)
+    if u < none_below:
         return ShockDraw(location=None)
-    if u < 1.0 - params.eta + params.eta * params.zeta:
+    if u < east_below:
         return ShockDraw(location=EAST)
     return ShockDraw(location=SOUTH)
+
+
+def _draw_cuts(params: ShockParams) -> np.ndarray:
+    """Cut points of [0, 1) for a world draw: none below the first, East
+    below the second, South from the second on."""
+    return np.array([1.0 - params.eta, 1.0 - params.eta + params.eta * params.zeta])
+
+
+def _draw_branches(params: ShockParams, u: np.ndarray) -> np.ndarray:
+    """:func:`draw_shock` for an array of uniforms: 0 none, 1 East, 2 South."""
+    return np.searchsorted(_draw_cuts(params), u, side="right")
 
 
 def apply_shock(labor, draw: ShockDraw) -> np.ndarray:

@@ -302,24 +302,29 @@ def _grid_sweep(params: EconomyParams, key_fn, grid_resolution: int,
     """Maximise a ranking key over the two-location allocation grid.
 
     Ties (plateaus of identical integer counts are common) go to the most
-    diversified allocation, then to the smaller South share.
+    diversified allocation, then to the smaller South share.  The key only
+    sees the integer supplier counts, so the grid is grouped by count
+    vector, each group keeps its tie-rule winner, and every distinct count
+    vector is scored once.
     """
     if params.n_locations != 2:
         raise ValueError("the planner grid search handles exactly two locations")
     if grid_resolution < 2:
         raise ValueError("grid resolution must be at least 2")
-    xs = np.linspace(0.0, 1.0, grid_resolution)
-    M = np.full(params.n_tiers, int(suppliers_per_tier), dtype=np.intp)
-    best_key = None
-    best_x = None
-    for x in xs:
-        counts1 = _apportion(np.array([1.0 - x, x]), int(M[0]))
-        counts = np.repeat(counts1[:, None], params.n_tiers, axis=1)
-        key = key_fn(_branch_values(counts, params, costs))
-        rank = (key, -abs(x - 0.5), -x)
-        if best_key is None or rank > best_key:
-            best_key = rank
-            best_x = x
+    M = int(suppliers_per_tier)
+    tie_winner = {}
+    for x in np.linspace(0.0, 1.0, grid_resolution).tolist():
+        counts1 = tuple(_apportion(np.array([1.0 - x, x]), M).tolist())
+        tie = (-abs(x - 0.5), -x)
+        if tie > tie_winner.get(counts1, (-math.inf,)):
+            tie_winner[counts1] = tie
+
+    def rank(group):
+        counts1, tie = group
+        counts = np.repeat(np.array(counts1)[:, None], params.n_tiers, axis=1)
+        return (key_fn(_branch_values(counts, params, costs)),) + tie
+
+    best_x = -max(tie_winner.items(), key=rank)[1][1]
     return SourcingAllocation.uniform_tiers(
         np.array([1.0 - best_x, best_x]), suppliers_per_tier, params.n_tiers)
 

@@ -94,6 +94,31 @@ def test_non_productive_table_rejected():
         leontief_inverse(table)
 
 
+def test_cyclic_non_productive_coefficients_rejected():
+    # The 3-cycle has spectral radius 2.25 ** (1/3) = 1.04, yet power
+    # iteration from a uniform start settles near 0.70.  No balanced table
+    # with nonnegative final demand has such coefficients, so the flows are
+    # swapped in after validation.
+    A = np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 0.5], [4.5, 0.0, 0.0]])
+    rng = np.random.default_rng(16)
+    table = random_balanced_table(rng, ["AAA", "BBB", "CCC"], ["MFG"])
+    table.Z = A * table.x[None, :]
+    np.testing.assert_allclose(technical_coefficients(table), A, rtol=1e-15)
+    with pytest.raises(TableFormatError, match="not productive"):
+        leontief_inverse(table)
+
+
+def test_productive_table_past_the_sum_bounds_accepted():
+    # Column and row sums both exceed one, but the spectral radius is
+    # sqrt(0.4 * 1.5) = 0.77: the exact nonnegative-inverse test accepts it.
+    A = np.array([[0.0, 0.4], [1.5, 0.0]])
+    table = two_country_table()
+    table.Z = A * table.x[None, :]
+    B = leontief_inverse(table)
+    np.testing.assert_allclose(B, np.linalg.inv(np.eye(2) - A), rtol=1e-14)
+    assert B.min() >= 0.0
+
+
 # ---------------------------------------------------------------------------
 # reliance metrics on the frozen two-country case
 

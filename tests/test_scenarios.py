@@ -15,6 +15,8 @@ from gscsim import (
     solve_equilibrium,
 )
 
+from gscsim.shocks import _draw_branches, _draw_cuts, draw_shock
+
 from conftest import random_economy, symmetric_two_tier
 
 
@@ -141,6 +143,41 @@ def test_monte_carlo_deterministic_in_seed():
     assert a == b
     with pytest.raises(ValueError):
         monte_carlo_survival(cfg, n_runs=0, seed=1)
+
+
+def test_monte_carlo_classifier_matches_draw_shock():
+    labels = ("none", "east", "south")
+    rng = np.random.default_rng(11)
+    for eta in (0.0, 1.0, 0.3):
+        for zeta in (0.0, 1.0, 0.6):
+            shock = ShockParams(eta=eta, lam=1.0, zeta=zeta)
+            cuts = [c for c in _draw_cuts(shock) if c < 1.0]
+            u = np.concatenate([rng.random(500), cuts, np.nextafter(cuts, 0.0),
+                                [0.0, np.nextafter(1.0, 0.0)]])
+            got = [labels[b] for b in _draw_branches(shock, u)]
+            assert got == [draw_shock(shock, x).label for x in u], (eta, zeta)
+
+
+def test_monte_carlo_tallies_scripted_outcomes():
+    # run r draws element r of one stream seeded with the run seed; the
+    # summary weights each scripted realisation's outcome by its tally
+    n, seed = 3_000, 29
+    for mode, shock in [("individual", ShockParams(eta=0.6, lam=1.0, zeta=0.3)),
+                        ("planner", ShockParams(eta=0.4, lam=1.0, zeta=0.8))]:
+        cfg = make_config(decision_mode=mode, shock=shock)
+        tally = {"none": 0, "east": 0, "south": 0}
+        for x in np.random.default_rng(seed).random(n):
+            tally[draw_shock(shock, float(x)).label] += 1
+        solution = solve_equilibrium(cfg.economy, SolverConfig())
+        survived, welfare = 0, 0.0
+        for realization, count in tally.items():
+            ts = run_scenario(make_config(decision_mode=mode, shock=shock,
+                                          realization=realization), solution=solution)
+            survived += count * bool(ts.chain_alive.all())
+            welfare += count * float(ts.welfare.mean())
+        summary = monte_carlo_survival(cfg, n_runs=n, seed=seed)
+        assert summary.survival_rate == survived / n
+        assert summary.mean_welfare == pytest.approx(welfare / n, rel=1e-12)
 
 
 def test_choose_allocation_dispatch():

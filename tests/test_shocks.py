@@ -76,6 +76,44 @@ def test_simulate_regime_agrees_with_step_regime():
     np.testing.assert_array_equal(fast, slow)
 
 
+def step_regime_path(params, draws, initial):
+    state = RegimeState(state=[initial], periods_in_state=[0])
+    out = []
+    for u in draws:
+        state = step_regime(state, params, u)
+        out.append(int(state.state[0]))
+    return out
+
+
+def test_simulate_regime_edge_cases():
+    rng = np.random.default_rng(5)
+    cases = [
+        # every draw flips: 600 alternations, past uint8's 255 wrap
+        (1.0, 1.0, rng.random(600)),
+        # 300 flips after a draw that sets the regime, so the flip count
+        # wraps between that draw and the ones after it
+        (0.5, 0.9, np.concatenate([rng.uniform(0.0, 0.5, 300), [0.7],
+                                   rng.uniform(0.0, 0.5, 300), [0.95],
+                                   rng.uniform(0.0, 0.5, 300)])),
+        (0.0, 0.4, rng.random(300)),
+        (0.4, 0.0, rng.random(300)),
+        (0.0, 0.0, rng.random(50)),
+        (0.3, 0.3, rng.random(300)),
+        # draws sitting exactly on eta or lam never pass that test
+        (0.25, 0.6, np.tile([0.25, 0.6, 0.1, 0.25, 0.9, 0.6], 60)),
+        (0.6, 0.25, np.tile([0.25, 0.6, 0.1, 0.6, 0.9, 0.25], 60)),
+        (0.5, 0.5, np.array([0.5, 0.2, 0.5, 0.2, 0.2, 0.7, 0.0])),
+        (0.3, 0.7, np.array([])),
+    ]
+    for eta, lam, draws in cases:
+        params = ShockParams(eta=eta, lam=lam, zeta=0.5)
+        for initial in (NORMAL, SHOCK):
+            path = simulate_regime(params, draws, initial=initial)
+            assert path.dtype == np.intp
+            assert path.tolist() == step_regime_path(params, draws, initial), \
+                (eta, lam, initial)
+
+
 def test_simulate_regime_occupancy():
     params = ShockParams(eta=0.1, lam=0.3, zeta=0.5)
     rng = np.random.default_rng(4242)

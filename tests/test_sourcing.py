@@ -22,7 +22,9 @@ from gscsim import (
     supplier_counts,
 )
 
-from conftest import symmetric_two_tier
+from gscsim.sourcing import _apportion, _branch_values, _score
+
+from conftest import random_economy, symmetric_two_tier
 
 UNIT_COSTS = np.ones(2)
 SHOCKS = ShockParams(eta=0.2, lam=1.0, zeta=0.9)
@@ -286,6 +288,54 @@ def test_planner_risk_matches_grid_oracle():
         want = oracle_risk_planner(101, 10, 2, params.sigma, list(costs),
                                    0.2, zeta, rho)
         assert alloc.phi[SOUTH, 0] == pytest.approx(want, abs=1e-15)
+
+
+def full_grid_phi(params, key_fn, grid, M, costs):
+    """The planner search as a scalar loop that scores every grid point."""
+    best_rank, best_x = None, None
+    for x in np.linspace(0.0, 1.0, grid):
+        counts1 = _apportion(np.array([1.0 - x, x]), M)
+        counts = np.repeat(counts1[:, None], params.n_tiers, axis=1)
+        rank = (key_fn(_branch_values(counts, params, costs)), -abs(x - 0.5), -x)
+        if best_rank is None or rank > best_rank:
+            best_rank, best_x = rank, x
+    return SourcingAllocation.uniform_tiers(
+        np.array([1.0 - best_x, best_x]), M, params.n_tiers).phi
+
+
+def test_planner_search_matches_full_grid():
+    # Scoring each distinct count vector once must return the very phi a
+    # sweep over every grid point returns, ties included.
+    rng = np.random.default_rng(303)
+    edges = [(eta, zeta) for eta in (0.0, 1.0, None) for zeta in (0.0, 1.0, None)]
+    for k in range(18):
+        eta, zeta = edges[k % len(edges)]
+        eta = float(rng.random()) if eta is None else eta
+        zeta = float(rng.random()) if zeta is None else zeta
+        rho = (0.0, 1.0, 0.5, 3.0)[k % 4]
+        M = 1 if k % 5 == 0 else int(rng.integers(2, 31))
+        grid = {0: 2, 1: 2001}.get(k % 6, int(rng.integers(3, 300)))
+        params = random_economy(rng, J=2) if k % 2 else symmetric_two_tier()
+        costs = UNIT_COSTS if k % 6 == 0 else rng.uniform(0.5, 2.0, size=2)
+        lo = float(rng.uniform(0.0, zeta))
+        beliefs = BeliefSet.singleton(lo) if k % 7 == 0 else \
+            BeliefSet(lo, float(rng.uniform(zeta, 1.0)))
+        shocks = ShockParams(eta=eta, lam=1.0, zeta=zeta)
+        utility = UtilitySpec(rho)
+        kw = dict(grid_resolution=grid, suppliers_per_tier=M, costs=costs)
+
+        def risk_key(values):
+            return _score(values, eta, zeta, rho)
+
+        def ambiguity_key(values):
+            return min(_score(values, eta, z, rho) for z in beliefs.endpoints)
+
+        risk = planner_risk_sourcing(params, shocks, utility, **kw)
+        assert risk.phi.tobytes() == full_grid_phi(
+            params, risk_key, grid, M, costs).tobytes(), k
+        amb = planner_ambiguity_sourcing(params, shocks, beliefs, utility, **kw)
+        assert amb.phi.tobytes() == full_grid_phi(
+            params, ambiguity_key, grid, M, costs).tobytes(), k
 
 
 def test_planner_risk_diversifies():
