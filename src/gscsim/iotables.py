@@ -18,7 +18,9 @@ replaces value-added weights with total intermediate input content.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +86,7 @@ class WorldIOTable:
 
     def validate(self, rtol: float = BALANCE_RTOL):
         """Check accounting balance; raise listing every offender."""
-        if np.any(~np.isfinite(self.Z)) or np.any(~np.isfinite(self.F)):
+        if not all(np.isfinite(a).all() for a in (self.Z, self.F, self.v, self.x)):
             raise TableFormatError("table contains non-finite entries")
         if np.any(self.Z < 0.0) or np.any(self.F < 0.0) or np.any(self.x < 0.0):
             raise TableFormatError("flows and outputs must be nonnegative")
@@ -118,35 +120,51 @@ def technical_coefficients(table: WorldIOTable) -> np.ndarray:
     return out
 
 
-def leontief_inverse(table: WorldIOTable) -> np.ndarray:
-    """B = (I - A)^-1 with productivity and accuracy guards.
+def _leontief_columns(table: WorldIOTable, cols: np.ndarray) -> np.ndarray:
+    """Columns ``cols`` of B = (I - A)^-1 from one solve, with the guards of
+    :func:`leontief_inverse`.
 
-    Requires the spectral radius of A to be strictly below one, and checks
-    the inverse to ``LEONTIEF_RESIDUAL_TOL`` in the max norm.  For
-    nonnegative A the largest column sum and the largest row sum both bound
-    the spectral radius from above; when neither is below one the exact
-    test decides: the radius is below one iff (I - A)^-1 exists and is
-    nonnegative (Miller & Blair, Input-Output Analysis, ch. 2).
+    Below the sum bound only the requested columns are solved for; past it
+    the exact productivity test needs the whole inverse.  The residual
+    max |(I - A) B[:, cols] - I[:, cols]| is checked on those columns.
     """
     A = technical_coefficients(table)
     n = A.shape[0]
     eye = np.eye(n)
-    try:
-        B = np.linalg.solve(eye - A, eye)
-    except np.linalg.LinAlgError:
-        B = None
+    lhs = eye - A
+    unit = eye[:, cols]
     bound = min(A.sum(axis=0).max(initial=0.0), A.sum(axis=1).max(initial=0.0))
-    productive = bound < 1.0 or (
-        B is not None and B.min() >= -NONNEGATIVE_RTOL * np.abs(B).max())
-    if not productive:
-        raise TableFormatError(
-            "input coefficients are not productive (column and row sums reach "
-            f"{bound:.6f} and (I - A)^-1 is not nonnegative)")
-    residual = float(np.max(np.abs(B @ (eye - A) - eye)))
+    if bound < 1.0:
+        B = np.linalg.solve(lhs, unit)
+    else:
+        try:
+            full = np.linalg.solve(lhs, eye)
+        except np.linalg.LinAlgError:
+            full = None
+        if full is None or full.min() < -NONNEGATIVE_RTOL * np.abs(full).max():
+            raise TableFormatError(
+                "input coefficients are not productive (column and row sums "
+                f"reach {bound:.6f} and (I - A)^-1 is not nonnegative)")
+        B = full[:, cols]
+    residual = float(np.max(np.abs(lhs @ B - unit), initial=0.0))
     if residual > LEONTIEF_RESIDUAL_TOL:
         raise TableFormatError(
             f"Leontief inverse residual {residual:.3e} exceeds tolerance")
     return B
+
+
+def leontief_inverse(table: WorldIOTable) -> np.ndarray:
+    """B = (I - A)^-1 with productivity and accuracy guards.
+
+    Requires the spectral radius of A to be strictly below one, and checks
+    the solve residual max |(I - A) B - I| against
+    ``LEONTIEF_RESIDUAL_TOL``.  For nonnegative A the largest column sum
+    and the largest row sum both bound the spectral radius from above;
+    when neither is below one the exact test decides: the radius is below
+    one iff (I - A)^-1 exists and is nonnegative (Miller & Blair,
+    Input-Output Analysis, ch. 2).
+    """
+    return _leontief_columns(table, np.arange(len(table.x)))
 
 
 @dataclass
@@ -190,20 +208,26 @@ class RelianceMatrix:
                 writer.writerow([country] + cells)
 
 
-def _content_matrix(table: WorldIOTable, B: np.ndarray, measure: str) -> np.ndarray:
-    """Per-unit content of column output attributed to each row, by measure.
+def _content_columns(table: WorldIOTable, cols: np.ndarray, measure: str) -> np.ndarray:
+    """Per-unit content of the output of ``cols`` attributed to each row.
 
     "va" weights B by row value-added shares, so columns decompose one unit
     of output into originating value added and sum to 1 on balanced data.
     "gross" uses total intermediate input content B - I, normalised later.
     """
+    B = _leontief_columns(table, cols)
     if measure == "va":
         shares = np.zeros_like(table.x)
         np.divide(table.v, table.x, out=shares, where=table.x > 0.0)
         return shares[:, None] * B
     if measure == "gross":
-        return B - np.eye(B.shape[0])
+        return B - np.eye(B.shape[0])[:, cols]
     raise ValueError(f"measure must be 'va' or 'gross', got {measure!r}")
+
+
+def _target_columns(table: WorldIOTable, target_sector: str) -> np.ndarray:
+    """Index of the target sector in each country block, in country order."""
+    return np.array([table.index(c, target_sector) for c in table.countries])
 
 
 def _split_focus(table: WorldIOTable, focus) -> tuple[list, list]:
@@ -268,11 +292,10 @@ def compute_fir(table: WorldIOTable, target_sector: str, focus=None,
     Shares over all origins including home sum to 100 on balanced tables.
     """
     _check_target(table, target_sector)
-    B = leontief_inverse(table)
-    content = _content_matrix(table, B, measure)
+    content = _content_columns(table, _target_columns(table, target_sector), measure)
 
     def shares_for(country: str) -> np.ndarray:
-        col = content[:, table.index(country, target_sector)]
+        col = content[:, table.countries.index(country)]
         by_country = _aggregate_by_country(table, col)
         total = by_country.sum()
         if total <= 0.0:
@@ -292,17 +315,17 @@ def compute_fmr(table: WorldIOTable, target_sector: str, focus=None,
     :func:`compute_fir`.
     """
     _check_target(table, target_sector)
-    B = leontief_inverse(table)
-    content = _content_matrix(table, B, measure)
-    target_cols = np.array([table.index(c, target_sector) for c in table.countries])
+    target_cols = _target_columns(table, target_sector)
+    content = _content_columns(table, target_cols, measure)
     target_out = table.x[target_cols]
 
     def shares_for(country: str) -> np.ndarray:
         S = len(table.sectors)
         c = table.countries.index(country)
         own_rows = slice(c * S, (c + 1) * S)
-        # value originating in `country` absorbed in each country's target output
-        absorbed = content[own_rows][:, target_cols].sum(axis=0) * target_out
+        # value originating in `country` absorbed in each country's target
+        # output; a column-major block makes numpy sum each column pairwise
+        absorbed = np.asfortranarray(content[own_rows]).sum(axis=0) * target_out
         total = absorbed.sum()
         if total <= 0.0:
             raise ValueError(f"{country} supplies no content to {target_sector}")
@@ -327,6 +350,62 @@ def reliance_change(after: RelianceMatrix, before: RelianceMatrix) -> RelianceMa
                           domestic=after.domestic - before.domestic)
 
 
+def _nonblank(row: list) -> bool:
+    return any(cell.strip() for cell in row)
+
+
+def _parse_cells(rest: str):
+    """The comma-separated numbers of one unquoted line, or None to decline.
+
+    One numpy call per line.  numpy reads a whitespace-only cell as -1 and
+    accepts ``nan(...)``, which float() rejects; flows hold no negative or
+    NaN entries, so such a line is declined and parsed cell by cell.  On
+    trailing garbage numpy 2 raises and numpy 1.x warns and returns the
+    numbers it read, so the warning is raised and the count compared.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            cells = np.fromstring(rest, sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    if len(cells) != rest.count(",") + 1 or not cells.min(initial=0.0) >= 0.0:
+        return None
+    return cells
+
+
+def _records(lines):
+    """(label, cells) for every nonblank row left in ``lines``.
+
+    ``cells`` is a float array when numpy took the line, else the stripped
+    strings csv.reader gives: quotes, blank cells, numbers numpy declines.
+    The VA and OUT rows keep blank final-demand cells, so they always take
+    the csv path.
+    """
+    for line in lines:
+        label, sep, rest = line.partition(",")
+        label = label.strip()
+        if sep and '"' not in line and label not in (VA_LABEL, OUT_LABEL):
+            cells = _parse_cells(rest)
+            if cells is not None:
+                yield label, cells
+                continue
+        # csv.reader pulls further lines when a quoted field spans them
+        row = next(csv.reader(itertools.chain([line], lines)))
+        if _nonblank(row):
+            yield row[0].strip(), [cell.strip() for cell in row[1:]]
+
+
+def _row_floats(path, label: str, cells) -> np.ndarray:
+    """The cells of one row as floats, converted one by one unless numpy did."""
+    if isinstance(cells, np.ndarray):
+        return cells
+    try:
+        return np.array([float(c) for c in cells])
+    except ValueError as err:
+        raise TableFormatError(f"{path}: row {label}: {err}") from None
+
+
 def load_table(path) -> WorldIOTable:
     """Read a world IO table from the documented CSV layout.
 
@@ -334,73 +413,82 @@ def load_table(path) -> WorldIOTable:
     country:sector with intermediate flows then final demand; a ``VA`` row
     and an ``OUT`` row close the file (their final-demand cells stay
     empty).  Raises :class:`TableFormatError` naming the offending row or
-    column on any structural or balance problem.
+    column on any structural or balance problem, among them a row label
+    that is not a header column, a repeated row (``VA`` and ``OUT``
+    included) and a nonblank final-demand cell in ``VA`` or ``OUT``.
     """
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
-    if len(rows) < 4:
-        raise TableFormatError(f"{path}: too few rows for an IO table")
-    header = [cell.strip() for cell in rows[0]]
-    flow_labels = []
-    fd_countries = []
-    for cell in header[1:]:
-        if cell.startswith(f"{FD_PREFIX}:"):
-            fd_countries.append(cell.split(":", 1)[1])
-        elif ":" in cell:
-            if fd_countries:
-                raise TableFormatError(
-                    f"{path}: flow column {cell!r} after final demand block")
-            flow_labels.append(tuple(cell.split(":", 1)))
-        else:
-            raise TableFormatError(f"{path}: malformed column header {cell!r}")
-    countries = list(dict.fromkeys(c for c, _ in flow_labels))
-    sectors = list(dict.fromkeys(s for _, s in flow_labels))
-    expect = [(c, s) for c in countries for s in sectors]
-    if flow_labels != expect:
-        raise TableFormatError(
-            f"{path}: columns must nest sectors within country blocks")
-    if fd_countries != countries:
-        raise TableFormatError(
-            f"{path}: final demand columns must cover every country in order")
-
-    n = len(flow_labels)
-    body = {}
-    va_row = out_row = None
-    for row in rows[1:]:
-        label = row[0].strip()
-        cells = [cell.strip() for cell in row[1:]]
-        if label in (VA_LABEL, OUT_LABEL):
-            if len(cells) < n:
-                raise TableFormatError(f"{path}: row {label} is too short")
-            try:
-                vals = np.array([float(c) for c in cells[:n]])
-            except ValueError as err:
-                raise TableFormatError(f"{path}: row {label}: {err}") from None
-            if label == VA_LABEL:
-                va_row = vals
+        lines = iter(fh)
+        header = next((row for row in csv.reader(lines) if _nonblank(row)), None)
+        records = _records(lines)
+        head = list(itertools.islice(records, 3))
+        if header is None or len(head) < 3:
+            raise TableFormatError(f"{path}: too few rows for an IO table")
+        header = [cell.strip() for cell in header]
+        flow_labels = []
+        fd_countries = []
+        for cell in header[1:]:
+            if cell.startswith(f"{FD_PREFIX}:"):
+                fd_countries.append(cell.split(":", 1)[1])
+            elif ":" in cell:
+                if fd_countries:
+                    raise TableFormatError(
+                        f"{path}: flow column {cell!r} after final demand block")
+                flow_labels.append(tuple(cell.split(":", 1)))
             else:
-                out_row = vals
-            continue
-        if ":" not in label:
-            raise TableFormatError(f"{path}: unexpected row label {label!r}")
-        if len(cells) != n + len(countries):
+                raise TableFormatError(f"{path}: malformed column header {cell!r}")
+        countries = list(dict.fromkeys(c for c, _ in flow_labels))
+        sectors = list(dict.fromkeys(s for _, s in flow_labels))
+        expect = [(c, s) for c in countries for s in sectors]
+        if flow_labels != expect:
             raise TableFormatError(
-                f"{path}: row {label} has {len(cells)} cells, "
-                f"expected {n + len(countries)}")
-        try:
-            body[tuple(label.split(":", 1))] = np.array([float(c) for c in cells])
-        except ValueError as err:
-            raise TableFormatError(f"{path}: row {label}: {err}") from None
+                f"{path}: columns must nest sectors within country blocks")
+        if fd_countries != countries:
+            raise TableFormatError(
+                f"{path}: final demand columns must cover every country in order")
 
-    missing = [f"{c}:{s}" for (c, s) in expect if (c, s) not in body]
+        n = len(flow_labels)
+        width = n + len(countries)
+        row_of = {f"{c}:{s}": k for k, (c, s) in enumerate(expect)}
+        data = np.empty((n, width))
+        seen = np.zeros(n, dtype=bool)
+        summary = {}
+        for label, cells in itertools.chain(head, records):
+            if label in (VA_LABEL, OUT_LABEL):
+                if len(cells) < n:
+                    raise TableFormatError(f"{path}: row {label} is too short")
+                vals = _row_floats(path, label, cells[:n])
+                if any(cells[n:]):
+                    raise TableFormatError(
+                        f"{path}: row {label} has final demand entries")
+                if label in summary:
+                    raise TableFormatError(f"{path}: duplicate row {label}")
+                summary[label] = vals
+                continue
+            if ":" not in label:
+                raise TableFormatError(f"{path}: unexpected row label {label!r}")
+            if len(cells) != width:
+                raise TableFormatError(
+                    f"{path}: row {label} has {len(cells)} cells, expected {width}")
+            vals = _row_floats(path, label, cells)
+            k = row_of.get(label)
+            if k is None:
+                raise TableFormatError(
+                    f"{path}: row {label} is not a column of the header")
+            if seen[k]:
+                raise TableFormatError(f"{path}: duplicate row {label}")
+            data[k] = vals
+            seen[k] = True
+
+    missing = [label for label, k in row_of.items() if not seen[k]]
     if missing:
         raise TableFormatError(f"{path}: missing rows: {', '.join(missing)}")
-    if va_row is None or out_row is None:
+    if VA_LABEL not in summary or OUT_LABEL not in summary:
         raise TableFormatError(f"{path}: VA and OUT rows are required")
 
-    data = np.vstack([body[key] for key in expect])
     return WorldIOTable(countries=countries, sectors=sectors,
-                        Z=data[:, :n], F=data[:, n:], v=va_row, x=out_row)
+                        Z=data[:, :n], F=data[:, n:],
+                        v=summary[VA_LABEL], x=summary[OUT_LABEL])
 
 
 def write_table(table: WorldIOTable, path):

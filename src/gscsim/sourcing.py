@@ -156,6 +156,28 @@ def _apportion(weights: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
+def _apportion_pairs(x: np.ndarray, total: int) -> np.ndarray:
+    """:func:`_apportion` of the weights (1 - x, x) for every x at once.
+
+    Same rounding, floors and trimming order, one row of counts per x.
+    """
+    weights = np.stack([1.0 - x, x], axis=1)
+    raw = weights * total
+    counts = np.floor(raw + 0.5).astype(np.intp)
+    need = (weights > 0.0).astype(np.intp)
+    feasible = need.sum(axis=1) <= total
+    counts[feasible] = np.maximum(counts[feasible], need[feasible])
+    need[~feasible] = 0
+    rows = np.arange(len(x))
+    while True:
+        excess = counts.sum(axis=1) - total
+        if not excess.any():
+            return counts
+        over = np.where(counts <= need, -np.inf, counts - raw)
+        pick = np.where(excess > 0, over.argmax(axis=1), (raw - counts).argmax(axis=1))
+        counts[rows, pick] -= np.sign(excess)
+
+
 def supplier_counts(alloc: SourcingAllocation) -> np.ndarray:
     """Integer suppliers per location and tier, shape (J, n_tiers)."""
     out = np.empty(alloc.phi.shape, dtype=np.intp)
@@ -312,19 +334,22 @@ def _grid_sweep(params: EconomyParams, key_fn, grid_resolution: int,
     if grid_resolution < 2:
         raise ValueError("grid resolution must be at least 2")
     M = int(suppliers_per_tier)
-    tie_winner = {}
-    for x in np.linspace(0.0, 1.0, grid_resolution).tolist():
-        counts1 = tuple(_apportion(np.array([1.0 - x, x]), M).tolist())
-        tie = (-abs(x - 0.5), -x)
-        if tie > tie_winner.get(counts1, (-math.inf,)):
-            tie_winner[counts1] = tie
+    xs = np.linspace(0.0, 1.0, grid_resolution)
+    counts = _apportion_pairs(xs, M)
+    # The counts keep the tier total, so the South count names the vector.
+    # Its group's first point in tie order (nearest an even split, then the
+    # smaller South share) is the group's candidate.
+    by_tie = np.lexsort((xs, np.abs(xs - 0.5)))
+    _, lead = np.unique(counts[by_tie, 1], return_index=True)
+    winners = by_tie[lead]
 
-    def rank(group):
-        counts1, tie = group
-        counts = np.repeat(np.array(counts1)[:, None], params.n_tiers, axis=1)
-        return (key_fn(_branch_values(counts, params, costs)),) + tie
+    def rank(i):
+        x = float(xs[i])
+        values = _branch_values(np.repeat(counts[i][:, None], params.n_tiers, axis=1),
+                                params, costs)
+        return (key_fn(values), -abs(x - 0.5), -x)
 
-    best_x = -max(tie_winner.items(), key=rank)[1][1]
+    best_x = float(xs[max(winners, key=rank)])
     return SourcingAllocation.uniform_tiers(
         np.array([1.0 - best_x, best_x]), suppliers_per_tier, params.n_tiers)
 

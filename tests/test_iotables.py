@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,12 @@ from gscsim import (
     reliance_change,
     technical_coefficients,
     write_table,
+)
+from gscsim.iotables import (
+    FD_PREFIX,
+    OUT_LABEL,
+    VA_LABEL,
+    _aggregate_by_country,
 )
 
 
@@ -117,6 +125,96 @@ def test_productive_table_past_the_sum_bounds_accepted():
     B = leontief_inverse(table)
     np.testing.assert_allclose(B, np.linalg.inv(np.eye(2) - A), rtol=1e-14)
     assert B.min() >= 0.0
+
+
+def reference_shares(table, target_sector, measure, metric):
+    """Per-country share vectors read off the full inverse, as computed
+    before only the target columns were solved for."""
+    B = leontief_inverse(table)
+    if measure == "va":
+        shares = np.zeros_like(table.x)
+        np.divide(table.v, table.x, out=shares, where=table.x > 0.0)
+        content = shares[:, None] * B
+    else:
+        content = B - np.eye(B.shape[0])
+    target_cols = np.array([table.index(c, target_sector) for c in table.countries])
+    S = len(table.sectors)
+    out = []
+    for c, country in enumerate(table.countries):
+        if metric == "fir":
+            by_country = _aggregate_by_country(
+                table, content[:, table.index(country, target_sector)])
+            out.append(by_country / by_country.sum() if measure == "gross"
+                       else by_country)
+        else:
+            absorbed = (content[c * S:(c + 1) * S][:, target_cols].sum(axis=0)
+                        * table.x[target_cols])
+            out.append(absorbed / absorbed.sum())
+    return 100.0 * np.array(out)
+
+
+def assert_matches_full_inverse(table, target_sector):
+    for measure in ("va", "gross"):
+        for metric, compute in (("fir", compute_fir), ("fmr", compute_fmr)):
+            got = compute(table, target_sector, measure=measure)
+            ref = reference_shares(table, target_sector, measure, metric)
+            diag = np.eye(len(table.countries), dtype=bool)
+            assert np.array_equal(got.values, np.where(diag, np.nan, ref),
+                                  equal_nan=True), (metric, measure)
+            assert np.array_equal(got.domestic, ref[diag]), (metric, measure)
+
+
+def solve_widths(table, compute, measure) -> list:
+    """Right-hand-side counts of the np.linalg.solve calls of one metric."""
+    widths = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        widths.append(b.shape[1])
+        return solve(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "solve", spy)
+        compute(table, "MFG", measure=measure)
+    return widths
+
+
+def test_target_columns_match_full_inverse():
+    rng = np.random.default_rng(21)
+    for countries, sectors in ((["AAA", "BBB"], ["MFG"]),
+                               (["AAA", "BBB", "CCC"], ["SRV", "MFG"]),
+                               (["AAA", "BBB", "CCC", "DDD"], ["AGR", "MFG", "SRV"]),
+                               # numpy sums blocks of 8 or more pairwise
+                               (["AAA", "BBB", "CCC"], ["MFG"] + [f"S{k}" for k in range(12)])):
+        for _ in range(3):
+            table = random_balanced_table(rng, countries, sectors)
+            assert_matches_full_inverse(table, "MFG")
+            # below the sum bound only the C target columns are solved for
+            for compute in (compute_fir, compute_fmr):
+                for measure in ("va", "gross"):
+                    assert solve_widths(table, compute, measure) == [len(countries)]
+
+
+def test_target_columns_past_the_sum_bounds():
+    table = two_country_table()
+    table.Z = np.array([[0.0, 0.4], [1.5, 0.0]]) * table.x[None, :]
+    assert_matches_full_inverse(table, "MFG")
+    # The same coupling between the MFG sectors, plus a small SRV block:
+    # both sum bounds still reach 1.5, so the whole inverse is formed.
+    rng = np.random.default_rng(23)
+    table = random_balanced_table(rng, ["AAA", "BBB"], ["MFG", "SRV"])
+    A = np.diag([0.0, 0.1, 0.0, 0.1])
+    A[0, 2], A[2, 0] = 0.4, 1.5
+    table.Z = A * table.x[None, :]
+    assert_matches_full_inverse(table, "MFG")
+    for compute in (compute_fir, compute_fmr):
+        assert solve_widths(table, compute, "va") == [4]
+    rng = np.random.default_rng(16)
+    cyclic = random_balanced_table(rng, ["AAA", "BBB", "CCC"], ["MFG"])
+    cyclic.Z = np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 0.5],
+                         [4.5, 0.0, 0.0]]) * cyclic.x[None, :]
+    with pytest.raises(TableFormatError, match="not productive"):
+        compute_fir(cyclic, "MFG")
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +398,175 @@ def test_load_errors_name_the_problem(tmp_path):
         bad.write_text(text)
         with pytest.raises(TableFormatError, match=needle):
             load_table(bad)
+
+
+GOOD_TABLE = ("table,AAA:MFG,BBB:MFG,FD:AAA,FD:BBB\n"
+              "AAA:MFG,0.0,0.0,100.0,0.0\n"
+              "BBB:MFG,40.0,0.0,0.0,10.0\n"
+              "VA,60.0,50.0,,\n"
+              "OUT,100.0,50.0,,\n")
+
+
+def test_load_rejects_malformed_rows(tmp_path):
+    good = GOOD_TABLE
+    cases = {
+        "dup_row.csv": (good.replace("VA,", "BBB:MFG,40.0,0.0,0.0,10.0\nVA,"),
+                        "duplicate row BBB:MFG"),
+        "stray_row.csv": (good.replace("VA,", "CCC:MFG,0.0,0.0,0.0,0.0\nVA,"),
+                          "row CCC:MFG is not a column"),
+        "dup_va.csv": (good.replace("OUT,", "VA,60.0,50.0,,\nOUT,"), "duplicate row VA"),
+        "dup_out.csv": (good + "OUT,100.0,50.0,,\n", "duplicate row OUT"),
+        "va_fd.csv": (good.replace("VA,60.0,50.0,,", "VA,60.0,50.0,1.0,"),
+                      "row VA has final demand"),
+        "out_fd.csv": (good.replace("OUT,100.0,50.0,,", "OUT,100.0,50.0,,0"),
+                       "row OUT has final demand"),
+        "out_nan.csv": (good.replace("OUT,100.0", "OUT,nan"), "non-finite"),
+    }
+    for name, (text, needle) in cases.items():
+        bad = tmp_path / name
+        bad.write_text(text)
+        with pytest.raises(TableFormatError, match=needle):
+            load_table(bad)
+
+
+def reference_load_table(path) -> WorldIOTable:
+    """The per-cell loader: csv.reader, then float() on every stripped cell."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+    if len(rows) < 4:
+        raise TableFormatError(f"{path}: too few rows for an IO table")
+    header = [cell.strip() for cell in rows[0]]
+    flow_labels = []
+    fd_countries = []
+    for cell in header[1:]:
+        if cell.startswith(f"{FD_PREFIX}:"):
+            fd_countries.append(cell.split(":", 1)[1])
+        elif ":" in cell:
+            if fd_countries:
+                raise TableFormatError(
+                    f"{path}: flow column {cell!r} after final demand block")
+            flow_labels.append(tuple(cell.split(":", 1)))
+        else:
+            raise TableFormatError(f"{path}: malformed column header {cell!r}")
+    countries = list(dict.fromkeys(c for c, _ in flow_labels))
+    sectors = list(dict.fromkeys(s for _, s in flow_labels))
+    expect = [(c, s) for c in countries for s in sectors]
+    if flow_labels != expect:
+        raise TableFormatError(
+            f"{path}: columns must nest sectors within country blocks")
+    if fd_countries != countries:
+        raise TableFormatError(
+            f"{path}: final demand columns must cover every country in order")
+
+    n = len(flow_labels)
+    body = {}
+    va_row = out_row = None
+    for row in rows[1:]:
+        label = row[0].strip()
+        cells = [cell.strip() for cell in row[1:]]
+        if label in (VA_LABEL, OUT_LABEL):
+            if len(cells) < n:
+                raise TableFormatError(f"{path}: row {label} is too short")
+            try:
+                vals = np.array([float(c) for c in cells[:n]])
+            except ValueError as err:
+                raise TableFormatError(f"{path}: row {label}: {err}") from None
+            if label == VA_LABEL:
+                va_row = vals
+            else:
+                out_row = vals
+            continue
+        if ":" not in label:
+            raise TableFormatError(f"{path}: unexpected row label {label!r}")
+        if len(cells) != n + len(countries):
+            raise TableFormatError(
+                f"{path}: row {label} has {len(cells)} cells, "
+                f"expected {n + len(countries)}")
+        try:
+            body[tuple(label.split(":", 1))] = np.array([float(c) for c in cells])
+        except ValueError as err:
+            raise TableFormatError(f"{path}: row {label}: {err}") from None
+
+    missing = [f"{c}:{s}" for (c, s) in expect if (c, s) not in body]
+    if missing:
+        raise TableFormatError(f"{path}: missing rows: {', '.join(missing)}")
+    if va_row is None or out_row is None:
+        raise TableFormatError(f"{path}: VA and OUT rows are required")
+
+    data = np.vstack([body[key] for key in expect])
+    return WorldIOTable(countries=countries, sectors=sectors,
+                        Z=data[:, :n], F=data[:, n:], v=va_row, x=out_row)
+
+
+def loader_inputs(tmp_path) -> dict:
+    """Table texts that cover the fast path and every way out of it."""
+    rng = np.random.default_rng(22)
+    texts = {}
+    for k, (countries, sectors) in enumerate(((["AAA", "BBB"], ["MFG"]),
+                                              (["AAA", "BBB", "CCC"], ["MFG", "SRV"]),
+                                              (["A", "B", "C", "D"], ["M,FG", "S\nRV"]))):
+        path = tmp_path / f"round_trip_{k}.csv"
+        write_table(random_balanced_table(rng, countries, sectors), path)
+        with open(path, newline="") as fh:
+            texts[f"round_trip_{k}"] = fh.read()
+    text = texts["round_trip_1"]
+    lines = text.splitlines(keepends=True)
+    body = lines[1]
+    label, first, rest = body.split(",", 2)
+    texts.update({
+        "padded": text.replace(",", " ,\t"),
+        "unbalanced_quote": text.replace(",0.", ',"0.', 1),
+        "quoted_numbers": lines[0] + "".join(
+            ",".join(f'"{c}"' for c in ln.rstrip("\r\n").split(",")) + "\n"
+            for ln in lines[1:]),
+        "crlf": text.replace("\r\n", "\n").replace("\n", "\r\n"),
+        "cr": text.replace("\r\n", "\n").replace("\n", "\r"),
+        "blank_lines": "\n".join(lines[:2]) + "\n" + ",,,\n \t\n , ,\n" + "".join(lines[2:]),
+        "underscore": text.replace(body, f"{label},{first[:3]}_{first[3:]},{rest}"),
+        "body_nan": text.replace(body, f"{label},nan,{rest}"),
+        "body_inf": text.replace(body, f"{label},inf,{rest}"),
+        "nan_parens": text.replace(body, f"{label},nan(1),{rest}"),
+        "blank_cell": text.replace(body, f"{label}, ,{rest}"),
+        "negative": text.replace(body, f"{label},-{first},{rest}"),
+        "trailing_comma": text.replace(body, body.rstrip("\r\n") + ",\n"),
+        "trailing_comma_at_end": text.replace(body, "") + body.rstrip("\r\n") + ",",
+        "quoted_labels": "".join(
+            f'"{ln.split(",", 1)[0]}",{ln.split(",", 1)[1]}' for ln in lines),
+        "two_numbers_in_cell": text.replace(body, f"{label},{first} 1,{rest}"),
+        "no_comma_line": text.replace(body, "AAA:MFG\n"),
+        "too_few_rows": "BADHEADER\nVA,1\n",
+        "empty": "",
+    })
+    va = next(ln for ln in lines if ln.startswith("VA,"))
+    texts["va_inf"] = text.replace(va, "VA,inf," + va.split(",", 2)[2])
+    # test_load_errors_name_the_problem's table and its malformed cases
+    texts.update({
+        "good": GOOD_TABLE,
+        "no_out": GOOD_TABLE.replace("OUT,100.0,50.0,,\n", ""),
+        "bad_header": GOOD_TABLE.replace("BBB:MFG,FD", "BBBMFG,FD"),
+        "short_row": GOOD_TABLE.replace("BBB:MFG,40.0,0.0,0.0,10.0", "BBB:MFG,40.0,0.0,0.0"),
+        "bad_number": GOOD_TABLE.replace("40.0", "forty"),
+        "missing_row": GOOD_TABLE.replace("BBB:MFG,40.0,0.0,0.0,10.0\n", ""),
+    })
+    return texts
+
+
+def test_loader_matches_per_cell_reference(tmp_path):
+    for name, text in loader_inputs(tmp_path).items():
+        path = tmp_path / f"{name}.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        try:
+            ref = reference_load_table(path)
+        except TableFormatError as err:
+            with pytest.raises(TableFormatError) as got:
+                load_table(path)
+            assert str(got.value) == str(err), name
+            continue
+        table = load_table(path)
+        assert (table.countries, table.sectors) == (ref.countries, ref.sectors), name
+        for attr in ("Z", "F", "v", "x"):
+            assert getattr(table, attr).tobytes() == getattr(ref, attr).tobytes(), (name, attr)
 
 
 def test_reliance_to_csv(tmp_path):

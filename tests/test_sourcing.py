@@ -338,6 +338,23 @@ def test_planner_search_matches_full_grid():
             params, ambiguity_key, grid, M, costs).tobytes(), k
 
 
+def test_planner_tie_goes_to_smaller_south_share():
+    # On a 10-point grid 4/9 and 5/9 lie exactly as far from one half and
+    # both give one supplier per location: the smaller South share wins.
+    params = symmetric_two_tier()
+    xs = np.linspace(0.0, 1.0, 10)
+    assert abs(xs[4] - 0.5) == abs(xs[5] - 0.5)
+    alloc = planner_risk_sourcing(params, SHOCKS, UtilitySpec(rho=2.0),
+                                  grid_resolution=10, suppliers_per_tier=2,
+                                  costs=UNIT_COSTS)
+    assert alloc.phi[SOUTH, 0] == xs[4]
+
+    def key(values):
+        return _score(values, SHOCKS.eta, SHOCKS.zeta, 2.0)
+
+    assert alloc.phi.tobytes() == full_grid_phi(params, key, 10, 2, UNIT_COSTS).tobytes()
+
+
 def test_planner_risk_diversifies():
     params = symmetric_two_tier()
     alloc = planner_risk_sourcing(params, SHOCKS, UtilitySpec(rho=2.0), costs=UNIT_COSTS)
