@@ -47,8 +47,10 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
-        if self.tolerance <= 0.0 or self.world_income <= 0.0:
-            raise ValueError("tolerance and world_income must be positive")
+        if not (0.0 < self.tolerance < np.inf and 0.0 < self.world_income < np.inf):
+            raise ValueError("tolerance and world_income must be finite and positive")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be nonnegative")
 
 
 @dataclass

@@ -2,11 +2,14 @@
 
 A scenario fixes a decision maker (individual firms or a planner), an
 information environment (known shock odds vs an ambiguous interval) and a
-scripted realisation (no shock, East hit, South hit).  The allocation is
-chosen once; the shock state resets every period, so the stationary rule
-would reproduce the same split each morning.  At the shock period the
-scripted draw destroys the hit location's labour for exactly one period,
-and the run records supplier counts, survival and welfare period by period.
+scripted realisation, one of the branches in ``shocks.BRANCHES`` (no
+shock, East hit, South hit).  The allocation is chosen once; the shock
+state resets every period, so the stationary rule would reproduce the same
+split each morning.  At the shock period the scripted draw destroys the hit
+location's labour for exactly one period, and the run records supplier
+counts, survival and welfare period by period.  Every other period is calm,
+so a run evaluates each branch once and lays the calm and the scripted
+outcome out over the horizon.
 
 Welfare is the destination household's real wage scaled by the love-of-
 variety factor of the surviving supplier basket relative to the full one,
@@ -22,13 +25,14 @@ import numpy as np
 
 from .chains import EconomyParams
 from .equilibrium import EquilibriumSolution, SolverConfig, solve_equilibrium
-from .shocks import EAST, SOUTH, ShockDraw, ShockParams, _draw_branches
+from .shocks import BRANCHES, EAST, SOUTH, ShockParams, _draw_branches
 from .sourcing import (
     BeliefSet,
     SourcingAllocation,
     UtilitySpec,
-    allocation_value,
-    chain_survives,
+    _branch_values,
+    _checked_costs,
+    _surviving_counts,
     individual_sourcing,
     planner_ambiguity_sourcing,
     planner_risk_sourcing,
@@ -39,13 +43,7 @@ logger = logging.getLogger(__name__)
 
 DECISION_MODES = ("individual", "planner")
 INFO_ENVS = ("risk", "ambiguity")
-REALIZATIONS = ("none", "east", "south")
-
-_REALIZATION_DRAW = {
-    "none": ShockDraw(None),
-    "east": ShockDraw(EAST),
-    "south": ShockDraw(SOUTH),
-}
+REALIZATIONS = tuple(draw.label for draw in BRANCHES)
 
 
 @dataclass
@@ -122,6 +120,8 @@ class ScenarioConfig:
                 return loader(d[name])
             except (ValueError, TypeError) as err:
                 raise ValueError(f"{name}: {err}") from None
+            except KeyError as err:
+                raise ValueError(f"{name} config missing key: {err.args[0]}") from None
 
         economy = section("economy", EconomyParams.from_dict)
         shock = section("shock", ShockParams.from_dict)
@@ -187,47 +187,36 @@ def choose_allocation(config: ScenarioConfig,
 def run_scenario(config: ScenarioConfig,
                  solution: EquilibriumSolution | None = None,
                  allocation: SourcingAllocation | None = None) -> TimeSeries:
-    """Simulate one scripted realisation period by period.
+    """Simulate one scripted realisation over the horizon.
 
-    The equilibrium and the allocation can be passed in to reuse across the
-    scenario matrix; they do not depend on the scripted realisation.
+    Each shock branch is evaluated once (supplier counts, survival and
+    value), and every period takes the calm branch except the shock
+    period, which takes the scripted one.  The equilibrium and the
+    allocation can be passed in to reuse across the scenario matrix; they
+    do not depend on the scripted realisation.
     """
     if solution is None:
         solution = solve_equilibrium(config.economy, SolverConfig())
     if allocation is None:
         allocation = choose_allocation(config, solution)
 
-    base_counts = supplier_counts(allocation)
-    draw_hit = _REALIZATION_DRAW[config.realization]
-    none_draw = _REALIZATION_DRAW["none"]
+    counts = supplier_counts(allocation)
+    costs = _checked_costs(config.economy, solution.costs, allocation)
+    values = np.array(_branch_values(counts, config.economy, costs))
     real_wage = float(solution.real_wages[config.destination])
-    full_value = allocation_value(allocation, none_draw, config.economy,
-                                  solution.costs)
 
-    T = config.horizon
-    periods = np.arange(1, T + 1)
-    east = np.empty(T, dtype=np.intp)
-    south = np.empty(T, dtype=np.intp)
-    alive = np.empty(T, dtype=bool)
-    welfare = np.empty(T)
-    for idx, t in enumerate(periods):
-        draw = draw_hit if t == config.shock_period else none_draw
-        counts = base_counts.copy()
-        if draw.location is not None:
-            counts[draw.location, :] = 0   # labour gone for this period
-        east[idx] = counts[EAST, 0]
-        south[idx] = counts[SOUTH, 0]
-        alive[idx] = chain_survives(allocation, draw)
-        if alive[idx]:
-            value = allocation_value(allocation, draw, config.economy,
-                                     solution.costs)
-            welfare[idx] = real_wage * value / full_value
-        else:
-            welfare[idx] = 0.0
-
+    periods = np.arange(1, config.horizon + 1)
+    branch = np.where(periods == config.shock_period,
+                      REALIZATIONS.index(config.realization), 0)
+    # Surviving counts per period: the hit location's labour is gone for it.
+    left = np.stack([_surviving_counts(counts, draw) for draw in BRANCHES])[branch]
+    east, south = left[:, EAST, 0], left[:, SOUTH, 0]
+    # A dead chain is worth 0, so its welfare is 0 as well.
     return TimeSeries(period=periods, suppliers_east=east, suppliers_south=south,
-                      suppliers_total=east + south, chain_alive=alive,
-                      welfare=welfare, allocation=allocation,
+                      suppliers_total=east + south,
+                      chain_alive=np.all(left.sum(axis=1) >= 1, axis=1),
+                      welfare=real_wage * values[branch] / values[0],
+                      allocation=allocation,
                       decision_mode=config.decision_mode,
                       info_env=config.info_env, realization=config.realization)
 
@@ -284,7 +273,6 @@ def monte_carlo_survival(config: ScenarioConfig, n_runs: int,
         welfare[k] = ts.welfare.mean()
 
     u = np.random.default_rng(seed).random(n_runs)
-    # Branches 0, 1, 2 are none, East, South: the order of REALIZATIONS.
     tally = np.bincount(_draw_branches(config.shock, u), minlength=len(REALIZATIONS))
 
     rate = float(tally @ alive) / n_runs

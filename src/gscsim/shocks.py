@@ -135,6 +135,11 @@ class ShockDraw:
         return {EAST: "east", SOUTH: "south"}.get(self.location, str(self.location))
 
 
+# The three branches of a world draw, indexed as _draw_branches numbers
+# them.  Every module that walks the branches iterates this tuple.
+BRANCHES = (ShockDraw(None), ShockDraw(EAST), ShockDraw(SOUTH))
+
+
 def draw_shock(params: ShockParams, rand: float) -> ShockDraw:
     """Single world-level draw: none / East / South.
 
@@ -146,10 +151,10 @@ def draw_shock(params: ShockParams, rand: float) -> ShockDraw:
         raise ValueError("uniform draw must lie in [0, 1)")
     none_below, east_below = _draw_cuts(params)
     if u < none_below:
-        return ShockDraw(location=None)
+        return BRANCHES[0]
     if u < east_below:
-        return ShockDraw(location=EAST)
-    return ShockDraw(location=SOUTH)
+        return BRANCHES[1]
+    return BRANCHES[2]
 
 
 def _draw_cuts(params: ShockParams) -> np.ndarray:
@@ -159,7 +164,7 @@ def _draw_cuts(params: ShockParams) -> np.ndarray:
 
 
 def _draw_branches(params: ShockParams, u: np.ndarray) -> np.ndarray:
-    """:func:`draw_shock` for an array of uniforms: 0 none, 1 East, 2 South."""
+    """:func:`draw_shock` for an array of uniforms, as indices into BRANCHES."""
     return np.searchsorted(_draw_cuts(params), u, side="right")
 
 

@@ -12,8 +12,11 @@ number of suppliers.  Supplier counts use half-away-from-zero rounding,
 keep at least one supplier wherever phi is positive, and are rebalanced so
 each tier's total is preserved (independent rounding would occasionally
 mint an extra supplier out of thin air, and a free extra variety distorts
-every comparison downstream).  A chain survives a shock if every tier still
-has at least one live supplier.
+every comparison downstream).  One routine apportions every tier of an
+allocation and every point of the planner grid.  A chain survives a shock
+if every tier still has at least one live supplier; the shock branches are
+``shocks.BRANCHES``.  Both planners maximise the worst expected utility
+over a set of East-conditional odds; the risk planner's set is one point.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .chains import EconomyParams
 from .equilibrium import SolverConfig, solve_equilibrium
-from .shocks import EAST, SOUTH, ShockDraw, ShockParams
+from .shocks import BRANCHES, EAST, SOUTH, ShockDraw, ShockParams
 
 logger = logging.getLogger(__name__)
 
@@ -45,8 +48,8 @@ class UtilitySpec:
 
     def __post_init__(self):
         self.rho = float(self.rho)
-        if self.rho < 0.0:
-            raise ValueError("rho must be nonnegative")
+        if not 0.0 <= self.rho < math.inf:
+            raise ValueError(f"rho must be finite and nonnegative, got {self.rho}")
 
     def of(self, value: float) -> float:
         return crra_utility(value, self.rho)
@@ -131,46 +134,25 @@ class SourcingAllocation:
         return self.phi.shape[1]
 
 
-def _apportion(weights: np.ndarray, total: int) -> np.ndarray:
-    """Integer supplier counts for one tier.
+def _apportion(weights: np.ndarray, totals) -> np.ndarray:
+    """Integer supplier counts, one row of ``weights`` per tier.
 
-    Rounds half away from zero per location, floors every positive weight
-    at one supplier (when the total allows it), then restores the exact
-    tier total by trimming the most over-rounded counts first and topping
-    up the most under-rounded ones.
+    ``weights`` has shape (K, J) and ``totals`` gives each row's supplier
+    total (a scalar serves every row).  Rounds half away from zero per
+    location, floors every positive weight at one supplier in rows whose
+    total allows it, then restores each row's exact total one supplier per
+    pass: trimming the most over-rounded count above its floor, or topping
+    up the most under-rounded one.  Ties go to the first location.
     """
-    raw = weights * total
+    totals = np.asarray(totals)
+    raw = weights * np.reshape(totals, (-1, 1))
     counts = np.floor(raw + 0.5).astype(np.intp)
     need = (weights > 0.0).astype(np.intp)
-    if need.sum() <= total:
-        counts = np.maximum(counts, need)
-    else:
-        need = np.zeros_like(counts)  # guarantee infeasible, plain rounding
-    while counts.sum() > total:
-        over = counts - raw
-        over[counts <= need] = -np.inf
-        counts[int(np.argmax(over))] -= 1
-    while counts.sum() < total:
-        under = raw - counts
-        counts[int(np.argmax(under))] += 1
-    return counts
-
-
-def _apportion_pairs(x: np.ndarray, total: int) -> np.ndarray:
-    """:func:`_apportion` of the weights (1 - x, x) for every x at once.
-
-    Same rounding, floors and trimming order, one row of counts per x.
-    """
-    weights = np.stack([1.0 - x, x], axis=1)
-    raw = weights * total
-    counts = np.floor(raw + 0.5).astype(np.intp)
-    need = (weights > 0.0).astype(np.intp)
-    feasible = need.sum(axis=1) <= total
-    counts[feasible] = np.maximum(counts[feasible], need[feasible])
-    need[~feasible] = 0
-    rows = np.arange(len(x))
+    need[need.sum(axis=1) > totals] = 0   # guarantee infeasible, plain rounding
+    counts = np.maximum(counts, need)
+    rows = np.arange(len(weights))
     while True:
-        excess = counts.sum(axis=1) - total
+        excess = counts.sum(axis=1) - totals
         if not excess.any():
             return counts
         over = np.where(counts <= need, -np.inf, counts - raw)
@@ -180,10 +162,7 @@ def _apportion_pairs(x: np.ndarray, total: int) -> np.ndarray:
 
 def supplier_counts(alloc: SourcingAllocation) -> np.ndarray:
     """Integer suppliers per location and tier, shape (J, n_tiers)."""
-    out = np.empty(alloc.phi.shape, dtype=np.intp)
-    for n in range(alloc.n_tiers):
-        out[:, n] = _apportion(alloc.phi[:, n], int(alloc.M[n]))
-    return out
+    return _apportion(alloc.phi.T, alloc.M).T
 
 
 def _surviving_counts(counts: np.ndarray, shock: ShockDraw) -> np.ndarray:
@@ -222,22 +201,26 @@ def allocation_value(alloc: SourcingAllocation, shock: ShockDraw,
 
     Strictly increasing in the number of surviving varieties.
     """
-    costs = np.asarray(costs, dtype=float)
-    if costs.shape != (params.n_locations,) or np.any(costs <= 0.0):
-        raise ValueError("costs must be strictly positive, one per location")
-    if alloc.phi.shape[0] != params.n_locations:
-        raise ValueError("allocation and economy disagree on the number of locations")
+    costs = _checked_costs(params, costs, alloc)
     counts = _surviving_counts(supplier_counts(alloc), shock)
     return _value_from_counts(counts, params, costs)
 
 
+def _checked_costs(params: EconomyParams, costs,
+                   alloc: SourcingAllocation | None = None) -> np.ndarray:
+    costs = np.asarray(costs, dtype=float)
+    if costs.shape != (params.n_locations,) or np.any(costs <= 0.0):
+        raise ValueError("costs must be strictly positive, one per location")
+    if alloc is not None and alloc.phi.shape[0] != params.n_locations:
+        raise ValueError("allocation and economy disagree on the number of locations")
+    return costs
+
+
 def _branch_values(counts: np.ndarray, params: EconomyParams,
                    costs: np.ndarray) -> tuple[float, float, float]:
-    """Chain value under no shock, East hit, South hit."""
-    return tuple(
-        _value_from_counts(_surviving_counts(counts, ShockDraw(loc)), params, costs)
-        for loc in (None, EAST, SOUTH)
-    )
+    """Chain value under each of ``shocks.BRANCHES``: none, East, South."""
+    return tuple(_value_from_counts(_surviving_counts(counts, draw), params, costs)
+                 for draw in BRANCHES)
 
 
 def _score(values: tuple[float, float, float], eta: float, zeta: float,
@@ -264,34 +247,35 @@ def _score(values: tuple[float, float, float], eta: float, zeta: float,
     return (eu, survived, ev)
 
 
+def _worst_score(values: tuple[float, float, float], eta: float, zetas,
+                 rho: float) -> tuple[float, int, float]:
+    """The lowest :func:`_score` over the East-conditional odds ``zetas``.
+
+    Expected utility is linear in zeta for fixed branch values, so the
+    endpoints of a belief interval are the only odds worth checking.
+    """
+    return min(_score(values, eta, z, rho) for z in zetas)
+
+
 def risk_objective(alloc: SourcingAllocation, params: EconomyParams,
                    shock_params: ShockParams, utility: UtilitySpec, costs) -> float:
     """Expected CRRA utility of an allocation over the three shock branches."""
-    counts = supplier_counts(alloc)
-    values = _branch_values(counts, params, np.asarray(costs, dtype=float))
-    return _score(values, shock_params.eta, shock_params.zeta, utility.rho)[0]
+    return ambiguity_objective(alloc, params, shock_params,
+                               BeliefSet.singleton(shock_params.zeta), utility, costs)
 
 
 def ambiguity_objective(alloc: SourcingAllocation, params: EconomyParams,
                         shock_params: ShockParams, beliefs: BeliefSet,
                         utility: UtilitySpec, costs) -> float:
-    """Worst-case expected utility over the belief interval.
-
-    Expected utility is linear in zeta for a fixed allocation, so the
-    minimum sits at an interval endpoint; only the endpoints are checked.
-    """
-    counts = supplier_counts(alloc)
-    values = _branch_values(counts, params, np.asarray(costs, dtype=float))
-    return min(_score(values, shock_params.eta, z, utility.rho)[0]
-               for z in beliefs.endpoints)
+    """Worst-case expected utility over the belief interval's endpoints."""
+    values = _branch_values(supplier_counts(alloc), params,
+                            np.asarray(costs, dtype=float))
+    return _worst_score(values, shock_params.eta, beliefs.endpoints, utility.rho)[0]
 
 
 def _default_costs(params: EconomyParams, costs) -> np.ndarray:
     if costs is not None:
-        c = np.asarray(costs, dtype=float)
-        if c.shape != (params.n_locations,) or np.any(c <= 0.0):
-            raise ValueError("costs must be strictly positive, one per location")
-        return c
+        return _checked_costs(params, costs)
     return solve_equilibrium(params, SolverConfig()).costs
 
 
@@ -319,12 +303,13 @@ def individual_sourcing(params: EconomyParams, shock_params: ShockParams,
     return SourcingAllocation.uniform_tiers(phi, suppliers_per_tier, params.n_tiers)
 
 
-def _grid_sweep(params: EconomyParams, key_fn, grid_resolution: int,
-                suppliers_per_tier: int, costs: np.ndarray) -> SourcingAllocation:
-    """Maximise a ranking key over the two-location allocation grid.
+def _grid_sweep(params: EconomyParams, eta: float, zetas, rho: float,
+                grid_resolution: int, suppliers_per_tier: int,
+                costs: np.ndarray) -> SourcingAllocation:
+    """Maximise :func:`_worst_score` over the two-location allocation grid.
 
     Ties (plateaus of identical integer counts are common) go to the most
-    diversified allocation, then to the smaller South share.  The key only
+    diversified allocation, then to the smaller South share.  The score only
     sees the integer supplier counts, so the grid is grouped by count
     vector, each group keeps its tie-rule winner, and every distinct count
     vector is scored once.
@@ -335,7 +320,7 @@ def _grid_sweep(params: EconomyParams, key_fn, grid_resolution: int,
         raise ValueError("grid resolution must be at least 2")
     M = int(suppliers_per_tier)
     xs = np.linspace(0.0, 1.0, grid_resolution)
-    counts = _apportion_pairs(xs, M)
+    counts = _apportion(np.stack([1.0 - xs, xs], axis=1), M)
     # The counts keep the tier total, so the South count names the vector.
     # Its group's first point in tie order (nearest an even split, then the
     # smaller South share) is the group's candidate.
@@ -347,7 +332,7 @@ def _grid_sweep(params: EconomyParams, key_fn, grid_resolution: int,
         x = float(xs[i])
         values = _branch_values(np.repeat(counts[i][:, None], params.n_tiers, axis=1),
                                 params, costs)
-        return (key_fn(values), -abs(x - 0.5), -x)
+        return (_worst_score(values, eta, zetas, rho), -abs(x - 0.5), -x)
 
     best_x = float(xs[max(winners, key=rank)])
     return SourcingAllocation.uniform_tiers(
@@ -367,11 +352,8 @@ def planner_risk_sourcing(params: EconomyParams, shock_params: ShockParams,
     grid allocation scores higher.
     """
     c = _default_costs(params, costs)
-
-    def key(values):
-        return _score(values, shock_params.eta, shock_params.zeta, utility.rho)
-
-    return _grid_sweep(params, key, grid_resolution, suppliers_per_tier, c)
+    return _grid_sweep(params, shock_params.eta, (shock_params.zeta,), utility.rho,
+                       grid_resolution, suppliers_per_tier, c)
 
 
 def planner_ambiguity_sourcing(params: EconomyParams, shock_params: ShockParams,
@@ -390,9 +372,5 @@ def planner_ambiguity_sourcing(params: EconomyParams, shock_params: ShockParams,
     """
     c = _default_costs(params, costs)
     u = utility if utility is not None else UtilitySpec(rho=1.0)
-
-    def key(values):
-        return min(_score(values, shock_params.eta, z, u.rho)
-                   for z in beliefs.endpoints)
-
-    return _grid_sweep(params, key, grid_resolution, suppliers_per_tier, c)
+    return _grid_sweep(params, shock_params.eta, beliefs.endpoints, u.rho,
+                       grid_resolution, suppliers_per_tier, c)

@@ -119,6 +119,21 @@ def test_simulate_error_exit_codes(tmp_path, capsys):
     assert "eta" in capsys.readouterr().err
 
 
+def test_simulate_rejects_bad_utility_section(tmp_path, capsys):
+    # json reads NaN and Infinity; a NaN rho used to exit 0 with every
+    # supplier in East.
+    for rho in (float("nan"), float("inf")):
+        cfg = write_json(tmp_path / "rho.json",
+                         scenario_dict(decision_mode="planner", utility={"rho": rho}))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--matrix"]) == 2
+        assert "utility: rho must be finite" in capsys.readouterr().err
+    cfg = write_json(tmp_path / "norho.json", scenario_dict(utility={}))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: utility config missing key: rho\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_equilibrium_matches_oracle_fixture(tmp_path):
     params = EconomyParams.one_tier(T=ORACLE_T, L=ORACLE_L, tau=ORACLE_TAU,
                                     theta=ORACLE_THETA, sigma=ORACLE_SIGMA)
@@ -142,6 +157,17 @@ def test_equilibrium_non_convergence_exit_code(tmp_path, capsys):
                "--tolerance", "1e-30"])
     assert rc == 4
     assert "no convergence" in capsys.readouterr().err
+
+
+def test_equilibrium_rejects_non_finite_tolerance(tmp_path, capsys):
+    cfg = write_json(tmp_path / "econ.json", symmetric_two_tier().to_dict())
+    for tol in ("nan", "inf", "0"):
+        rc = main(["equilibrium", "--params", cfg, "--out", str(tmp_path / "out"),
+                   "--tolerance", tol])
+        assert rc == 2, tol
+        assert "tolerance and world_income must be finite and positive" in \
+            capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_fir_command_frozen_output(tmp_path):

@@ -1,4 +1,5 @@
 import csv
+import math
 import pathlib
 
 import numpy as np
@@ -136,6 +137,20 @@ def test_wage_validation():
         SolverConfig(damping=0.0)
     with pytest.raises(ValueError):
         SolverConfig(tolerance=-1.0)
+
+
+def test_solver_config_rejects_non_finite_values_and_negative_budget():
+    # tolerance = nan used to run the whole budget and then report a
+    # residual of zero; max_iterations = -1 ran no iteration at all.
+    for kw in ({"tolerance": math.nan}, {"tolerance": math.inf},
+               {"world_income": math.nan}, {"world_income": math.inf},
+               {"world_income": 0.0}, {"max_iterations": -1}):
+        with pytest.raises(ValueError):
+            SolverConfig(**kw)
+    # A zero budget only checks the initial guess.
+    with pytest.raises(EquilibriumConvergenceError) as err:
+        solve_equilibrium(oracle_economy(), SolverConfig(max_iterations=0))
+    assert err.value.iterations == 0
 
 
 def test_random_economies_converge():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,13 @@ from gscsim import (
     solve_equilibrium,
 )
 
-from gscsim.shocks import _draw_branches, _draw_cuts, draw_shock
+from gscsim.shocks import EAST, SOUTH, ShockDraw, _draw_branches, _draw_cuts, draw_shock
+from gscsim.sourcing import (
+    SourcingAllocation,
+    allocation_value,
+    chain_survives,
+    supplier_counts,
+)
 
 from conftest import random_economy, symmetric_two_tier
 
@@ -54,6 +62,76 @@ def test_individual_east_shock_is_harmless():
     assert ts_east.chain_alive.all() and ts_none.chain_alive.all()
     np.testing.assert_array_equal(ts_east.suppliers_total, 10)
     np.testing.assert_allclose(ts_east.welfare, ts_none.welfare, rtol=1e-14)
+
+
+def period_loop_oracle(config, solution, allocation):
+    """The scripted run as a loop that evaluates every period's draw."""
+    draws = {"none": ShockDraw(None), "east": ShockDraw(EAST), "south": ShockDraw(SOUTH)}
+    base_counts = supplier_counts(allocation)
+    draw_hit = draws[config.realization]
+    none_draw = draws["none"]
+    real_wage = float(solution.real_wages[config.destination])
+    full_value = allocation_value(allocation, none_draw, config.economy,
+                                  solution.costs)
+    T = config.horizon
+    periods = np.arange(1, T + 1)
+    east = np.empty(T, dtype=np.intp)
+    south = np.empty(T, dtype=np.intp)
+    alive = np.empty(T, dtype=bool)
+    welfare = np.empty(T)
+    for idx, t in enumerate(periods):
+        draw = draw_hit if t == config.shock_period else none_draw
+        counts = base_counts.copy()
+        if draw.location is not None:
+            counts[draw.location, :] = 0
+        east[idx] = counts[EAST, 0]
+        south[idx] = counts[SOUTH, 0]
+        alive[idx] = chain_survives(allocation, draw)
+        if alive[idx]:
+            value = allocation_value(allocation, draw, config.economy,
+                                     solution.costs)
+            welfare[idx] = real_wage * value / full_value
+        else:
+            welfare[idx] = 0.0
+    return periods, east, south, east + south, alive, welfare
+
+
+def test_run_scenario_matches_period_loop():
+    # Evaluating each shock branch once and picking a branch per period
+    # must give the per-period loop's arrays bit for bit.
+    rng = np.random.default_rng(404)
+    cases = [dict(), dict(shock_period=1), dict(shock_period=8),
+             dict(horizon=1, shock_period=1), dict(suppliers_per_tier=1),
+             dict(suppliers_per_tier=1, shock_period=1, horizon=3)]
+    for k, case in enumerate(cases * 2):
+        economy = symmetric_two_tier() if k < len(cases) else random_economy(rng, J=2)
+        shock = ShockParams(eta=float(rng.uniform(0.05, 0.9)), lam=1.0,
+                            zeta=float(rng.uniform(0.05, 0.95)))
+        solution = solve_equilibrium(economy, SolverConfig())
+        for mode in ("individual", "planner"):
+            for env in ("risk", "ambiguity"):
+                for realization in ("none", "east", "south"):
+                    cfg = make_config(economy=economy, shock=shock, decision_mode=mode,
+                                      info_env=env, realization=realization,
+                                      destination=k % 2, **case)
+                    ts = run_scenario(cfg, solution=solution)
+                    want = period_loop_oracle(cfg, solution, ts.allocation)
+                    got = (ts.period, ts.suppliers_east, ts.suppliers_south,
+                           ts.suppliers_total, ts.chain_alive, ts.welfare)
+                    for column, g, w in zip(TimeSeries.COLUMNS, got, want):
+                        assert g.dtype == w.dtype, (k, mode, env, realization, column)
+                        assert g.tobytes() == w.tobytes(), (k, mode, env, realization, column)
+
+
+def test_run_scenario_validates_allocation_and_costs():
+    cfg = make_config()
+    solution = solve_equilibrium(cfg.economy, SolverConfig())
+    three = SourcingAllocation.uniform_tiers([0.2, 0.3, 0.5], 10, 2)
+    with pytest.raises(ValueError, match="disagree on the number of locations"):
+        run_scenario(cfg, solution=solution, allocation=three)
+    for costs in (-solution.costs, solution.costs[:1]):
+        with pytest.raises(ValueError, match="costs must be strictly positive"):
+            run_scenario(cfg, solution=replace(solution, costs=costs))
 
 
 def test_planner_south_shock_degrades_but_survives():
@@ -223,4 +301,14 @@ def test_config_round_trip_and_errors():
     with pytest.raises(ValueError, match="^shock:"):
         bad = cfg.to_dict()
         bad["shock"]["eta"] = 2.0
+        ScenarioConfig.from_dict(bad)
+
+
+def test_config_utility_section_errors():
+    bad = make_config().to_dict()
+    bad["utility"] = {}
+    with pytest.raises(ValueError, match="^utility config missing key: rho$"):
+        ScenarioConfig.from_dict(bad)
+    bad["utility"] = {"rho": float("nan")}
+    with pytest.raises(ValueError, match="^utility: rho must be finite"):
         ScenarioConfig.from_dict(bad)

@@ -22,7 +22,7 @@ from gscsim import (
     supplier_counts,
 )
 
-from gscsim.sourcing import _apportion, _branch_values, _score
+from gscsim.sourcing import _branch_values, _score
 
 from conftest import random_economy, symmetric_two_tier
 
@@ -100,6 +100,13 @@ def test_crra_utility():
         crra_utility(-1.0, 2.0)
     with pytest.raises(ValueError):
         UtilitySpec(rho=-0.5)
+
+
+def test_utility_rejects_non_finite_rho():
+    # A NaN rho used to pass, and the planner then put every supplier in East.
+    for rho in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="rho must be finite"):
+            UtilitySpec(rho=rho)
 
 
 def test_chain_survival():
@@ -276,6 +283,29 @@ def test_supplier_counts_match_oracle():
                                       oracle_counts(list(w), total))
 
 
+def test_supplier_counts_keep_each_tier_total():
+    # Each tier is apportioned against its own M: random splits, corners and
+    # exact halves mixed across tiers, each column checked on its own.
+    rng = np.random.default_rng(77)
+    for k in range(400):
+        J = int(rng.integers(1, 7))
+        N = int(rng.integers(1, 5))
+        phi = rng.dirichlet(np.ones(J), size=N).T
+        for n in range(N):
+            kind = int(rng.integers(3))
+            if kind == 1:
+                phi[:, n] = 0.0
+                phi[rng.integers(J), n] = 1.0
+            elif kind == 2 and J > 1:
+                phi[:, n] = 0.0
+                phi[rng.choice(J, 2, replace=False), n] = 0.5
+        M = rng.integers(1, 40, size=N)
+        counts = supplier_counts(SourcingAllocation(phi=phi, M=M))
+        assert counts.shape == (J, N)
+        for n in range(N):
+            assert counts[:, n].tolist() == oracle_counts(list(phi[:, n]), int(M[n])), (k, n)
+
+
 def test_planner_risk_matches_grid_oracle():
     params = symmetric_two_tier()
     for zeta, rho, costs in [(0.9, 2.0, UNIT_COSTS),
@@ -294,7 +324,7 @@ def full_grid_phi(params, key_fn, grid, M, costs):
     """The planner search as a scalar loop that scores every grid point."""
     best_rank, best_x = None, None
     for x in np.linspace(0.0, 1.0, grid):
-        counts1 = _apportion(np.array([1.0 - x, x]), M)
+        counts1 = np.array(oracle_counts([1.0 - x, x], M))
         counts = np.repeat(counts1[:, None], params.n_tiers, axis=1)
         rank = (key_fn(_branch_values(counts, params, costs)), -abs(x - 0.5), -x)
         if best_rank is None or rank > best_rank:
