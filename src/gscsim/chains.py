@@ -7,7 +7,9 @@ alpha[n]), and idea-level productivities are Frechet so that chain-level
 trade shares take the usual CES-gravity form.  This module computes chain
 cost scales, path-level trade shares, price indices and the tier
 participation shares that the wage equilibrium needs.  Sums over the J**N
-chains come from a tier-by-tier matrix recursion; only the functions that
+chains come from a tier-by-tier matrix recursion in two halves: a forward
+half that yields the chain totals, and so the price indices, and a backward
+half that only participation and flow shares need.  Only the functions that
 return one value per chain enumerate the chains.
 
 Conventions used throughout:
@@ -36,7 +38,7 @@ def _positive_array(x, shape, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+    if not (np.isfinite(arr).all() and (arr > 0.0).all()):
         raise ValueError(f"{name} must be finite and strictly positive")
     return arr
 
@@ -104,9 +106,10 @@ class EconomyParams:
         self.theta = float(self.theta)
         self.sigma = float(self.sigma)
         self.gamma = float(self.gamma)
-        if self.theta <= 0.0:
+        # Written so that NaN fails each range check.
+        if not 0.0 < self.theta < np.inf:
             raise ValueError("theta must be positive")
-        if self.sigma <= 1.0:
+        if not 1.0 < self.sigma < np.inf:
             raise ValueError("sigma must exceed 1")
         if self.sigma - 1.0 >= self.theta:
             raise ValueError(
@@ -214,40 +217,69 @@ def _check_costs(costs, J: int) -> np.ndarray:
     return _positive_array(costs, (J,), "costs")
 
 
-def _tier_factors(params: EconomyParams, costs: np.ndarray):
+def _hop_factors(params: EconomyParams) -> np.ndarray:
+    """Cost-free shipping factors ``tau**(-theta * beta[n])``, shape (N, J, J)."""
+    return params.tau[None, :, :] ** (-params.theta * params.beta[:, None, None])
+
+
+def _tier_factors(params: EconomyParams, costs: np.ndarray, hop=None):
     """Per-tier contribution matrices of the chain cost scale.
 
     For tiers below the last, ``F[n][a, b]`` multiplies a chain that runs
     tier n in location a and tier n+1 in location b.  ``G[a, j]`` is the
-    last-tier factor including the final shipment to destination j.
+    last-tier factor including the final shipment to destination j.  A
+    caller that holds ``_hop_factors(params)`` may pass it as ``hop``.
     """
-    th = params.theta
     ab = params.alpha * params.beta
-    tech = params.T ** ab * costs[:, None] ** (-th * ab)  # (J, N)
-    hop = params.tau[None, :, :] ** (-th * params.beta[:, None, None])  # (N, J, J)
+    tech = params.T ** ab * costs[:, None] ** (-params.theta * ab)  # (J, N)
+    if hop is None:
+        hop = _hop_factors(params)
     F = [tech[:, n, None] * hop[n] for n in range(params.n_tiers - 1)]
     G = tech[:, -1, None] * hop[-1]
     return F, G
 
 
-def _chain_sums(params: EconomyParams, costs):
+def _forward(params: EconomyParams, costs, hop=None):
+    """Forward half of the chain sums.
+
+    Returns the tier factors ``F`` and ``G``; ``fwd[n][a]``, summed over
+    chain heads that place tier n in a; and the totals ``S[j]`` over every
+    chain serving j, which is all that prices need.
+    """
+    costs = _check_costs(costs, params.n_locations)
+    F, G = _tier_factors(params, costs, hop)
+    fwd = [np.ones(params.n_locations)]
+    for Fn in F:
+        fwd.append(fwd[-1] @ Fn)
+    return F, G, fwd, fwd[-1] @ G
+
+
+def _backward(F, G):
+    """Backward half: ``bwd[n][a, j]``, summed from tier n in a down to j."""
+    bwd = [G]
+    for Fn in reversed(F):
+        bwd.insert(0, Fn @ bwd[0])
+    return bwd
+
+
+def _chain_sums(params: EconomyParams, costs, hop=None):
     """Sums of chain cost scales over all J**N paths, tier by tier.
 
     A chain's scale is the product of its hop factors, so the sums factorise
     (Antras & de Gortari 2020; the forward-backward pass of Rabiner 1989).
-    Returns the tier factors ``F``; ``fwd[n][a]``, summed over chain heads
-    that place tier n in a; ``bwd[n][a, j]``, summed from tier n in a down
-    to destination j; and the totals ``S[j]`` over every chain serving j.
+    Runs :func:`_forward` and then :func:`_backward` and returns ``F``,
+    ``fwd``, ``bwd`` and ``S``.
     """
-    costs = _check_costs(costs, params.n_locations)
-    F, G = _tier_factors(params, costs)
-    fwd = [np.ones(params.n_locations)]
-    for Fn in F:
-        fwd.append(fwd[-1] @ Fn)
-    bwd = [G]
-    for Fn in reversed(F):
-        bwd.insert(0, Fn @ bwd[0])
-    return F, fwd, bwd, fwd[-1] @ G
+    F, G, fwd, S = _forward(params, costs, hop)
+    return F, fwd, _backward(F, G), S
+
+
+def _prices(params: EconomyParams, S: np.ndarray) -> np.ndarray:
+    return kappa(params.theta, params.sigma) * S ** (-1.0 / params.theta)
+
+
+def _participation(fwd, bwd, S: np.ndarray) -> np.ndarray:
+    return np.stack([f[:, None] * b / S for f, b in zip(fwd, bwd)])
 
 
 def path_scale_matrix(params: EconomyParams, costs) -> tuple[np.ndarray, np.ndarray]:
@@ -301,7 +333,7 @@ def chain_cost_scale(path, dest: int, params: EconomyParams, costs) -> float:
 
 def path_share(path, dest: int, params: EconomyParams, costs) -> float:
     """Probability that destination ``dest`` sources along ``path``."""
-    S = _chain_sums(params, costs)[-1]
+    S = _forward(params, costs)[-1]
     return chain_cost_scale(path, dest, params, costs) / float(S[dest])
 
 
@@ -313,8 +345,7 @@ def path_share_matrix(params: EconomyParams, costs) -> tuple[np.ndarray, np.ndar
 
 def price_indices(params: EconomyParams, costs) -> np.ndarray:
     """CES price index of the final good in every destination."""
-    S = _chain_sums(params, costs)[-1]
-    return kappa(params.theta, params.sigma) * S ** (-1.0 / params.theta)
+    return _prices(params, _forward(params, costs)[-1])
 
 
 def price_index(dest: int, params: EconomyParams, costs) -> float:
@@ -340,7 +371,7 @@ def tier_participation(params: EconomyParams, costs) -> np.ndarray:
     each (tier, dest) slice sums to 1 over locations.
     """
     _, fwd, bwd, S = _chain_sums(params, costs)
-    return np.stack([f[:, None] * b / S for f, b in zip(fwd, bwd)])
+    return _participation(fwd, bwd, S)
 
 
 def intermediate_flow_shares(params: EconomyParams, costs,

@@ -10,9 +10,12 @@ the right hand side redistributes world income without leaking, so the
 residuals sum to zero at any wage vector (Walras's law).  Wages are only
 determined up to scale and are pinned down by normalising world income.
 
-The solver is a damped fixed point on that map.  With gamma < 1 composite
-costs feed back through the price index, which adds an inner cost/price
-fixed point per wage evaluation.
+The solver is a damped fixed point on that map.  Each sweep makes one full
+forward-backward chain pass at the composite costs, which yields the
+residual and the prices together; the cost-free hop factors are built once
+per solve.  With gamma < 1 composite costs feed back through the price
+index, so each sweep first runs an inner cost/price fixed point on the
+forward half of the chain sums alone.
 """
 
 from __future__ import annotations
@@ -22,7 +25,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import EconomyParams, composite_cost, price_indices, tier_participation
+from .chains import (
+    EconomyParams,
+    _chain_sums,
+    _forward,
+    _hop_factors,
+    _participation,
+    _prices,
+    composite_cost,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -70,6 +81,23 @@ class EquilibriumSolution:
         return self.wages / self.prices
 
 
+def _composite_costs(w: np.ndarray, params: EconomyParams, hop: np.ndarray,
+                     tolerance: float = 1e-14, max_iterations: int = 500) -> np.ndarray:
+    """Composite costs at wages ``w``; prices come from forward passes only."""
+    if params.gamma == 1.0:
+        return w.copy()
+    c = w.copy()
+    for _ in range(max_iterations):
+        P = _prices(params, _forward(params, c, hop)[-1])
+        c_next = composite_cost(w, P, params.gamma)
+        gap = float(np.max(np.abs(np.log(c_next) - np.log(c))))
+        c = c_next
+        if gap < tolerance:
+            return c
+    raise EquilibriumConvergenceError(
+        f"composite cost loop stalled at log-gap {gap:.3e}", gap, max_iterations)
+
+
 def solve_costs(wages, params: EconomyParams,
                 tolerance: float = 1e-14, max_iterations: int = 500) -> tuple[np.ndarray, np.ndarray]:
     """Composite costs and price indices consistent with a wage vector.
@@ -80,19 +108,22 @@ def solve_costs(wages, params: EconomyParams,
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
-    w = np.asarray(wages, dtype=float)
-    if params.gamma == 1.0:
-        return w.copy(), price_indices(params, w)
-    c = w.copy()
-    for _ in range(max_iterations):
-        P = price_indices(params, c)
-        c_next = composite_cost(w, P, params.gamma)
-        gap = float(np.max(np.abs(np.log(c_next) - np.log(c))))
-        c = c_next
-        if gap < tolerance:
-            return c, price_indices(params, c)
-    raise EquilibriumConvergenceError(
-        f"composite cost loop stalled at log-gap {gap:.3e}", gap, max_iterations)
+    hop = _hop_factors(params)
+    costs = _composite_costs(np.asarray(wages, dtype=float), params, hop,
+                             tolerance, max_iterations)
+    return costs, _prices(params, _forward(params, costs, hop)[-1])
+
+
+def _residual_pass(w: np.ndarray, params: EconomyParams, hop: np.ndarray):
+    """Residuals, costs and prices at wages ``w`` from one full chain pass."""
+    if not (np.isfinite(w).all() and (w > 0.0).all()):
+        raise ValueError("wages must be finite and strictly positive")
+    costs = _composite_costs(w, params, hop)
+    _, fwd, bwd, S = _chain_sums(params, costs, hop)
+    spending = w * params.L                            # (J,)
+    ab = params.alpha * params.beta
+    income = np.einsum("n,nij,j->i", ab, _participation(fwd, bwd, S), spending)
+    return income - spending, costs, _prices(params, S)
 
 
 def labor_market_residuals(wages, params: EconomyParams) -> np.ndarray:
@@ -102,15 +133,7 @@ def labor_market_residuals(wages, params: EconomyParams) -> np.ndarray:
     and composite costs computed consistently from the wages.  The entries
     sum to zero for any strictly positive wage vector.
     """
-    w = np.asarray(wages, dtype=float)
-    if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
-        raise ValueError("wages must be finite and strictly positive")
-    costs, _ = solve_costs(w, params)
-    part = tier_participation(params, costs)          # (N, J, J)
-    spending = w * params.L                            # (J,)
-    ab = params.alpha * params.beta
-    income = np.einsum("n,nij,j->i", ab, part, spending)
-    return income - spending
+    return _residual_pass(np.asarray(wages, dtype=float), params, _hop_factors(params))[0]
 
 
 def solve_equilibrium(params: EconomyParams,
@@ -126,22 +149,22 @@ def solve_equilibrium(params: EconomyParams,
     J = params.n_locations
     if cfg.initial_wages is not None:
         w = np.asarray(cfg.initial_wages, dtype=float).copy()
-        if w.shape != (J,) or np.any(w <= 0.0):
+        if w.shape != (J,) or np.any(w <= 0.0) or not np.all(np.isfinite(w)):
             raise ValueError("initial_wages must be strictly positive with one entry per location")
     else:
         w = np.full(J, 1.0, dtype=float)
     w *= cfg.world_income / float(w @ params.L)
 
+    hop = _hop_factors(params)
     walras = []
     residual_norm = np.inf
     previous_norm = np.inf
     step = cfg.damping
     for it in range(cfg.max_iterations + 1):
-        residual = labor_market_residuals(w, params)
+        residual, costs, prices = _residual_pass(w, params, hop)
         walras.append(float(residual.sum()))
-        residual_norm = float(np.max(np.abs(residual))) / cfg.world_income
+        residual_norm = float(np.abs(residual).max()) / cfg.world_income
         if residual_norm < cfg.tolerance:
-            costs, prices = solve_costs(w, params)
             logger.debug("equilibrium converged after %d iterations (residual %.3e)",
                          it, residual_norm)
             return EquilibriumSolution(

@@ -209,7 +209,8 @@ def allocation_value(alloc: SourcingAllocation, shock: ShockDraw,
 def _checked_costs(params: EconomyParams, costs,
                    alloc: SourcingAllocation | None = None) -> np.ndarray:
     costs = np.asarray(costs, dtype=float)
-    if costs.shape != (params.n_locations,) or np.any(costs <= 0.0):
+    if costs.shape != (params.n_locations,) or not (np.isfinite(costs).all()
+                                                     and (costs > 0.0).all()):
         raise ValueError("costs must be strictly positive, one per location")
     if alloc is not None and alloc.phi.shape[0] != params.n_locations:
         raise ValueError("allocation and economy disagree on the number of locations")
@@ -269,7 +270,7 @@ def ambiguity_objective(alloc: SourcingAllocation, params: EconomyParams,
                         utility: UtilitySpec, costs) -> float:
     """Worst-case expected utility over the belief interval's endpoints."""
     values = _branch_values(supplier_counts(alloc), params,
-                            np.asarray(costs, dtype=float))
+                            _checked_costs(params, costs, alloc))
     return _worst_score(values, shock_params.eta, beliefs.endpoints, utility.rho)[0]
 
 

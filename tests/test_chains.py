@@ -370,6 +370,20 @@ def test_parameter_validation():
                                theta=4.0, sigma=2.0, gamma=0.0)
 
 
+def test_parameter_validation_rejects_non_finite_theta_and_sigma():
+    # NaN fails no "<=" comparison, so a NaN sigma used to pass validation.
+    base = symmetric_two_tier().to_dict()
+    for key, value, message in (("theta", math.nan, "theta must be positive"),
+                                ("theta", math.inf, "theta must be positive"),
+                                ("sigma", math.nan, "sigma must exceed 1"),
+                                ("sigma", math.inf, "sigma must exceed 1")):
+        with pytest.raises(ValueError, match=message):
+            EconomyParams.from_dict({**base, key: value})
+        kwargs = {"theta": 4.0, "sigma": 2.0, key: value}
+        with pytest.raises(ValueError, match=message):
+            EconomyParams.one_tier(T=[1.0, 1.0], L=[1.0, 1.0], tau=np.ones((2, 2)), **kwargs)
+
+
 def test_two_tier_weights():
     params = EconomyParams.two_tier(T1=[1.0, 1.0], T2=[1.0, 1.0], L=[1.0, 1.0],
                                     tau=np.ones((2, 2)), alpha2=0.3,

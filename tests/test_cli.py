@@ -170,6 +170,19 @@ def test_equilibrium_rejects_non_finite_tolerance(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_equilibrium_rejects_nan_elasticities(tmp_path, capsys):
+    # A JSON NaN sigma used to exit 0 with "converged in 0 iterations".
+    for key, message in (("sigma", "sigma must exceed 1"),
+                         ("theta", "theta must be positive")):
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps({**symmetric_two_tier().to_dict(), key: float("nan")}))
+        assert "NaN" in cfg.read_text()
+        rc = main(["equilibrium", "--params", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2, key
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_fir_command_frozen_output(tmp_path):
     table_path = tmp_path / "world.csv"
     write_table(two_country_table(), table_path)

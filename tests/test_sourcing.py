@@ -159,6 +159,22 @@ def test_allocation_value_validation():
         allocation_value(alloc, ShockDraw(None), params, np.ones(3))
 
 
+def test_objectives_reject_non_finite_and_zero_costs():
+    params = symmetric_two_tier()
+    alloc = SourcingAllocation.uniform_tiers([0.5, 0.5], 10, 2)
+    utility = UtilitySpec(rho=2.0)
+    calls = (
+        lambda c: allocation_value(alloc, ShockDraw(None), params, c),
+        lambda c: risk_objective(alloc, params, SHOCKS, utility, c),
+        lambda c: ambiguity_objective(alloc, params, SHOCKS,
+                                      BeliefSet(0.2, 0.8), utility, c),
+    )
+    for bad in (math.nan, math.inf, 0.0):
+        for call in calls:
+            with pytest.raises(ValueError, match="costs must be strictly positive"):
+                call(np.array([1.0, bad]))
+
+
 # ---------------------------------------------------------------------------
 # atomistic firms
 
