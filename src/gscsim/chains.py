@@ -36,11 +36,20 @@ MAX_PATHS = 1_000_000
 
 def _positive_array(x, shape, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if arr.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not (np.isfinite(arr).all() and (arr > 0.0).all()):
-        raise ValueError(f"{name} must be finite and strictly positive")
+    if arr.shape != shape or not (np.isfinite(arr) & (arr > 0.0)).all():
+        raise ValueError(f"{name} must be strictly positive and finite with shape {shape}")
     return arr
+
+
+def _whole(x, name: str):
+    """``x`` as an int (an ``intp`` array if array-like).  NaN, inf and fractions
+    raise; whole floats pass, and Python ints are kept exact, large seeds too."""
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    arr = np.asarray(x, dtype=float)
+    if not (np.isfinite(arr) & (arr == np.floor(arr))).all():
+        raise ValueError(f"{name} must be a whole number, got {x}")
+    return int(arr) if arr.ndim == 0 else arr.astype(np.intp)
 
 
 @dataclass
@@ -108,9 +117,9 @@ class EconomyParams:
         self.gamma = float(self.gamma)
         # Written so that NaN fails each range check.
         if not 0.0 < self.theta < np.inf:
-            raise ValueError("theta must be positive")
+            raise ValueError("theta must be positive and finite")
         if not 1.0 < self.sigma < np.inf:
-            raise ValueError("sigma must exceed 1")
+            raise ValueError("sigma must exceed 1 and be finite")
         if self.sigma - 1.0 >= self.theta:
             raise ValueError(
                 f"price index requires sigma - 1 < theta, "
@@ -166,17 +175,11 @@ class EconomyParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EconomyParams":
-        missing = [k for k in ("T", "L", "tau", "alpha", "beta", "theta", "sigma")
-                   if k not in d]
+        keys = ("T", "L", "tau", "alpha", "beta", "theta", "sigma")
+        missing = [k for k in keys if k not in d]
         if missing:
             raise ValueError(f"economy config missing keys: {', '.join(missing)}")
-        return cls(T=np.asarray(d["T"], dtype=float),
-                   L=np.asarray(d["L"], dtype=float),
-                   tau=np.asarray(d["tau"], dtype=float),
-                   alpha=np.asarray(d["alpha"], dtype=float),
-                   beta=np.asarray(d["beta"], dtype=float),
-                   theta=float(d["theta"]), sigma=float(d["sigma"]),
-                   gamma=float(d.get("gamma", 1.0)))
+        return cls(**{k: d[k] for k in keys}, gamma=d.get("gamma", 1.0))
 
 
 def kappa(theta: float, sigma: float) -> float:
@@ -213,10 +216,6 @@ def enumerate_paths(n_locations: int, n_tiers: int) -> np.ndarray:
     return grids.T.astype(np.intp)
 
 
-def _check_costs(costs, J: int) -> np.ndarray:
-    return _positive_array(costs, (J,), "costs")
-
-
 def _hop_factors(params: EconomyParams) -> np.ndarray:
     """Cost-free shipping factors ``tau**(-theta * beta[n])``, shape (N, J, J)."""
     return params.tau[None, :, :] ** (-params.theta * params.beta[:, None, None])
@@ -246,7 +245,7 @@ def _forward(params: EconomyParams, costs, hop=None):
     chain heads that place tier n in a; and the totals ``S[j]`` over every
     chain serving j, which is all that prices need.
     """
-    costs = _check_costs(costs, params.n_locations)
+    costs = _positive_array(costs, (params.n_locations,), "costs")
     F, G = _tier_factors(params, costs, hop)
     fwd = [np.ones(params.n_locations)]
     for Fn in F:
@@ -293,7 +292,7 @@ def path_scale_matrix(params: EconomyParams, costs) -> tuple[np.ndarray, np.ndar
         ``scales[p, j]`` is the cost scale of chain ``paths[p]`` serving
         destination j; trade shares are scales normalised per column.
     """
-    costs = _check_costs(costs, params.n_locations)
+    costs = _positive_array(costs, (params.n_locations,), "costs")
     paths = enumerate_paths(params.n_locations, params.n_tiers)
     F, G = _tier_factors(params, costs)
     base = np.ones(len(paths))
@@ -316,7 +315,7 @@ def chain_cost_scale(path, dest: int, params: EconomyParams, costs) -> float:
     destination.  It is decreasing in every cost and every trade friction
     along the chain.
     """
-    costs = _check_costs(costs, params.n_locations)
+    costs = _positive_array(costs, (params.n_locations,), "costs")
     path = np.asarray(path, dtype=np.intp)
     if path.shape != (params.n_tiers,):
         raise ValueError(f"path must list one location per tier, got {path.shape}")
@@ -437,6 +436,8 @@ def chain_productivity_cdf(z: float, path, params: EconomyParams) -> float:
 
         F(z) = exp(-z**(-theta) * prod_n T[l_n, n]**(alpha_n beta_n)).
     """
+    if math.isnan(z):
+        raise ValueError("z must be a number, got nan")
     if z <= 0.0:
         return 0.0
     loc = chain_productivity_location(path, params)
@@ -445,8 +446,8 @@ def chain_productivity_cdf(z: float, path, params: EconomyParams) -> float:
 
 def chain_productivity_theta_sensitivity(z: float, path, params: EconomyParams) -> float:
     """Analytic derivative of the chain productivity CDF in theta."""
+    F = chain_productivity_cdf(z, path, params)
     if z <= 0.0:
         return 0.0
     loc = chain_productivity_location(path, params)
-    F = math.exp(-(z ** (-params.theta)) * loc)
     return F * loc * z ** (-params.theta) * math.log(z)

@@ -31,7 +31,9 @@ from .chains import (
     _forward,
     _hop_factors,
     _participation,
+    _positive_array,
     _prices,
+    _whole,
     composite_cost,
 )
 
@@ -60,6 +62,7 @@ class SolverConfig:
             raise ValueError("damping must lie in (0, 1]")
         if not (0.0 < self.tolerance < np.inf and 0.0 < self.world_income < np.inf):
             raise ValueError("tolerance and world_income must be finite and positive")
+        self.max_iterations = _whole(self.max_iterations, "max_iterations")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
 
@@ -116,8 +119,6 @@ def solve_costs(wages, params: EconomyParams,
 
 def _residual_pass(w: np.ndarray, params: EconomyParams, hop: np.ndarray):
     """Residuals, costs and prices at wages ``w`` from one full chain pass."""
-    if not (np.isfinite(w).all() and (w > 0.0).all()):
-        raise ValueError("wages must be finite and strictly positive")
     costs = _composite_costs(w, params, hop)
     _, fwd, bwd, S = _chain_sums(params, costs, hop)
     spending = w * params.L                            # (J,)
@@ -133,7 +134,8 @@ def labor_market_residuals(wages, params: EconomyParams) -> np.ndarray:
     and composite costs computed consistently from the wages.  The entries
     sum to zero for any strictly positive wage vector.
     """
-    return _residual_pass(np.asarray(wages, dtype=float), params, _hop_factors(params))[0]
+    w = _positive_array(wages, (params.n_locations,), "wages")
+    return _residual_pass(w, params, _hop_factors(params))[0]
 
 
 def solve_equilibrium(params: EconomyParams,

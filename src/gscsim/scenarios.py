@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chains import EconomyParams
+from .chains import EconomyParams, _whole
 from .equilibrium import EquilibriumSolution, SolverConfig, solve_equilibrium
 from .shocks import BRANCHES, EAST, SOUTH, ShockParams, _draw_branches
 from .sourcing import (
@@ -75,22 +75,19 @@ class ScenarioConfig:
         if self.realization not in REALIZATIONS:
             raise ValueError(f"realization must be one of {REALIZATIONS}, "
                              f"got {self.realization!r}")
-        self.shock_period = int(self.shock_period)
-        self.horizon = int(self.horizon)
+        for name in ("shock_period", "horizon", "suppliers_per_tier",
+                     "grid_resolution", "destination", "seed"):
+            setattr(self, name, _whole(getattr(self, name), name))
         if self.horizon < 1:
             raise ValueError("horizon must be at least one period")
         if not 1 <= self.shock_period <= self.horizon:
             raise ValueError("shock_period must lie within the horizon")
-        self.suppliers_per_tier = int(self.suppliers_per_tier)
         if self.suppliers_per_tier < 1:
             raise ValueError("suppliers_per_tier must be at least 1")
-        self.grid_resolution = int(self.grid_resolution)
         if self.grid_resolution < 2:
             raise ValueError("grid_resolution must be at least 2")
-        if not 0 <= int(self.destination) < self.economy.n_locations:
+        if not 0 <= self.destination < self.economy.n_locations:
             raise ValueError(f"destination {self.destination} is not a location")
-        self.destination = int(self.destination)
-        self.seed = int(self.seed)
 
     def to_dict(self) -> dict:
         return {
@@ -125,7 +122,7 @@ class ScenarioConfig:
 
         economy = section("economy", EconomyParams.from_dict)
         shock = section("shock", ShockParams.from_dict)
-        utility = section("utility", lambda u: UtilitySpec(rho=float(u["rho"])),
+        utility = section("utility", lambda u: UtilitySpec(rho=u["rho"]),
                           default=UtilitySpec())
         beliefs = section("beliefs", BeliefSet.from_dict,
                           default=BeliefSet(0.0, 1.0))
@@ -259,6 +256,7 @@ def monte_carlo_survival(config: ScenarioConfig, n_runs: int,
     counts as surviving when the chain is alive in every period.
     ``stderr`` is the binomial standard error of the survival rate.
     """
+    n_runs = _whole(n_runs, "n_runs")
     if n_runs < 1:
         raise ValueError("need at least one run")
     solution = solve_equilibrium(config.economy, SolverConfig())

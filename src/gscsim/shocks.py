@@ -45,7 +45,7 @@ class ShockParams:
     @classmethod
     def from_dict(cls, d: dict) -> "ShockParams":
         try:
-            return cls(eta=float(d["eta"]), lam=float(d["lam"]), zeta=float(d["zeta"]))
+            return cls(eta=d["eta"], lam=d["lam"], zeta=d["zeta"])
         except KeyError as err:
             raise ValueError(f"shock config missing key: {err.args[0]}") from None
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import EconomyParams
+from .chains import EconomyParams, _positive_array, _whole
 from .equilibrium import SolverConfig, solve_equilibrium
 from .shocks import BRANCHES, EAST, SOUTH, ShockDraw, ShockParams
 
@@ -57,7 +57,7 @@ class UtilitySpec:
 
 def crra_utility(value: float, rho: float) -> float:
     """CRRA felicity; a dead chain (value 0) is -inf once rho >= 1."""
-    if value < 0.0:
+    if not value >= 0.0:
         raise ValueError("utility is defined for nonnegative values")
     if value == 0.0:
         return -math.inf if rho >= 1.0 else 0.0
@@ -95,7 +95,7 @@ class BeliefSet:
     @classmethod
     def from_dict(cls, d: dict) -> "BeliefSet":
         try:
-            return cls(zeta_lo=float(d["zeta_lo"]), zeta_hi=float(d["zeta_hi"]))
+            return cls(zeta_lo=d["zeta_lo"], zeta_hi=d["zeta_hi"])
         except KeyError as err:
             raise ValueError(f"belief config missing key: {err.args[0]}") from None
 
@@ -116,8 +116,8 @@ class SourcingAllocation:
         col = self.phi.sum(axis=0)
         if not np.allclose(col, 1.0, atol=1e-9):
             raise ValueError("sourcing fractions must sum to 1 at every tier")
-        self.M = np.asarray(self.M, dtype=np.intp)
-        if self.M.shape != (self.phi.shape[1],):
+        self.M = _whole(self.M, "M")
+        if np.shape(self.M) != (self.phi.shape[1],):
             raise ValueError("M must give one supplier count per tier")
         if np.any(self.M < 1):
             raise ValueError("each tier needs at least one supplier")
@@ -127,7 +127,8 @@ class SourcingAllocation:
         """Same location split at every tier, M suppliers each."""
         w = np.asarray(weights, dtype=float)
         phi = np.repeat(w[:, None], n_tiers, axis=1)
-        return cls(phi=phi, M=np.full(n_tiers, int(suppliers_per_tier), dtype=np.intp))
+        M = _whole(suppliers_per_tier, "suppliers_per_tier")
+        return cls(phi=phi, M=np.full(n_tiers, M, dtype=np.intp))
 
     @property
     def n_tiers(self) -> int:
@@ -208,10 +209,7 @@ def allocation_value(alloc: SourcingAllocation, shock: ShockDraw,
 
 def _checked_costs(params: EconomyParams, costs,
                    alloc: SourcingAllocation | None = None) -> np.ndarray:
-    costs = np.asarray(costs, dtype=float)
-    if costs.shape != (params.n_locations,) or not (np.isfinite(costs).all()
-                                                     and (costs > 0.0).all()):
-        raise ValueError("costs must be strictly positive, one per location")
+    costs = _positive_array(costs, (params.n_locations,), "costs")
     if alloc is not None and alloc.phi.shape[0] != params.n_locations:
         raise ValueError("allocation and economy disagree on the number of locations")
     return costs
@@ -317,9 +315,10 @@ def _grid_sweep(params: EconomyParams, eta: float, zetas, rho: float,
     """
     if params.n_locations != 2:
         raise ValueError("the planner grid search handles exactly two locations")
+    grid_resolution = _whole(grid_resolution, "grid_resolution")
     if grid_resolution < 2:
         raise ValueError("grid resolution must be at least 2")
-    M = int(suppliers_per_tier)
+    M = _whole(suppliers_per_tier, "suppliers_per_tier")
     xs = np.linspace(0.0, 1.0, grid_resolution)
     counts = _apportion(np.stack([1.0 - xs, xs], axis=1), M)
     # The counts keep the tier total, so the South count names the vector.
@@ -337,7 +336,7 @@ def _grid_sweep(params: EconomyParams, eta: float, zetas, rho: float,
 
     best_x = float(xs[max(winners, key=rank)])
     return SourcingAllocation.uniform_tiers(
-        np.array([1.0 - best_x, best_x]), suppliers_per_tier, params.n_tiers)
+        np.array([1.0 - best_x, best_x]), M, params.n_tiers)
 
 
 def planner_risk_sourcing(params: EconomyParams, shock_params: ShockParams,

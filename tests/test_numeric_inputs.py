@@ -1,0 +1,209 @@
+"""Every numeric input rejects NaN, infinities and out-of-range values.
+
+One table covers each numeric field of the config objects, through the
+constructor and through ``from_dict`` where one exists, and the costs and
+count arguments of the public sourcing functions.  Integer fields also get
+a fraction, which must not be truncated into a different experiment.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from gscsim import (
+    BeliefSet,
+    EconomyParams,
+    ScenarioConfig,
+    ShockDraw,
+    ShockParams,
+    SolverConfig,
+    SourcingAllocation,
+    UtilitySpec,
+    allocation_value,
+    ambiguity_objective,
+    crra_utility,
+    individual_sourcing,
+    monte_carlo_survival,
+    planner_ambiguity_sourcing,
+    planner_risk_sourcing,
+    risk_objective,
+    solve_equilibrium,
+)
+from gscsim.chains import chain_productivity_cdf, chain_productivity_theta_sensitivity
+from gscsim.cli import main
+
+from conftest import symmetric_two_tier
+
+BAD = (math.nan, math.inf, -math.inf, 0.0, -1.0)
+FRACTION = 2.5
+
+ECONOMY = symmetric_two_tier().to_dict()
+SHOCK = {"eta": 0.2, "lam": 1.0, "zeta": 0.9}
+BELIEFS = {"zeta_lo": 0.2, "zeta_hi": 0.8}
+SCENARIO = {"economy": ECONOMY, "shock": SHOCK, "decision_mode": "planner",
+            "shock_period": 5, "horizon": 8, "suppliers_per_tier": 10,
+            "grid_resolution": 101, "destination": 0, "seed": 0}
+SCENARIO_INTS = ("shock_period", "horizon", "suppliers_per_tier",
+                 "grid_resolution", "destination", "seed")
+
+
+def _set(d: dict, key: str, index, value) -> dict:
+    """Copy of ``d`` with ``d[key]`` (or its entry at ``index``) set to value."""
+    out = json.loads(json.dumps(d))
+    if index is None:
+        out[key] = value
+    else:
+        arr = np.array(out[key], dtype=float)
+        arr[index] = value
+        out[key] = arr.tolist()
+    return out
+
+
+def _economy_rows():
+    for key, index in (("T", (0, 1)), ("L", 1), ("tau", (0, 1)), ("alpha", 1),
+                       ("beta", 0), ("theta", None), ("sigma", None), ("gamma", None)):
+        for v in BAD:
+            yield (f"EconomyParams.{key}", v,
+                   lambda v=v, k=key, i=index: EconomyParams(**_set(ECONOMY, k, i, v)))
+            yield (f"EconomyParams.from_dict.{key}", v,
+                   lambda v=v, k=key, i=index: EconomyParams.from_dict(_set(ECONOMY, k, i, v)))
+
+
+def _solver_rows():
+    for key in ("tolerance", "damping", "world_income"):
+        for v in BAD:
+            yield f"SolverConfig.{key}", v, lambda v=v, k=key: SolverConfig(**{k: v})
+    # A zero budget is valid: it only checks the initial guess.
+    for v in (math.nan, math.inf, -math.inf, -1.0, FRACTION):
+        yield "SolverConfig.max_iterations", v, lambda v=v: SolverConfig(max_iterations=v)
+    # initial_wages is checked when the solve starts.
+    for v in BAD:
+        yield ("SolverConfig.initial_wages", v,
+               lambda v=v: solve_equilibrium(symmetric_two_tier(),
+                                             SolverConfig(initial_wages=[1.0, v])))
+
+
+def _odds_rows():
+    # Zero is a valid probability, so it is left out.
+    odds = (math.nan, math.inf, -math.inf, -1.0)
+    for key in SHOCK:
+        for v in odds:
+            yield f"ShockParams.{key}", v, lambda v=v, k=key: ShockParams(**{**SHOCK, k: v})
+            yield (f"ShockParams.from_dict.{key}", v,
+                   lambda v=v, k=key: ShockParams.from_dict({**SHOCK, k: v}))
+    for key in BELIEFS:
+        for v in odds:
+            yield f"BeliefSet.{key}", v, lambda v=v, k=key: BeliefSet(**{**BELIEFS, k: v})
+            yield (f"BeliefSet.from_dict.{key}", v,
+                   lambda v=v, k=key: BeliefSet.from_dict({**BELIEFS, k: v}))
+    # rho = 0 is risk neutrality.
+    for v in odds:
+        yield "UtilitySpec.rho", v, lambda v=v: UtilitySpec(rho=v)
+        yield ("ScenarioConfig.from_dict.utility.rho", v,
+               lambda v=v: ScenarioConfig.from_dict({**SCENARIO, "utility": {"rho": v}}))
+
+
+def _allocation_rows():
+    # A zero fraction is valid; the column sums catch the other values.
+    for v in (math.nan, math.inf, -math.inf, -1.0):
+        yield ("SourcingAllocation.phi", v,
+               lambda v=v: SourcingAllocation(phi=[[v, 0.5], [0.5, 0.5]], M=[10, 10]))
+    for v in BAD + (FRACTION,):
+        yield ("SourcingAllocation.M", v,
+               lambda v=v: SourcingAllocation(phi=[[0.5, 0.5], [0.5, 0.5]], M=[10, v]))
+        yield ("SourcingAllocation.uniform_tiers.suppliers_per_tier", v,
+               lambda v=v: SourcingAllocation.uniform_tiers([0.5, 0.5], v, 2))
+
+
+def _sourcing_rows():
+    params = symmetric_two_tier()
+    shock = ShockParams(**SHOCK)
+    beliefs = BeliefSet(**BELIEFS)
+    utility = UtilitySpec(rho=2.0)
+    alloc = SourcingAllocation.uniform_tiers([0.5, 0.5], 10, 2)
+    calls = {
+        "allocation_value": lambda c: allocation_value(alloc, ShockDraw(None), params, c),
+        "risk_objective": lambda c: risk_objective(alloc, params, shock, utility, c),
+        "ambiguity_objective": lambda c: ambiguity_objective(alloc, params, shock,
+                                                             beliefs, utility, c),
+        "individual_sourcing": lambda c: individual_sourcing(params, shock, costs=c),
+        "planner_risk_sourcing": lambda c: planner_risk_sourcing(
+            params, shock, utility, grid_resolution=11, costs=c),
+        "planner_ambiguity_sourcing": lambda c: planner_ambiguity_sourcing(
+            params, shock, beliefs, grid_resolution=11, costs=c),
+    }
+    for name, call in calls.items():
+        for v in BAD:
+            yield f"{name}.costs", v, lambda v=v, call=call: call([1.0, v])
+    unit = np.ones(2)
+    for v in BAD + (FRACTION,):
+        yield ("individual_sourcing.suppliers_per_tier", v,
+               lambda v=v: individual_sourcing(params, shock, suppliers_per_tier=v, costs=unit))
+        yield ("planner_risk_sourcing.suppliers_per_tier", v,
+               lambda v=v: planner_risk_sourcing(params, shock, utility, grid_resolution=11,
+                                                 suppliers_per_tier=v, costs=unit))
+        yield ("planner_risk_sourcing.grid_resolution", v,
+               lambda v=v: planner_risk_sourcing(params, shock, utility,
+                                                 grid_resolution=v, costs=unit))
+
+
+def _scenario_rows():
+    for key in SCENARIO_INTS:
+        for v in BAD + (FRACTION,):
+            # Location 0 is a destination, and the seed is only recorded,
+            # so any whole number is a valid seed.
+            if (key == "destination" and v == 0.0) or (key == "seed" and v in (0.0, -1.0)):
+                continue
+            yield f"ScenarioConfig.{key}", v, lambda v=v, k=key: ScenarioConfig(
+                economy=EconomyParams.from_dict(ECONOMY), shock=ShockParams(**SHOCK),
+                **{**{k2: SCENARIO[k2] for k2 in SCENARIO_INTS}, k: v})
+            yield (f"ScenarioConfig.from_dict.{key}", v,
+                   lambda v=v, k=key: ScenarioConfig.from_dict({**SCENARIO, k: v}))
+    cfg = ScenarioConfig.from_dict({**SCENARIO, "grid_resolution": 11})
+    for v in BAD + (FRACTION,):
+        yield ("monte_carlo_survival.n_runs", v,
+               lambda v=v: monte_carlo_survival(cfg, n_runs=v, seed=0))
+
+
+ROWS = [*_economy_rows(), *_solver_rows(), *_odds_rows(), *_allocation_rows(),
+        *_sourcing_rows(), *_scenario_rows()]
+
+
+@pytest.mark.parametrize("field,value,call", ROWS,
+                         ids=[f"{field}={value}" for field, value, _ in ROWS])
+def test_numeric_input_rejects_out_of_range_value(field, value, call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize("key", SCENARIO_INTS)
+@pytest.mark.parametrize("token", ("Infinity", "NaN", "0.5"))
+def test_cli_rejects_non_whole_integer_field(tmp_path, capsys, key, token):
+    # json reads Infinity and NaN; int() of either used to escape as an
+    # OverflowError or ValueError traceback, and 0.5 was truncated to 0.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SCENARIO, key: float(token)}))
+    assert token in cfg.read_text()
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_whole_floats_and_large_seeds_are_kept():
+    cfg = ScenarioConfig.from_dict({**SCENARIO, "horizon": 20.0, "seed": 2**60 + 1})
+    assert cfg.horizon == 20 and isinstance(cfg.horizon, int)
+    assert cfg.seed == 2**60 + 1
+    assert SourcingAllocation(phi=[[0.5], [0.5]], M=[4.0]).M.dtype == np.intp
+
+
+def test_scalar_functions_reject_nan():
+    params = symmetric_two_tier()
+    with pytest.raises(ValueError):
+        crra_utility(math.nan, 2.0)
+    for fn in (chain_productivity_cdf, chain_productivity_theta_sensitivity):
+        with pytest.raises(ValueError):
+            fn(math.nan, [0, 1], params)
+    assert chain_productivity_cdf(math.inf, [0, 1], params) == 1.0
