@@ -35,8 +35,12 @@ MAX_PATHS = 1_000_000
 
 
 def _positive_array(x, shape, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.shape != shape or not (np.isfinite(arr) & (arr > 0.0)).all():
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):     # not numeric, or ragged
+        arr = None
+    # Every checked shape has an element; min and max reject NaN too.
+    if arr is None or arr.shape != shape or not (arr.min() > 0.0 and arr.max() < np.inf):
         raise ValueError(f"{name} must be strictly positive and finite with shape {shape}")
     return arr
 
@@ -46,10 +50,20 @@ def _whole(x, name: str):
     raise; whole floats pass, and Python ints are kept exact, large seeds too."""
     if isinstance(x, (int, np.integer)):
         return int(x)
-    arr = np.asarray(x, dtype=float)
-    if not (np.isfinite(arr) & (arr == np.floor(arr))).all():
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):     # not numeric, or ragged
+        arr = None
+    if arr is None or not (np.isfinite(arr) & (arr == np.floor(arr))).all():
         raise ValueError(f"{name} must be a whole number, got {x}")
     return int(arr) if arr.ndim == 0 else arr.astype(np.intp)
+
+
+def _real(x, name: str) -> float:
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {x!r}") from None
 
 
 @dataclass
@@ -89,10 +103,10 @@ class EconomyParams:
     gamma: float = 1.0
 
     def __post_init__(self):
-        self.T = np.asarray(self.T, dtype=float)
-        if self.T.ndim != 2:
-            raise ValueError("T must be a 2-d array of shape (locations, tiers)")
-        J, N = self.T.shape
+        try:
+            J, N = np.shape(self.T)
+        except ValueError:                  # not 2-d, or ragged
+            raise ValueError("T must be a 2-d array of shape (locations, tiers)") from None
         if J < 1 or N < 1:
             raise ValueError("need at least one location and one tier")
         self.T = _positive_array(self.T, (J, N), "T")
@@ -112,9 +126,9 @@ class EconomyParams:
                 f"tier labour weights must exhaust output value: "
                 f"sum(alpha * beta) = {weight:.12g}, expected 1"
             )
-        self.theta = float(self.theta)
-        self.sigma = float(self.sigma)
-        self.gamma = float(self.gamma)
+        self.theta = _real(self.theta, "theta")
+        self.sigma = _real(self.sigma, "sigma")
+        self.gamma = _real(self.gamma, "gamma")
         # Written so that NaN fails each range check.
         if not 0.0 < self.theta < np.inf:
             raise ValueError("theta must be positive and finite")
@@ -139,7 +153,7 @@ class EconomyParams:
     @classmethod
     def one_tier(cls, T, L, tau, theta, sigma, gamma=1.0) -> "EconomyParams":
         """Single-tier economy: plain sourcing with alpha = beta = 1."""
-        T = np.asarray(T, dtype=float).reshape(-1, 1)
+        T = np.reshape(T, (-1, 1))
         return cls(T=T, L=L, tau=tau, alpha=np.ones(1), beta=np.ones(1),
                    theta=theta, sigma=sigma, gamma=gamma)
 
@@ -151,11 +165,10 @@ class EconomyParams:
         spends share ``alpha2`` on labour and ``1 - alpha2`` on the upstream
         input, so beta = (1 - alpha2, 1).
         """
-        alpha2 = float(alpha2)
+        alpha2 = _real(alpha2, "alpha2")
         if not 0.0 < alpha2 < 1.0:
             raise ValueError("alpha2 must lie strictly between 0 and 1")
-        T = np.column_stack([np.asarray(T1, dtype=float),
-                             np.asarray(T2, dtype=float)])
+        T = np.column_stack([T1, T2])
         return cls(T=T, L=L, tau=tau,
                    alpha=np.array([1.0, alpha2]),
                    beta=np.array([1.0 - alpha2, 1.0]),
@@ -216,69 +229,56 @@ def enumerate_paths(n_locations: int, n_tiers: int) -> np.ndarray:
     return grids.T.astype(np.intp)
 
 
-def _hop_factors(params: EconomyParams) -> np.ndarray:
-    """Cost-free shipping factors ``tau**(-theta * beta[n])``, shape (N, J, J)."""
-    return params.tau[None, :, :] ** (-params.theta * params.beta[:, None, None])
+class _Chain:
+    """The cost-free factors of one economy's chain sums, built once per solve.
 
-
-def _tier_factors(params: EconomyParams, costs: np.ndarray, hop=None):
-    """Per-tier contribution matrices of the chain cost scale.
-
-    For tiers below the last, ``F[n][a, b]`` multiplies a chain that runs
-    tier n in location a and tier n+1 in location b.  ``G[a, j]`` is the
-    last-tier factor including the final shipment to destination j.  A
-    caller that holds ``_hop_factors(params)`` may pass it as ``hop``.
+    A chain's cost scale is the product of its hop factors, so sums over the
+    J**N chains factorise tier by tier (Antras & de Gortari 2020; the
+    forward-backward pass of Rabiner 1989).  Only the costs change from one
+    pass to the next: :meth:`forward` yields the chain totals ``S[j]``, which
+    is all that prices need, and :meth:`backward` adds what participation
+    and flow shares need.  Every pass checks its costs.
     """
-    ab = params.alpha * params.beta
-    tech = params.T ** ab * costs[:, None] ** (-params.theta * ab)  # (J, N)
-    if hop is None:
-        hop = _hop_factors(params)
-    F = [tech[:, n, None] * hop[n] for n in range(params.n_tiers - 1)]
-    G = tech[:, -1, None] * hop[-1]
-    return F, G
 
+    def __init__(self, params: EconomyParams):
+        self.params = params
+        self.shape = (params.n_locations,)
+        self.ab = params.alpha * params.beta
+        self.tech = (params.T ** self.ab).T[:, :, None]                  # (N, J, 1)
+        self.exponent = (-params.theta * self.ab)[:, None, None]
+        self.hop = params.tau[None, :, :] ** (-params.theta * params.beta[:, None, None])
+        self.kappa = kappa(params.theta, params.sigma)
+        self.inv_theta = -1.0 / params.theta
 
-def _forward(params: EconomyParams, costs, hop=None):
-    """Forward half of the chain sums.
+    def factors(self, costs) -> np.ndarray:
+        """Tier factors, (N, J, J): ``facs[n][a, b]`` multiplies a chain with
+        tier n in a and tier n+1 in b, and ``facs[-1][a, j]`` includes the
+        final shipment to j."""
+        costs = _positive_array(costs, self.shape, "costs")
+        return self.tech * costs[:, None] ** self.exponent * self.hop
 
-    Returns the tier factors ``F`` and ``G``; ``fwd[n][a]``, summed over
-    chain heads that place tier n in a; and the totals ``S[j]`` over every
-    chain serving j, which is all that prices need.
-    """
-    costs = _positive_array(costs, (params.n_locations,), "costs")
-    F, G = _tier_factors(params, costs, hop)
-    fwd = [np.ones(params.n_locations)]
-    for Fn in F:
-        fwd.append(fwd[-1] @ Fn)
-    return F, G, fwd, fwd[-1] @ G
+    def forward(self, costs):
+        """Tier factors; ``fwd[n][a]``, summed over chain heads that place
+        tier n in a; and the totals ``S[j]`` over every chain serving j."""
+        facs = self.factors(costs)
+        fwd = np.ones(facs.shape[:2])
+        for n in range(len(facs) - 1):
+            fwd[n + 1] = fwd[n] @ facs[n]
+        return facs, fwd, fwd[-1] @ facs[-1]
 
+    def backward(self, facs) -> np.ndarray:
+        """``bwd[n][a, j]``, summed from tier n in a down to j."""
+        bwd = np.empty_like(facs)
+        bwd[-1] = facs[-1]
+        for n in range(len(facs) - 2, -1, -1):
+            bwd[n] = facs[n] @ bwd[n + 1]
+        return bwd
 
-def _backward(F, G):
-    """Backward half: ``bwd[n][a, j]``, summed from tier n in a down to j."""
-    bwd = [G]
-    for Fn in reversed(F):
-        bwd.insert(0, Fn @ bwd[0])
-    return bwd
+    def prices(self, S: np.ndarray) -> np.ndarray:
+        return self.kappa * S ** self.inv_theta
 
-
-def _chain_sums(params: EconomyParams, costs, hop=None):
-    """Sums of chain cost scales over all J**N paths, tier by tier.
-
-    A chain's scale is the product of its hop factors, so the sums factorise
-    (Antras & de Gortari 2020; the forward-backward pass of Rabiner 1989).
-    Runs :func:`_forward` and then :func:`_backward` and returns ``F``,
-    ``fwd``, ``bwd`` and ``S``.
-    """
-    F, G, fwd, S = _forward(params, costs, hop)
-    return F, fwd, _backward(F, G), S
-
-
-def _prices(params: EconomyParams, S: np.ndarray) -> np.ndarray:
-    return kappa(params.theta, params.sigma) * S ** (-1.0 / params.theta)
-
-
-def _participation(fwd, bwd, S: np.ndarray) -> np.ndarray:
-    return np.stack([f[:, None] * b / S for f, b in zip(fwd, bwd)])
+    def participation(self, fwd, bwd, S: np.ndarray) -> np.ndarray:
+        return fwd[:, :, None] * bwd / S
 
 
 def path_scale_matrix(params: EconomyParams, costs) -> tuple[np.ndarray, np.ndarray]:
@@ -292,13 +292,12 @@ def path_scale_matrix(params: EconomyParams, costs) -> tuple[np.ndarray, np.ndar
         ``scales[p, j]`` is the cost scale of chain ``paths[p]`` serving
         destination j; trade shares are scales normalised per column.
     """
-    costs = _positive_array(costs, (params.n_locations,), "costs")
+    facs = _Chain(params).factors(costs)
     paths = enumerate_paths(params.n_locations, params.n_tiers)
-    F, G = _tier_factors(params, costs)
     base = np.ones(len(paths))
     for n in range(params.n_tiers - 1):
-        base = base * F[n][paths[:, n], paths[:, n + 1]]
-    scales = base[:, None] * G[paths[:, -1], :]
+        base = base * facs[n][paths[:, n], paths[:, n + 1]]
+    scales = base[:, None] * facs[-1][paths[:, -1], :]
     return paths, scales
 
 
@@ -315,7 +314,7 @@ def chain_cost_scale(path, dest: int, params: EconomyParams, costs) -> float:
     destination.  It is decreasing in every cost and every trade friction
     along the chain.
     """
-    costs = _positive_array(costs, (params.n_locations,), "costs")
+    facs = _Chain(params).factors(costs)
     path = np.asarray(path, dtype=np.intp)
     if path.shape != (params.n_tiers,):
         raise ValueError(f"path must list one location per tier, got {path.shape}")
@@ -323,16 +322,15 @@ def chain_cost_scale(path, dest: int, params: EconomyParams, costs) -> float:
         raise ValueError("path contains an unknown location index")
     if not 0 <= dest < params.n_locations:
         raise ValueError(f"unknown destination {dest}")
-    F, G = _tier_factors(params, costs)
     scale = 1.0
     for n in range(params.n_tiers - 1):
-        scale *= F[n][path[n], path[n + 1]]
-    return float(scale * G[path[-1], dest])
+        scale *= facs[n][path[n], path[n + 1]]
+    return float(scale * facs[-1][path[-1], dest])
 
 
 def path_share(path, dest: int, params: EconomyParams, costs) -> float:
     """Probability that destination ``dest`` sources along ``path``."""
-    S = _forward(params, costs)[-1]
+    S = _Chain(params).forward(costs)[-1]
     return chain_cost_scale(path, dest, params, costs) / float(S[dest])
 
 
@@ -344,7 +342,8 @@ def path_share_matrix(params: EconomyParams, costs) -> tuple[np.ndarray, np.ndar
 
 def price_indices(params: EconomyParams, costs) -> np.ndarray:
     """CES price index of the final good in every destination."""
-    return _prices(params, _forward(params, costs)[-1])
+    chain = _Chain(params)
+    return chain.prices(chain.forward(costs)[-1])
 
 
 def price_index(dest: int, params: EconomyParams, costs) -> float:
@@ -369,8 +368,9 @@ def tier_participation(params: EconomyParams, costs) -> np.ndarray:
     Returns an array of shape (N, J, J) indexed ``[tier, location, dest]``;
     each (tier, dest) slice sums to 1 over locations.
     """
-    _, fwd, bwd, S = _chain_sums(params, costs)
-    return _participation(fwd, bwd, S)
+    chain = _Chain(params)
+    facs, fwd, S = chain.forward(costs)
+    return chain.participation(fwd, chain.backward(facs), S)
 
 
 def intermediate_flow_shares(params: EconomyParams, costs,
@@ -391,8 +391,10 @@ def intermediate_flow_shares(params: EconomyParams, costs,
     else:
         w = _positive_array(expenditure_weights, (J,), "expenditure_weights")
         w = w / w.sum()
-    F, fwd, bwd, S = _chain_sums(params, costs)
-    flows = sum(params.beta[n] * fwd[n][:, None] * F[n] * (bwd[n + 1] @ (w / S))
+    chain = _Chain(params)
+    facs, fwd, S = chain.forward(costs)
+    bwd = chain.backward(facs)
+    flows = sum(params.beta[n] * fwd[n][:, None] * facs[n] * (bwd[n + 1] @ (w / S))
                 for n in range(params.n_tiers - 1))
     total = flows.sum(axis=0, keepdims=True)
     return np.divide(flows, total, out=np.zeros_like(flows), where=total > 0)
@@ -447,7 +449,7 @@ def chain_productivity_cdf(z: float, path, params: EconomyParams) -> float:
 def chain_productivity_theta_sensitivity(z: float, path, params: EconomyParams) -> float:
     """Analytic derivative of the chain productivity CDF in theta."""
     F = chain_productivity_cdf(z, path, params)
-    if z <= 0.0:
+    if z <= 0.0 or z == math.inf:      # the limits at both ends are 0
         return 0.0
     loc = chain_productivity_location(path, params)
     return F * loc * z ** (-params.theta) * math.log(z)

@@ -10,12 +10,13 @@ the right hand side redistributes world income without leaking, so the
 residuals sum to zero at any wage vector (Walras's law).  Wages are only
 determined up to scale and are pinned down by normalising world income.
 
-The solver is a damped fixed point on that map.  Each sweep makes one full
-forward-backward chain pass at the composite costs, which yields the
-residual and the prices together; the cost-free hop factors are built once
-per solve.  With gamma < 1 composite costs feed back through the price
-index, so each sweep first runs an inner cost/price fixed point on the
-forward half of the chain sums alone.
+The solver is a damped fixed point on that map.  Every cost-free chain
+constant (technology and hop factors, exponents, the CES constant) is built
+once per solve.  Each sweep makes one full forward-backward chain pass at
+the composite costs for the residual; prices come from the last pass's
+chain totals when the solve returns.  With gamma < 1 composite costs feed
+back through the price index, so each sweep first runs an inner cost/price
+fixed point on forward passes alone.
 """
 
 from __future__ import annotations
@@ -25,17 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import (
-    EconomyParams,
-    _chain_sums,
-    _forward,
-    _hop_factors,
-    _participation,
-    _positive_array,
-    _prices,
-    _whole,
-    composite_cost,
-)
+from .chains import EconomyParams, _Chain, _positive_array, _whole, composite_cost
 
 logger = logging.getLogger(__name__)
 
@@ -84,17 +75,20 @@ class EquilibriumSolution:
         return self.wages / self.prices
 
 
-def _composite_costs(w: np.ndarray, params: EconomyParams, hop: np.ndarray,
+def _composite_costs(w: np.ndarray, chain: _Chain,
                      tolerance: float = 1e-14, max_iterations: int = 500) -> np.ndarray:
     """Composite costs at wages ``w``; prices come from forward passes only."""
-    if params.gamma == 1.0:
+    gamma = chain.params.gamma
+    if gamma == 1.0:
         return w.copy()
     c = w.copy()
+    log_c = np.log(c)
     for _ in range(max_iterations):
-        P = _prices(params, _forward(params, c, hop)[-1])
-        c_next = composite_cost(w, P, params.gamma)
-        gap = float(np.max(np.abs(np.log(c_next) - np.log(c))))
-        c = c_next
+        P = chain.prices(chain.forward(c)[-1])
+        c = composite_cost(w, P, gamma)
+        log_next = np.log(c)
+        gap = float(np.max(np.abs(log_next - log_c)))
+        log_c = log_next
         if gap < tolerance:
             return c
     raise EquilibriumConvergenceError(
@@ -111,20 +105,21 @@ def solve_costs(wages, params: EconomyParams,
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
-    hop = _hop_factors(params)
-    costs = _composite_costs(np.asarray(wages, dtype=float), params, hop,
-                             tolerance, max_iterations)
-    return costs, _prices(params, _forward(params, costs, hop)[-1])
+    chain = _Chain(params)
+    # Checked before w**gamma and log(w): bad wages are bad costs.
+    w = _positive_array(wages, chain.shape, "costs")
+    costs = _composite_costs(w, chain, tolerance, max_iterations)
+    return costs, chain.prices(chain.forward(costs)[-1])
 
 
-def _residual_pass(w: np.ndarray, params: EconomyParams, hop: np.ndarray):
-    """Residuals, costs and prices at wages ``w`` from one full chain pass."""
-    costs = _composite_costs(w, params, hop)
-    _, fwd, bwd, S = _chain_sums(params, costs, hop)
-    spending = w * params.L                            # (J,)
-    ab = params.alpha * params.beta
-    income = np.einsum("n,nij,j->i", ab, _participation(fwd, bwd, S), spending)
-    return income - spending, costs, _prices(params, S)
+def _residual_pass(w: np.ndarray, chain: _Chain):
+    """Residuals, spending ``w * L``, costs and chain totals at ``w``, one full pass."""
+    costs = _composite_costs(w, chain)
+    facs, fwd, S = chain.forward(costs)
+    spending = w * chain.params.L                      # (J,)
+    part = chain.participation(fwd, chain.backward(facs), S)
+    income = np.einsum("n,nij,j->i", chain.ab, part, spending)
+    return income - spending, spending, costs, S
 
 
 def labor_market_residuals(wages, params: EconomyParams) -> np.ndarray:
@@ -135,7 +130,7 @@ def labor_market_residuals(wages, params: EconomyParams) -> np.ndarray:
     sum to zero for any strictly positive wage vector.
     """
     w = _positive_array(wages, (params.n_locations,), "wages")
-    return _residual_pass(w, params, _hop_factors(params))[0]
+    return _residual_pass(w, _Chain(params))[0]
 
 
 def solve_equilibrium(params: EconomyParams,
@@ -157,20 +152,20 @@ def solve_equilibrium(params: EconomyParams,
         w = np.full(J, 1.0, dtype=float)
     w *= cfg.world_income / float(w @ params.L)
 
-    hop = _hop_factors(params)
+    chain = _Chain(params)
     walras = []
     residual_norm = np.inf
     previous_norm = np.inf
     step = cfg.damping
     for it in range(cfg.max_iterations + 1):
-        residual, costs, prices = _residual_pass(w, params, hop)
+        residual, spending, costs, S = _residual_pass(w, chain)
         walras.append(float(residual.sum()))
         residual_norm = float(np.abs(residual).max()) / cfg.world_income
         if residual_norm < cfg.tolerance:
             logger.debug("equilibrium converged after %d iterations (residual %.3e)",
                          it, residual_norm)
             return EquilibriumSolution(
-                wages=w, prices=prices, costs=costs,
+                wages=w, prices=chain.prices(S), costs=costs,
                 residual_norm=residual_norm, iterations=it,
                 world_income=cfg.world_income, walras_history=walras)
         # A fixed step can lock into a two-cycle when theta is large; halve
@@ -180,7 +175,7 @@ def solve_equilibrium(params: EconomyParams,
             logger.debug("residual stalled at %.3e, damping reduced to %.4f",
                          residual_norm, step)
         previous_norm = residual_norm
-        target = (residual + w * params.L) / params.L   # earnings per worker
+        target = (residual + spending) / params.L     # earnings per worker
         w = (1.0 - step) * w + step * target
         w *= cfg.world_income / float(w @ params.L)
 

@@ -16,6 +16,8 @@ from typing import Optional
 
 import numpy as np
 
+from .chains import _real
+
 NORMAL = 0
 SHOCK = 1
 
@@ -34,7 +36,7 @@ class ShockParams:
 
     def __post_init__(self):
         for name in ("eta", "lam", "zeta"):
-            v = float(getattr(self, name))
+            v = _real(getattr(self, name), name)
             setattr(self, name, v)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")

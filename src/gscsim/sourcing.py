@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import EconomyParams, _positive_array, _whole
+from .chains import EconomyParams, _positive_array, _real, _whole
 from .equilibrium import SolverConfig, solve_equilibrium
 from .shocks import BRANCHES, EAST, SOUTH, ShockDraw, ShockParams
 
@@ -47,7 +47,7 @@ class UtilitySpec:
     rho: float = 2.0
 
     def __post_init__(self):
-        self.rho = float(self.rho)
+        self.rho = _real(self.rho, "rho")
         if not 0.0 <= self.rho < math.inf:
             raise ValueError(f"rho must be finite and nonnegative, got {self.rho}")
 
@@ -74,8 +74,8 @@ class BeliefSet:
     zeta_hi: float
 
     def __post_init__(self):
-        self.zeta_lo = float(self.zeta_lo)
-        self.zeta_hi = float(self.zeta_hi)
+        self.zeta_lo = _real(self.zeta_lo, "zeta_lo")
+        self.zeta_hi = _real(self.zeta_hi, "zeta_hi")
         if not 0.0 <= self.zeta_lo <= self.zeta_hi <= 1.0:
             raise ValueError("beliefs must satisfy 0 <= zeta_lo <= zeta_hi <= 1")
 

@@ -347,6 +347,13 @@ def test_theta_sensitivity_matches_finite_difference():
         assert got == pytest.approx(fd, rel=1e-6)
 
 
+def test_theta_sensitivity_vanishes_at_infinite_productivity():
+    # F(inf) = 1 and z**(-theta) * log(z) -> 0; evaluating 0 * log(inf) gave NaN.
+    params = symmetric_two_tier()
+    assert chain_productivity_theta_sensitivity(math.inf, [0, 1], params) == 0.0
+    assert chain_productivity_theta_sensitivity(1e300, [0, 1], params) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # parameter validation and enumeration limits
 

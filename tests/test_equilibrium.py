@@ -15,9 +15,10 @@ from gscsim import (
     price_indices,
     solve_costs,
     solve_equilibrium,
+    tier_participation,
 )
-from gscsim import chains, equilibrium
-from gscsim.chains import _chain_sums, _hop_factors, _prices, _tier_factors, kappa
+from gscsim import chains
+from gscsim.chains import _Chain, kappa
 from gscsim.equilibrium import _residual_pass
 
 from conftest import oracle_economy, random_costs, random_economy, symmetric_two_tier
@@ -179,15 +180,14 @@ def test_initial_wages_must_be_finite():
 # one chain pass per residual
 
 def spy_chain_halves(monkeypatch) -> list:
-    """Log "F", "B" and "H" for each forward half, backward half and hop build."""
+    """Log "F", "B" and "H" for each forward half, backward half and build
+    of the per-solve chain constants."""
     calls = []
-    for name, tag in (("_forward", "F"), ("_backward", "B"), ("_hop_factors", "H")):
-        def spy(*args, _real=getattr(chains, name), _tag=tag, **kwargs):
+    for name, tag in (("forward", "F"), ("backward", "B"), ("__init__", "H")):
+        def spy(*args, _real=getattr(chains._Chain, name), _tag=tag, **kwargs):
             calls.append(_tag)
             return _real(*args, **kwargs)
-        for module in (chains, equilibrium):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(chains._Chain, name, spy)
     return calls
 
 
@@ -219,12 +219,55 @@ def test_inner_cost_loop_runs_forward_halves_only(monkeypatch):
     assert "B" not in calls
 
 
-def reference_solve(params, cfg):
-    """The damped fixed point written with the public residual and cost maps.
+# ---------------------------------------------------------------------------
+# frozen chain arithmetic: the reference the solver must reproduce bit for bit
 
-    Every sweep calls :func:`labor_market_residuals` on its own, and the
-    converged wages get their costs and prices from :func:`solve_costs`.
-    """
+def frozen_chain_sums(params, costs):
+    """Forward sums, backward sums and totals, every factor rebuilt per call."""
+    ab = params.alpha * params.beta
+    tech = params.T ** ab * costs[:, None] ** (-params.theta * ab)
+    hop = params.tau[None, :, :] ** (-params.theta * params.beta[:, None, None])
+    F = [tech[:, n, None] * hop[n] for n in range(params.n_tiers - 1)]
+    G = tech[:, -1, None] * hop[-1]
+    fwd = [np.ones(params.n_locations)]
+    for Fn in F:
+        fwd.append(fwd[-1] @ Fn)
+    bwd = [G]
+    for Fn in reversed(F):
+        bwd.insert(0, Fn @ bwd[0])
+    return fwd, bwd, fwd[-1] @ G
+
+
+def frozen_prices(params, S):
+    return kappa(params.theta, params.sigma) * S ** (-1.0 / params.theta)
+
+
+def frozen_costs(w, params):
+    if params.gamma == 1.0:
+        return w.copy()
+    c = w.copy()
+    for _ in range(500):
+        P = frozen_prices(params, frozen_chain_sums(params, c)[-1])
+        c_next = w ** params.gamma * P ** (1.0 - params.gamma)
+        gap = float(np.max(np.abs(np.log(c_next) - np.log(c))))
+        c = c_next
+        if gap < 1e-14:
+            return c
+    raise EquilibriumConvergenceError("cost loop stalled", gap, 500)
+
+
+def frozen_residual_pass(w, params):
+    """Residuals, costs and prices at wages ``w``."""
+    costs = frozen_costs(w, params)
+    fwd, bwd, S = frozen_chain_sums(params, costs)
+    part = np.stack([f[:, None] * b / S for f, b in zip(fwd, bwd)])
+    spending = w * params.L
+    income = np.einsum("n,nij,j->i", params.alpha * params.beta, part, spending)
+    return income - spending, costs, frozen_prices(params, S)
+
+
+def reference_solve(params, cfg):
+    """The damped fixed point written out on the frozen chain arithmetic."""
     w = np.full(params.n_locations, 1.0)
     w *= cfg.world_income / float(w @ params.L)
     walras = []
@@ -232,11 +275,10 @@ def reference_solve(params, cfg):
     previous_norm = np.inf
     step = cfg.damping
     for it in range(cfg.max_iterations + 1):
-        residual = labor_market_residuals(w, params)
+        residual, costs, prices = frozen_residual_pass(w, params)
         walras.append(float(residual.sum()))
         residual_norm = float(np.max(np.abs(residual))) / cfg.world_income
         if residual_norm < cfg.tolerance:
-            costs, prices = solve_costs(w, params)
             return w, prices, costs, it, walras
         if residual_norm >= previous_norm and step > cfg.damping / 256.0:
             step *= 0.5
@@ -245,6 +287,25 @@ def reference_solve(params, cfg):
         w = (1.0 - step) * w + step * target
         w *= cfg.world_income / float(w @ params.L)
     raise EquilibriumConvergenceError("no convergence", residual_norm, cfg.max_iterations)
+
+
+def assert_solver_matches_reference(params, cfg) -> bool:
+    """Bitwise check of one solve; True when the reference converged."""
+    try:
+        expected = reference_solve(params, cfg)
+    except EquilibriumConvergenceError as err:
+        with pytest.raises(EquilibriumConvergenceError) as got:
+            solve_equilibrium(params, cfg)
+        assert (got.value.residual_norm, got.value.iterations) == \
+            (err.residual_norm, err.iterations)
+        return False
+    sol = solve_equilibrium(params, cfg)
+    wages, prices, costs, iterations, walras = expected
+    assert sol.wages.tobytes() == wages.tobytes()
+    assert sol.prices.tobytes() == prices.tobytes()
+    assert sol.costs.tobytes() == costs.tobytes()
+    assert (sol.iterations, sol.walras_history) == (iterations, walras)
+    return True
 
 
 def test_solver_matches_reference_loop_bit_for_bit():
@@ -259,23 +320,32 @@ def test_solver_matches_reference_loop_bit_for_bit():
             params = EconomyParams.from_dict(
                 {**params.to_dict(), "theta": float(rng.uniform(8.0, 20.0))})
             seen["stiff"] += 1
-        try:
-            expected = reference_solve(params, cfg)
-        except EquilibriumConvergenceError as err:
-            with pytest.raises(EquilibriumConvergenceError) as got:
-                solve_equilibrium(params, cfg)
-            assert (got.value.residual_norm, got.value.iterations) == \
-                (err.residual_norm, err.iterations)
+        if assert_solver_matches_reference(params, cfg):
+            seen["converged_gamma_below_one"] += gamma < 1.0
+        else:
             seen["raised"] += 1
-            continue
-        sol = solve_equilibrium(params, cfg)
-        wages, prices, costs, iterations, walras = expected
-        assert sol.wages.tobytes() == wages.tobytes()
-        assert sol.prices.tobytes() == prices.tobytes()
-        assert sol.costs.tobytes() == costs.tobytes()
-        assert (sol.iterations, sol.walras_history) == (iterations, walras)
-        seen["converged_gamma_below_one"] += gamma < 1.0
     assert min(seen.values()) >= 3, seen
+    # the largest bench rung, with the gamma < 1 inner loop on every sweep
+    assert assert_solver_matches_reference(
+        random_economy(rng, J=10, N=4, gamma=0.7), SolverConfig())
+
+
+def test_public_chain_functions_match_frozen_arithmetic():
+    rng = np.random.default_rng(808)
+    for k in range(30):
+        params = random_economy(rng, gamma=(1.0, 0.6)[k % 2])
+        costs = random_costs(rng, params.n_locations)
+        fwd, bwd, S = frozen_chain_sums(params, costs)
+        part = np.stack([f[:, None] * b / S for f, b in zip(fwd, bwd)])
+        assert price_indices(params, costs).tobytes() == frozen_prices(params, S).tobytes()
+        assert tier_participation(params, costs).tobytes() == part.tobytes()
+        residual, want_costs, want_prices = frozen_residual_pass(costs, params)
+        assert labor_market_residuals(costs, params).tobytes() == residual.tobytes()
+        got_costs, got_prices = solve_costs(costs, params)
+        assert got_costs.tobytes() == want_costs.tobytes()
+        # solve_costs prices its converged costs with one more forward pass
+        assert got_prices.tobytes() == frozen_prices(
+            params, frozen_chain_sums(params, want_costs)[-1]).tobytes()
 
 
 def test_forward_prices_match_full_pass():
@@ -283,17 +353,25 @@ def test_forward_prices_match_full_pass():
     params = random_economy(rng, J=11, N=6)
     costs = random_costs(rng, 11)
     # The chain sums as one forward-backward sweep, totals from the forward sums.
-    F, G = _tier_factors(params, costs)
-    fwd = [np.ones(11)]
-    for Fn in F:
-        fwd.append(fwd[-1] @ Fn)
-    bwd = [G]
-    for Fn in reversed(F):
-        bwd.insert(0, Fn @ bwd[0])
-    full = kappa(params.theta, params.sigma) * (fwd[-1] @ G) ** (-1.0 / params.theta)
+    fwd, bwd, S = frozen_chain_sums(params, costs)
+    full = kappa(params.theta, params.sigma) * S ** (-1.0 / params.theta)
     prices = price_indices(params, costs)
     np.testing.assert_array_equal(prices, full)
-    np.testing.assert_array_equal(prices, _prices(params, _chain_sums(params, costs)[-1]))
-    np.testing.assert_array_equal(prices, _residual_pass(costs, params, _hop_factors(params))[2])
+    chain = _Chain(params)
+    np.testing.assert_array_equal(prices, chain.prices(chain.forward(costs)[-1]))
+    np.testing.assert_array_equal(prices, chain.prices(_residual_pass(costs, chain)[3]))
     # the backward half reaches the same totals
-    np.testing.assert_allclose(np.ones(11) @ bwd[0], fwd[-1] @ G, rtol=1e-12)
+    np.testing.assert_allclose(np.ones(11) @ bwd[0], S, rtol=1e-12)
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf, 0.0, -1.0))
+def test_costs_check_runs_on_every_pass(bad):
+    message = re.escape("costs must be strictly positive and finite with shape (2,)")
+    costs = np.array([1.0, bad])
+    for gamma in (1.0, 0.7):
+        params = EconomyParams.from_dict({**symmetric_two_tier().to_dict(), "gamma": gamma})
+        with pytest.raises(ValueError, match=message):
+            solve_costs(costs, params)
+    for fn in (price_indices, tier_participation):
+        with pytest.raises(ValueError, match=message):
+            fn(symmetric_two_tier(), costs)

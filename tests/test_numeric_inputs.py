@@ -207,3 +207,85 @@ def test_scalar_functions_reject_nan():
         with pytest.raises(ValueError):
             fn(math.nan, [0, 1], params)
     assert chain_productivity_cdf(math.inf, [0, 1], params) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# non-numeric values name their field
+
+TEXT = (["a", "b"], "abc", [[1.0, 2.0], [3.0]], {"x": 1})
+
+
+@pytest.mark.parametrize("key", ("T", "L", "tau", "alpha", "beta"))
+@pytest.mark.parametrize("value", TEXT, ids=repr)
+def test_non_numeric_vector_names_its_field(key, value):
+    # T's shape sets J and N, so T is checked for two dimensions first.
+    with pytest.raises(ValueError, match=f"^{key} must be "):
+        EconomyParams.from_dict({**ECONOMY, key: value})
+
+
+@pytest.mark.parametrize("key", SCENARIO_INTS)
+@pytest.mark.parametrize("value", TEXT, ids=repr)
+def test_non_numeric_integer_names_its_field(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be a whole number"):
+        ScenarioConfig.from_dict({**SCENARIO, key: value})
+
+
+SCALAR_TEXT = ("abc", [1.0, 2.0], {"x": 1}, None)
+
+
+@pytest.mark.parametrize("field,build", [
+    *[(k, lambda v, k=k: EconomyParams.from_dict({**ECONOMY, k: v}))
+      for k in ("theta", "sigma", "gamma")],
+    ("alpha2", lambda v: EconomyParams.two_tier([1.0, 1.0], [1.0, 1.0], [1.0, 1.0],
+                                                 np.ones((2, 2)), v, 4.0, 3.0)),
+    ("rho", lambda v: UtilitySpec(rho=v)),
+    *[(k, lambda v, k=k: BeliefSet.from_dict({**BELIEFS, k: v}))
+      for k in ("zeta_lo", "zeta_hi")],
+    *[(k, lambda v, k=k: ShockParams.from_dict({**SHOCK, k: v}))
+      for k in ("eta", "lam", "zeta")],
+])
+@pytest.mark.parametrize("value", SCALAR_TEXT, ids=repr)
+def test_non_numeric_scalar_names_its_field(field, build, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a number, got "):
+        build(value)
+
+
+def test_tier_constructors_name_non_numeric_technology():
+    with pytest.raises(ValueError, match="^T must be strictly positive"):
+        EconomyParams.one_tier(["a", "b"], [1.0, 1.0], np.ones((2, 2)), 4.0, 3.0)
+    with pytest.raises(ValueError, match="^T must be strictly positive"):
+        EconomyParams.two_tier(["a", "b"], [1.0, 1.0], [1.0, 1.0], np.ones((2, 2)), 0.5, 4.0, 3.0)
+
+
+def test_non_numeric_costs_name_their_field():
+    params = symmetric_two_tier()
+    with pytest.raises(ValueError, match="^costs must be strictly positive"):
+        planner_risk_sourcing(params, ShockParams(**SHOCK), UtilitySpec(rho=2.0),
+                              grid_resolution=11, costs=["a", "b"])
+    with pytest.raises(ValueError, match="^suppliers_per_tier must be a whole number"):
+        SourcingAllocation.uniform_tiers([0.5, 0.5], "ten", 2)
+
+
+def test_numeric_strings_still_convert():
+    cfg = ScenarioConfig.from_dict({**SCENARIO, "horizon": "20"})
+    assert cfg.horizon == 20 and isinstance(cfg.horizon, int)
+    params = EconomyParams.from_dict({**ECONOMY, "L": ["1", "2.5"]})
+    assert params.L.tolist() == [1.0, 2.5]
+    assert EconomyParams.from_dict({**ECONOMY, "theta": "4.5"}).theta == 4.5
+
+
+def test_cli_names_non_numeric_field(tmp_path, capsys):
+    econ = tmp_path / "econ.json"
+    econ.write_text(json.dumps({**ECONOMY, "L": ["a", "b"]}))
+    out = tmp_path / "out"
+    assert main(["equilibrium", "--params", str(econ), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "L must be strictly positive and finite" in err
+    assert "could not convert" not in err
+    assert not out.exists()
+    econ.write_text(json.dumps({**ECONOMY, "theta": "abc"}))
+    assert main(["equilibrium", "--params", str(econ), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "theta must be a number, got 'abc'" in err
+    assert "could not convert" not in err
+    assert not out.exists()
