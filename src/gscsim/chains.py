@@ -59,6 +59,16 @@ def _whole(x, name: str):
     return int(arr) if arr.ndim == 0 else arr.astype(np.intp)
 
 
+def _checked_path(path, params: EconomyParams) -> np.ndarray:
+    """``path`` as location indices, one per tier, each a known location."""
+    path = _whole(path, "path")
+    if np.shape(path) != (params.n_tiers,):
+        raise ValueError(f"path must list one location per tier, got {np.shape(path)}")
+    if np.any(path < 0) or np.any(path >= params.n_locations):
+        raise ValueError("path contains an unknown location index")
+    return path
+
+
 def _real(x, name: str) -> float:
     try:
         return float(x)
@@ -315,11 +325,8 @@ def chain_cost_scale(path, dest: int, params: EconomyParams, costs) -> float:
     along the chain.
     """
     facs = _Chain(params).factors(costs)
-    path = np.asarray(path, dtype=np.intp)
-    if path.shape != (params.n_tiers,):
-        raise ValueError(f"path must list one location per tier, got {path.shape}")
-    if np.any(path < 0) or np.any(path >= params.n_locations):
-        raise ValueError("path contains an unknown location index")
+    path = _checked_path(path, params)
+    dest = _whole(dest, "dest")
     if not 0 <= dest < params.n_locations:
         raise ValueError(f"unknown destination {dest}")
     scale = 1.0
@@ -347,6 +354,7 @@ def price_indices(params: EconomyParams, costs) -> np.ndarray:
 
 
 def price_index(dest: int, params: EconomyParams, costs) -> float:
+    dest = _whole(dest, "dest")
     if not 0 <= dest < params.n_locations:
         raise ValueError(f"unknown destination {dest}")
     return float(price_indices(params, costs)[dest])
@@ -412,6 +420,7 @@ def local_chain_real_wage(j: int, params: EconomyParams, pi_jj: float) -> float:
     an identity that lets the gains from fragmentation be read off a single
     observable share.  With composite costs it returns c_j / P_j.
     """
+    j = _whole(j, "j")
     if not 0 <= j < params.n_locations:
         raise ValueError(f"unknown location {j}")
     if not 0.0 < pi_jj <= 1.0:
@@ -424,9 +433,7 @@ def local_chain_real_wage(j: int, params: EconomyParams, pi_jj: float) -> float:
 
 def chain_productivity_location(path, params: EconomyParams) -> float:
     """Frechet location parameter of a chain's end-to-end productivity."""
-    path = np.asarray(path, dtype=np.intp)
-    if path.shape != (params.n_tiers,):
-        raise ValueError(f"path must list one location per tier, got {path.shape}")
+    path = _checked_path(path, params)
     ab = params.alpha * params.beta
     return float(np.prod(params.T[path, np.arange(params.n_tiers)] ** ab))
 
@@ -440,9 +447,9 @@ def chain_productivity_cdf(z: float, path, params: EconomyParams) -> float:
     """
     if math.isnan(z):
         raise ValueError("z must be a number, got nan")
+    loc = chain_productivity_location(path, params)
     if z <= 0.0:
         return 0.0
-    loc = chain_productivity_location(path, params)
     return math.exp(-(z ** (-params.theta)) * loc)
 
 

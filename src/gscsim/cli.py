@@ -112,36 +112,27 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    outputs = []
+    # (status label, chart title, csv name, svg name, time series) per run
     if args.matrix:
         cells = run_matrix(config)
-        for (realization, env) in [(r, e) for e in INFO_ENVS for r in REALIZATIONS]:
-            ts = cells[(realization, env)]
-            name = _cell_name(config.decision_mode, realization, env)
-            csv_path = out_dir / f"{name}.csv"
-            write_timeseries_csv(ts, csv_path)
-            outputs.append(csv_path)
-            if args.plot:
-                svg_path = out_dir / f"{name}.svg"
-                svg_path.write_text(timeseries_chart(ts, name))
-                outputs.append(svg_path)
-            status = "alive" if ts.chain_alive.all() else "disrupted"
-            print(f"{name}: {status}, min suppliers "
-                  f"{int(ts.suppliers_total.min())}")
+        runs = [(name, name, f"{name}.csv", f"{name}.svg", cells[(r, e)])
+                for e in INFO_ENVS for r in REALIZATIONS
+                for name in (_cell_name(config.decision_mode, r, e),)]
     else:
-        ts = run_scenario(config)
-        csv_path = out_dir / "timeseries.csv"
+        runs = [(f"{config.decision_mode}/{config.realization}/{config.info_env}",
+                 _cell_name(config.decision_mode, config.realization, config.info_env),
+                 "timeseries.csv", "chart.svg", run_scenario(config))]
+    outputs = []
+    for label, title, csv_name, svg_name, ts in runs:
+        csv_path = out_dir / csv_name
         write_timeseries_csv(ts, csv_path)
         outputs.append(csv_path)
         if args.plot:
-            name = _cell_name(config.decision_mode, config.realization,
-                              config.info_env)
-            svg_path = out_dir / "chart.svg"
-            svg_path.write_text(timeseries_chart(ts, name))
+            svg_path = out_dir / svg_name
+            svg_path.write_text(timeseries_chart(ts, title))
             outputs.append(svg_path)
         status = "alive" if ts.chain_alive.all() else "disrupted"
-        print(f"{config.decision_mode}/{config.realization}/{config.info_env}: "
-              f"{status}, min suppliers {int(ts.suppliers_total.min())}")
+        print(f"{label}: {status}, min suppliers {int(ts.suppliers_total.min())}")
 
     manifest = _write_manifest(out_dir, "simulate", config.to_dict(),
                                config.seed, outputs)

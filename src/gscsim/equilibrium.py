@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import EconomyParams, _Chain, _positive_array, _whole, composite_cost
+from .chains import EconomyParams, _Chain, _positive_array, _real, _whole, composite_cost
 
 logger = logging.getLogger(__name__)
 
@@ -49,6 +49,8 @@ class SolverConfig:
     initial_wages: np.ndarray | None = None
 
     def __post_init__(self):
+        for name in ("tolerance", "damping", "world_income"):
+            setattr(self, name, _real(getattr(self, name), name))
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
         if not (0.0 < self.tolerance < np.inf and 0.0 < self.world_income < np.inf):

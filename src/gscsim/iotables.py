@@ -9,10 +9,13 @@ reliance measures for a target sector:
 * foreign market reliance (FMR): where a country's value added ends up
   being absorbed, in percent of its value added tied to the target sector.
 
-Both come out as country-by-country percentage matrices with the diagonal
-(domestic share) set aside, and optionally aggregate every country outside
-a focus list into a rest-of-world column.  An alternative "gross" measure
-replaces value-added weights with total intermediate input content.
+Both are readings of one country-by-country content matrix, built from
+the target-sector columns of the Leontief inverse only: FIR takes its rows,
+FMR its columns weighted by target-sector output.  They come out as
+percentage matrices with the diagonal (domestic share) set aside, and
+optionally aggregate every country outside a focus list into a
+rest-of-world column.  An alternative "gross" measure replaces value-added
+weights with total intermediate input content.
 """
 
 from __future__ import annotations
@@ -221,13 +224,9 @@ def _content_columns(table: WorldIOTable, cols: np.ndarray, measure: str) -> np.
         np.divide(table.v, table.x, out=shares, where=table.x > 0.0)
         return shares[:, None] * B
     if measure == "gross":
-        return B - np.eye(B.shape[0])[:, cols]
+        B[cols, np.arange(len(cols))] -= 1.0
+        return B
     raise ValueError(f"measure must be 'va' or 'gross', got {measure!r}")
-
-
-def _target_columns(table: WorldIOTable, target_sector: str) -> np.ndarray:
-    """Index of the target sector in each country block, in country order."""
-    return np.array([table.index(c, target_sector) for c in table.countries])
 
 
 def _split_focus(table: WorldIOTable, focus) -> tuple[list, list]:
@@ -243,41 +242,49 @@ def _split_focus(table: WorldIOTable, focus) -> tuple[list, list]:
     return focus, rest
 
 
-def _aggregate_by_country(table: WorldIOTable, per_sector: np.ndarray) -> np.ndarray:
-    """Sum a (country*sector,) vector into a (country,) vector."""
-    S = len(table.sectors)
-    return per_sector.reshape(len(table.countries), S).sum(axis=1)
+def _reliance(metric: str, table: WorldIOTable, target_sector: str, focus,
+              measure: str) -> RelianceMatrix:
+    """FIR or FMR percentage shares for the focus rows, partners plus ROW.
 
-
-def _assemble(metric: str, table: WorldIOTable, target_sector: str, measure: str,
-              focus, shares_by_country) -> RelianceMatrix:
-    """Lay out percentage shares for focus rows, partners plus ROW columns.
-
-    ``shares_by_country[i]`` must give row country i's full share vector
-    over all table countries, summing to 1.
+    Both read one country-by-country content matrix: ``by_target[i, j]`` is
+    the content from every sector of country j per unit of country i's
+    target-sector output.  FIR row i is its row i; FMR row i is its column
+    i weighted by each country's target-sector output.  Every sum runs over
+    a contiguous axis, so numpy sums each one pairwise.
     """
-    focus_list, rest = _split_focus(table, focus)
-    columns = list(focus_list) + ([ROW_LABEL] if rest else [])
-    values = np.full((len(focus_list), len(columns)), np.nan)
-    domestic = np.zeros(len(focus_list))
-    rest_idx = [table.countries.index(c) for c in rest]
-    for i, country in enumerate(focus_list):
-        shares = shares_by_country(country) * 100.0
-        domestic[i] = shares[table.countries.index(country)]
-        for j, partner in enumerate(focus_list):
-            if partner != country:
-                values[i, j] = shares[table.countries.index(partner)]
-        if rest:
-            values[i, len(focus_list)] = shares[rest_idx].sum()
-    return RelianceMatrix(metric=metric, target_sector=target_sector,
-                          measure=measure, rows=focus_list, columns=columns,
-                          values=values, domestic=domestic)
-
-
-def _check_target(table: WorldIOTable, target_sector: str):
     if target_sector not in table.sectors:
         raise ValueError(f"target sector {target_sector!r} not in table "
                          f"(have: {', '.join(table.sectors)})")
+    C, S = len(table.countries), len(table.sectors)
+    target_cols = np.arange(C) * S + table.sectors.index(target_sector)
+    content = _content_columns(table, target_cols, measure)
+    by_target = np.ascontiguousarray(content.T).reshape(C, C, S).sum(axis=2)
+    focus_list, rest = _split_focus(table, focus)
+    rows = [table.countries.index(c) for c in focus_list]
+    if metric == "fir":
+        shares = by_target[rows]
+        empty = "{} has no {} input content"
+    else:
+        shares = np.ascontiguousarray(by_target.T)[rows] * table.x[target_cols]
+        empty = "{} supplies no content to {}"
+    totals = shares.sum(axis=1)
+    for country, total in zip(focus_list, totals):
+        if total <= 0.0:
+            raise ValueError(empty.format(country, target_sector))
+    if metric == "fmr" or measure == "gross":
+        shares = shares / totals[:, None]
+    shares = shares * 100.0
+    F = len(focus_list)
+    columns = focus_list + ([ROW_LABEL] if rest else [])
+    values = np.full((F, len(columns)), np.nan)
+    values[:, :F] = shares[:, rows]
+    np.fill_diagonal(values, np.nan)
+    if rest:
+        rest_idx = [table.countries.index(c) for c in rest]
+        values[:, F] = np.ascontiguousarray(shares[:, rest_idx]).sum(axis=1)
+    return RelianceMatrix(metric=metric, target_sector=target_sector,
+                          measure=measure, rows=focus_list, columns=columns,
+                          values=values, domestic=shares[np.arange(F), rows])
 
 
 def compute_fir(table: WorldIOTable, target_sector: str, focus=None,
@@ -291,18 +298,7 @@ def compute_fir(table: WorldIOTable, target_sector: str, focus=None,
 
     Shares over all origins including home sum to 100 on balanced tables.
     """
-    _check_target(table, target_sector)
-    content = _content_columns(table, _target_columns(table, target_sector), measure)
-
-    def shares_for(country: str) -> np.ndarray:
-        col = content[:, table.countries.index(country)]
-        by_country = _aggregate_by_country(table, col)
-        total = by_country.sum()
-        if total <= 0.0:
-            raise ValueError(f"{country} has no {target_sector} input content")
-        return by_country / total if measure == "gross" else by_country
-
-    return _assemble("fir", table, target_sector, measure, focus, shares_for)
+    return _reliance("fir", table, target_sector, focus, measure)
 
 
 def compute_fmr(table: WorldIOTable, target_sector: str, focus=None,
@@ -314,24 +310,7 @@ def compute_fmr(table: WorldIOTable, target_sector: str, focus=None,
     absorbed by the target sector worldwide.  The sales-side mirror of
     :func:`compute_fir`.
     """
-    _check_target(table, target_sector)
-    target_cols = _target_columns(table, target_sector)
-    content = _content_columns(table, target_cols, measure)
-    target_out = table.x[target_cols]
-
-    def shares_for(country: str) -> np.ndarray:
-        S = len(table.sectors)
-        c = table.countries.index(country)
-        own_rows = slice(c * S, (c + 1) * S)
-        # value originating in `country` absorbed in each country's target
-        # output; a column-major block makes numpy sum each column pairwise
-        absorbed = np.asfortranarray(content[own_rows]).sum(axis=0) * target_out
-        total = absorbed.sum()
-        if total <= 0.0:
-            raise ValueError(f"{country} supplies no content to {target_sector}")
-        return absorbed / total
-
-    return _assemble("fmr", table, target_sector, measure, focus, shares_for)
+    return _reliance("fmr", table, target_sector, focus, measure)
 
 
 def reliance_change(after: RelianceMatrix, before: RelianceMatrix) -> RelianceMatrix:

@@ -15,12 +15,7 @@ from gscsim import (
     technical_coefficients,
     write_table,
 )
-from gscsim.iotables import (
-    FD_PREFIX,
-    OUT_LABEL,
-    VA_LABEL,
-    _aggregate_by_country,
-)
+from gscsim.iotables import FD_PREFIX, OUT_LABEL, VA_LABEL
 
 
 def two_country_table() -> WorldIOTable:
@@ -138,12 +133,12 @@ def reference_shares(table, target_sector, measure, metric):
     else:
         content = B - np.eye(B.shape[0])
     target_cols = np.array([table.index(c, target_sector) for c in table.countries])
-    S = len(table.sectors)
+    C, S = len(table.countries), len(table.sectors)
     out = []
     for c, country in enumerate(table.countries):
         if metric == "fir":
-            by_country = _aggregate_by_country(
-                table, content[:, table.index(country, target_sector)])
+            col = content[:, table.index(country, target_sector)]
+            by_country = col.reshape(C, S).sum(axis=1)
             out.append(by_country / by_country.sum() if measure == "gross"
                        else by_country)
         else:
@@ -153,15 +148,24 @@ def reference_shares(table, target_sector, measure, metric):
     return 100.0 * np.array(out)
 
 
-def assert_matches_full_inverse(table, target_sector):
+def assert_matches_full_inverse(table, target_sector, focus=None):
+    """Bit-for-bit against the reference, laid out one focus row at a time:
+    partners in focus order, NaN on the diagonal, the rest summed into ROW."""
+    rows = [table.countries.index(c) for c in (focus or table.countries)]
+    rest = [k for k in range(len(table.countries)) if k not in rows]
     for measure in ("va", "gross"):
         for metric, compute in (("fir", compute_fir), ("fmr", compute_fmr)):
-            got = compute(table, target_sector, measure=measure)
+            got = compute(table, target_sector, focus=focus, measure=measure)
             ref = reference_shares(table, target_sector, measure, metric)
-            diag = np.eye(len(table.countries), dtype=bool)
-            assert np.array_equal(got.values, np.where(diag, np.nan, ref),
-                                  equal_nan=True), (metric, measure)
-            assert np.array_equal(got.domestic, ref[diag]), (metric, measure)
+            want = np.full((len(rows), len(rows) + bool(rest)), np.nan)
+            for i, r in enumerate(rows):
+                for j, partner in enumerate(rows):
+                    if j != i:
+                        want[i, j] = ref[r, partner]
+                if rest:
+                    want[i, -1] = ref[r][rest].sum()
+            assert np.array_equal(got.values, want, equal_nan=True), (metric, measure)
+            assert np.array_equal(got.domestic, ref[rows, rows]), (metric, measure)
 
 
 def solve_widths(table, compute, measure) -> list:
@@ -215,6 +219,17 @@ def test_target_columns_past_the_sum_bounds():
                          [4.5, 0.0, 0.0]]) * cyclic.x[None, :]
     with pytest.raises(TableFormatError, match="not productive"):
         compute_fir(cyclic, "MFG")
+
+
+def test_rest_of_world_column_matches_full_inverse():
+    # With twelve countries a ROW cell sums eight or nine partners, so numpy
+    # sums it pairwise and the order of the additions shows in the bits.
+    rng = np.random.default_rng(24)
+    countries = [f"C{k:02d}" for k in range(12)]
+    for sectors in (["MFG"], ["SRV", "MFG", "AGR"]):
+        table = random_balanced_table(rng, countries, sectors)
+        for focus in (countries[:3], countries[9:6:-1], countries[::3], [countries[5]]):
+            assert_matches_full_inverse(table, "MFG", focus)
 
 
 # ---------------------------------------------------------------------------

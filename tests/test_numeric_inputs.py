@@ -23,15 +23,21 @@ from gscsim import (
     UtilitySpec,
     allocation_value,
     ambiguity_objective,
+    chain_cost_scale,
+    chain_productivity_cdf,
+    chain_productivity_location,
+    chain_productivity_theta_sensitivity,
     crra_utility,
     individual_sourcing,
+    local_chain_real_wage,
     monte_carlo_survival,
+    path_share,
     planner_ambiguity_sourcing,
     planner_risk_sourcing,
+    price_index,
     risk_objective,
     solve_equilibrium,
 )
-from gscsim.chains import chain_productivity_cdf, chain_productivity_theta_sensitivity
 from gscsim.cli import main
 
 from conftest import symmetric_two_tier
@@ -167,8 +173,35 @@ def _scenario_rows():
                lambda v=v: monte_carlo_survival(cfg, n_runs=v, seed=0))
 
 
+def _location_index_rows():
+    # -1 used to read the last location, 0.5 was truncated to location 0,
+    # and 2 escaped as an IndexError.
+    params = symmetric_two_tier()
+    unit = np.ones(2)
+    by_path = {
+        "chain_cost_scale.path": lambda p: chain_cost_scale(p, 0, params, unit),
+        "path_share.path": lambda p: path_share(p, 0, params, unit),
+        "chain_productivity_location.path": lambda p: chain_productivity_location(p, params),
+        "chain_productivity_cdf.path": lambda p: chain_productivity_cdf(1.5, p, params),
+        "chain_productivity_cdf.path.z=0": lambda p: chain_productivity_cdf(0.0, p, params),
+        "chain_productivity_theta_sensitivity.path":
+            lambda p: chain_productivity_theta_sensitivity(1.5, p, params),
+    }
+    by_index = {
+        "chain_cost_scale.dest": lambda d: chain_cost_scale([0, 1], d, params, unit),
+        "path_share.dest": lambda d: path_share([0, 1], d, params, unit),
+        "price_index.dest": lambda d: price_index(d, params, unit),
+        "local_chain_real_wage.j": lambda j: local_chain_real_wage(j, params, 0.5),
+    }
+    for v in (-1, 2, math.nan, math.inf, 0.5):
+        for name, call in by_path.items():
+            yield name, v, lambda v=v, call=call: call([v, 0])
+        for name, call in by_index.items():
+            yield name, v, lambda v=v, call=call: call(v)
+
+
 ROWS = [*_economy_rows(), *_solver_rows(), *_odds_rows(), *_allocation_rows(),
-        *_sourcing_rows(), *_scenario_rows()]
+        *_sourcing_rows(), *_scenario_rows(), *_location_index_rows()]
 
 
 @pytest.mark.parametrize("field,value,call", ROWS,
@@ -197,6 +230,27 @@ def test_whole_floats_and_large_seeds_are_kept():
     assert cfg.horizon == 20 and isinstance(cfg.horizon, int)
     assert cfg.seed == 2**60 + 1
     assert SourcingAllocation(phi=[[0.5], [0.5]], M=[4.0]).M.dtype == np.intp
+
+
+def test_location_indices_name_their_field_and_whole_floats_convert():
+    params = symmetric_two_tier()
+    unit = np.ones(2)
+    with pytest.raises(ValueError, match="^path must be a whole number"):
+        chain_productivity_location([0.5, 0], params)
+    with pytest.raises(ValueError, match="^path contains an unknown location"):
+        chain_cost_scale([-1, 0], 0, params, unit)
+    with pytest.raises(ValueError, match="^dest must be a whole number"):
+        chain_cost_scale([0, 1], 0.5, params, unit)
+    with pytest.raises(ValueError, match="^dest must be a whole number"):
+        price_index(0.5, params, unit)
+    with pytest.raises(ValueError, match="^j must be a whole number"):
+        local_chain_real_wage(0.5, params, 0.5)
+    assert (chain_cost_scale([0.0, 1.0], 1.0, params, unit)
+            == chain_cost_scale((0, 1), 1, params, unit))
+    assert chain_productivity_location([1.0, 0.0], params) == \
+        chain_productivity_location(np.array([1, 0]), params)
+    assert price_index(1.0, params, unit) == price_index(1, params, unit)
+    assert local_chain_real_wage(1.0, params, 0.5) == local_chain_real_wage(1, params, 0.5)
 
 
 def test_scalar_functions_reject_nan():
@@ -243,6 +297,8 @@ SCALAR_TEXT = ("abc", [1.0, 2.0], {"x": 1}, None)
       for k in ("zeta_lo", "zeta_hi")],
     *[(k, lambda v, k=k: ShockParams.from_dict({**SHOCK, k: v}))
       for k in ("eta", "lam", "zeta")],
+    *[(k, lambda v, k=k: SolverConfig(**{k: v}))
+      for k in ("tolerance", "damping", "world_income")],
 ])
 @pytest.mark.parametrize("value", SCALAR_TEXT, ids=repr)
 def test_non_numeric_scalar_names_its_field(field, build, value):
