@@ -10,7 +10,8 @@ participation shares that the wage equilibrium needs.  Sums over the J**N
 chains come from a tier-by-tier matrix recursion in two halves: a forward
 half that yields the chain totals, and so the price indices, and a backward
 half that only participation and flow shares need.  Only the functions that
-return one value per chain enumerate the chains.
+return one value per chain enumerate the chains.  Every config dataclass of
+the package takes its JSON form, one key per field, from ``_JsonConfig``.
 
 Conventions used throughout:
 
@@ -25,7 +26,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -76,8 +77,28 @@ def _real(x, name: str) -> float:
         raise ValueError(f"{name} must be a number, got {x!r}") from None
 
 
+class _JsonConfig:
+    """JSON form of a config dataclass: one key per field in field order,
+    arrays as lists and nested configs as dicts.  Loading ignores unknown
+    keys and names every missing key without a default, in a message that
+    starts with the class's ``kind``."""
+
+    def to_dict(self) -> dict:
+        return asdict(self, dict_factory=lambda items: {
+            k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in items})
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        missing = [f.name for f in fields(cls) if f.name not in d
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            noun = "key" if len(missing) == 1 else "keys"
+            raise ValueError(f"{cls.kind} config missing {noun}: {', '.join(missing)}")
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
+
+
 @dataclass
-class EconomyParams:
+class EconomyParams(_JsonConfig):
     """Primitives of the chain economy.
 
     Parameters
@@ -111,6 +132,8 @@ class EconomyParams:
     theta: float
     sigma: float
     gamma: float = 1.0
+
+    kind = "economy"
 
     def __post_init__(self):
         try:
@@ -184,25 +207,6 @@ class EconomyParams:
                    beta=np.array([1.0 - alpha2, 1.0]),
                    theta=theta, sigma=sigma, gamma=gamma)
 
-    def to_dict(self) -> dict:
-        return {
-            "T": self.T.tolist(),
-            "L": self.L.tolist(),
-            "tau": self.tau.tolist(),
-            "alpha": self.alpha.tolist(),
-            "beta": self.beta.tolist(),
-            "theta": self.theta,
-            "sigma": self.sigma,
-            "gamma": self.gamma,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EconomyParams":
-        keys = ("T", "L", "tau", "alpha", "beta", "theta", "sigma")
-        missing = [k for k in keys if k not in d]
-        if missing:
-            raise ValueError(f"economy config missing keys: {', '.join(missing)}")
-        return cls(**{k: d[k] for k in keys}, gamma=d.get("gamma", 1.0))
 
 
 def kappa(theta: float, sigma: float) -> float:

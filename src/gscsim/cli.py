@@ -6,10 +6,11 @@ parameter file), and ``fir`` / ``fmr`` (reliance matrices from a world IO
 table, optionally differenced against a second table).
 
 Every invocation writes its artifacts plus a ``manifest.json`` recording
-the configuration hash, seed, tool version and the SHA-256 of each output
-file, so a run can be traced back to exactly what produced it.  Exit codes:
-0 success, 2 bad configuration or usage, 3 I/O failure, 4 equilibrium
-non-convergence.  The ``GSC_LOG`` environment variable sets the log level.
+the hash of the config's JSON form, seed, tool version and the SHA-256 of
+each output file, so a run can be traced back to exactly what produced
+it.  Exit codes: 0 success, 2 bad configuration or usage, 3 I/O failure,
+4 equilibrium non-convergence.  The ``GSC_LOG`` environment variable sets
+the log level.
 """
 
 from __future__ import annotations

@@ -232,7 +232,7 @@ def _content_columns(table: WorldIOTable, cols: np.ndarray, measure: str) -> np.
 def _split_focus(table: WorldIOTable, focus) -> tuple[list, list]:
     if focus is None:
         return list(table.countries), []
-    focus = list(focus)
+    focus = [focus] if isinstance(focus, str) else list(focus)
     unknown = [c for c in focus if c not in table.countries]
     if unknown:
         raise ValueError(f"focus countries not in table: {', '.join(unknown)}")

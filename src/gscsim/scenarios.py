@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chains import EconomyParams, _whole
+from .chains import EconomyParams, _JsonConfig, _whole
 from .equilibrium import EquilibriumSolution, SolverConfig, solve_equilibrium
 from .shocks import BRANCHES, EAST, SOUTH, ShockParams, _draw_branches
 from .sourcing import (
@@ -47,7 +47,7 @@ REALIZATIONS = tuple(draw.label for draw in BRANCHES)
 
 
 @dataclass
-class ScenarioConfig:
+class ScenarioConfig(_JsonConfig):
     """Everything a scripted run needs; validated on construction."""
 
     economy: EconomyParams
@@ -89,23 +89,6 @@ class ScenarioConfig:
         if not 0 <= self.destination < self.economy.n_locations:
             raise ValueError(f"destination {self.destination} is not a location")
 
-    def to_dict(self) -> dict:
-        return {
-            "economy": self.economy.to_dict(),
-            "shock": self.shock.to_dict(),
-            "decision_mode": self.decision_mode,
-            "info_env": self.info_env,
-            "realization": self.realization,
-            "shock_period": self.shock_period,
-            "horizon": self.horizon,
-            "suppliers_per_tier": self.suppliers_per_tier,
-            "grid_resolution": self.grid_resolution,
-            "destination": self.destination,
-            "seed": self.seed,
-            "utility": {"rho": self.utility.rho},
-            "beliefs": self.beliefs.to_dict(),
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
         def section(name, loader, default=None):
@@ -120,20 +103,15 @@ class ScenarioConfig:
             except KeyError as err:
                 raise ValueError(f"{name} config missing key: {err.args[0]}") from None
 
-        economy = section("economy", EconomyParams.from_dict)
-        shock = section("shock", ShockParams.from_dict)
-        utility = section("utility", lambda u: UtilitySpec(rho=u["rho"]),
-                          default=UtilitySpec())
-        beliefs = section("beliefs", BeliefSet.from_dict,
-                          default=BeliefSet(0.0, 1.0))
-        kwargs = {}
-        for key in ("decision_mode", "info_env", "realization", "shock_period",
-                    "horizon", "suppliers_per_tier", "grid_resolution",
-                    "destination", "seed"):
-            if key in d:
-                kwargs[key] = d[key]
-        return cls(economy=economy, shock=shock, utility=utility,
-                   beliefs=beliefs, **kwargs)
+        sections = {
+            "economy": section("economy", EconomyParams.from_dict),
+            "shock": section("shock", ShockParams.from_dict),
+            "utility": section("utility", lambda u: UtilitySpec(rho=u["rho"]),
+                               default=UtilitySpec()),
+            "beliefs": section("beliefs", BeliefSet.from_dict,
+                               default=BeliefSet(0.0, 1.0)),
+        }
+        return super().from_dict({**d, **sections})
 
 
 @dataclass

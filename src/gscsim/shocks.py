@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chains import _real
+from .chains import _JsonConfig, _real, _whole
 
 NORMAL = 0
 SHOCK = 1
@@ -27,12 +27,14 @@ SOUTH = 1
 
 
 @dataclass
-class ShockParams:
+class ShockParams(_JsonConfig):
     """Arrival rate eta, recovery rate lam and East-conditional odds zeta."""
 
     eta: float
     lam: float
     zeta: float
+
+    kind = "shock"
 
     def __post_init__(self):
         for name in ("eta", "lam", "zeta"):
@@ -40,16 +42,6 @@ class ShockParams:
             setattr(self, name, v)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-
-    def to_dict(self) -> dict:
-        return {"eta": self.eta, "lam": self.lam, "zeta": self.zeta}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ShockParams":
-        try:
-            return cls(eta=d["eta"], lam=d["lam"], zeta=d["zeta"])
-        except KeyError as err:
-            raise ValueError(f"shock config missing key: {err.args[0]}") from None
 
 
 @dataclass
@@ -60,12 +52,15 @@ class RegimeState:
     periods_in_state: np.ndarray
 
     def __post_init__(self):
-        self.state = np.asarray(self.state, dtype=np.intp)
-        self.periods_in_state = np.asarray(self.periods_in_state, dtype=np.intp)
+        self.state = np.asarray(_whole(self.state, "state"), dtype=np.intp)
+        self.periods_in_state = np.asarray(
+            _whole(self.periods_in_state, "periods_in_state"), dtype=np.intp)
         if self.state.shape != self.periods_in_state.shape:
             raise ValueError("state and periods_in_state must align")
         if not np.all(np.isin(self.state, (NORMAL, SHOCK))):
             raise ValueError("regime flags must be NORMAL or SHOCK")
+        if np.any(self.periods_in_state < 0):
+            raise ValueError("periods_in_state must be nonnegative")
 
     @classmethod
     def all_normal(cls, n_locations: int) -> "RegimeState":
@@ -170,13 +165,18 @@ def _draw_branches(params: ShockParams, u: np.ndarray) -> np.ndarray:
     return np.searchsorted(_draw_cuts(params), u, side="right")
 
 
+def _hit_location(draw: ShockDraw, n_locations: int) -> int:
+    loc = _whole(draw.location, "shock location")
+    if not 0 <= loc < n_locations:
+        raise ValueError(f"shock location {loc} out of range")
+    return loc
+
+
 def apply_shock(labor, draw: ShockDraw) -> np.ndarray:
     """Labour endowments after the draw: the hit location loses everything."""
     out = np.array(labor, dtype=float, copy=True)
     if draw.location is not None:
-        if not 0 <= draw.location < out.shape[0]:
-            raise ValueError(f"shock location {draw.location} out of range")
-        out[draw.location] = 0.0
+        out[_hit_location(draw, out.shape[0])] = 0.0
     return out
 
 

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import EconomyParams, _positive_array, _real, _whole
+from .chains import EconomyParams, _JsonConfig, _positive_array, _real, _whole
 from .equilibrium import SolverConfig, solve_equilibrium
-from .shocks import BRANCHES, EAST, SOUTH, ShockDraw, ShockParams
+from .shocks import BRANCHES, EAST, SOUTH, ShockDraw, ShockParams, _hit_location
 
 logger = logging.getLogger(__name__)
 
@@ -67,11 +67,13 @@ def crra_utility(value: float, rho: float) -> float:
 
 
 @dataclass
-class BeliefSet:
+class BeliefSet(_JsonConfig):
     """Interval of East-conditional shock odds the planner deems possible."""
 
     zeta_lo: float
     zeta_hi: float
+
+    kind = "belief"
 
     def __post_init__(self):
         self.zeta_lo = _real(self.zeta_lo, "zeta_lo")
@@ -88,16 +90,6 @@ class BeliefSet:
         if self.zeta_lo == self.zeta_hi:
             return (self.zeta_lo,)
         return (self.zeta_lo, self.zeta_hi)
-
-    def to_dict(self) -> dict:
-        return {"zeta_lo": self.zeta_lo, "zeta_hi": self.zeta_hi}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BeliefSet":
-        try:
-            return cls(zeta_lo=d["zeta_lo"], zeta_hi=d["zeta_hi"])
-        except KeyError as err:
-            raise ValueError(f"belief config missing key: {err.args[0]}") from None
 
 
 @dataclass
@@ -170,7 +162,7 @@ def _surviving_counts(counts: np.ndarray, shock: ShockDraw) -> np.ndarray:
     if shock.location is None:
         return counts
     out = counts.copy()
-    out[shock.location, :] = 0
+    out[_hit_location(shock, len(counts)), :] = 0
     return out
 
 

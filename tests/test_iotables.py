@@ -305,6 +305,23 @@ def test_focus_aggregates_rest_of_world():
         compute_fir(table, "MFG", focus=["AAA", "AAA"])
 
 
+def test_string_focus_is_one_country():
+    # A string used to be split into characters, so "AB" read as A and B.
+    rng = np.random.default_rng(19)
+    table = random_balanced_table(rng, ["USA", "CAN", "MEX"], ["MFG", "SRV"])
+    for compute in (compute_fir, compute_fmr):
+        for measure in ("va", "gross"):
+            one = compute(table, "MFG", focus="USA", measure=measure)
+            listed = compute(table, "MFG", focus=["USA"], measure=measure)
+            assert one.rows == listed.rows == ["USA"]
+            assert one.columns == listed.columns
+            assert one.values.tobytes() == listed.values.tobytes()
+            assert one.domestic.tobytes() == listed.domestic.tobytes()
+    letters = random_balanced_table(rng, ["A", "B", "C"], ["MFG"])
+    with pytest.raises(ValueError, match="^focus countries not in table: AB$"):
+        compute_fir(letters, "MFG", focus="AB")
+
+
 def test_target_sector_checked():
     with pytest.raises(ValueError, match="target sector"):
         compute_fir(two_country_table(), "SRV")

@@ -15,6 +15,7 @@ import pytest
 from gscsim import (
     BeliefSet,
     EconomyParams,
+    RegimeState,
     ScenarioConfig,
     ShockDraw,
     ShockParams,
@@ -23,10 +24,12 @@ from gscsim import (
     UtilitySpec,
     allocation_value,
     ambiguity_objective,
+    apply_shock,
     chain_cost_scale,
     chain_productivity_cdf,
     chain_productivity_location,
     chain_productivity_theta_sensitivity,
+    chain_survives,
     crra_utility,
     individual_sourcing,
     local_chain_real_wage,
@@ -198,10 +201,29 @@ def _location_index_rows():
             yield name, v, lambda v=v, call=call: call([v, 0])
         for name, call in by_index.items():
             yield name, v, lambda v=v, call=call: call(v)
+    # A shock at -1 used to hit South, and 2 or 0.5 escaped as an IndexError.
+    alloc = SourcingAllocation(phi=[[1.0, 1.0], [0.0, 0.0]], M=[3, 3])
+    by_shock = {
+        "apply_shock.location": lambda d: apply_shock([1.0, 1.0], d),
+        "chain_survives.location": lambda d: chain_survives(alloc, d),
+        "allocation_value.location": lambda d: allocation_value(alloc, d, params, unit),
+    }
+    for v in (-1, 2, 0.5, math.nan):
+        for name, call in by_shock.items():
+            yield name, v, lambda v=v, call=call: call(ShockDraw(v))
+
+
+def _regime_rows():
+    # Both fields used to be truncated to integers, 0.5 to a NORMAL flag.
+    for v in (0.5, 1.7, math.nan, math.inf, -1.0, 2.0):
+        yield "RegimeState.state", v, lambda v=v: RegimeState([0, v], [0, 0])
+    for v in (-3.0, -1.0, 2.9, math.nan, math.inf):
+        yield ("RegimeState.periods_in_state", v,
+               lambda v=v: RegimeState([0, 1], [0, v]))
 
 
 ROWS = [*_economy_rows(), *_solver_rows(), *_odds_rows(), *_allocation_rows(),
-        *_sourcing_rows(), *_scenario_rows(), *_location_index_rows()]
+        *_sourcing_rows(), *_scenario_rows(), *_location_index_rows(), *_regime_rows()]
 
 
 @pytest.mark.parametrize("field,value,call", ROWS,
@@ -251,6 +273,27 @@ def test_location_indices_name_their_field_and_whole_floats_convert():
         chain_productivity_location(np.array([1, 0]), params)
     assert price_index(1.0, params, unit) == price_index(1, params, unit)
     assert local_chain_real_wage(1.0, params, 0.5) == local_chain_real_wage(1, params, 0.5)
+
+
+def test_shock_locations_and_regimes_name_their_field():
+    alloc = SourcingAllocation(phi=[[1.0, 1.0], [0.0, 0.0]], M=[3, 3])
+    for v in (-1, 2):
+        with pytest.raises(ValueError, match=f"^shock location {v} out of range$"):
+            chain_survives(alloc, ShockDraw(v))
+    with pytest.raises(ValueError, match="^shock location must be a whole number"):
+        allocation_value(alloc, ShockDraw(0.5), symmetric_two_tier(), np.ones(2))
+    assert not chain_survives(alloc, ShockDraw(0.0))
+    assert chain_survives(alloc, ShockDraw(1.0))
+    assert apply_shock([1.0, 2.0], ShockDraw(1.0)).tolist() == [1.0, 0.0]
+    with pytest.raises(ValueError, match="^state must be a whole number"):
+        RegimeState([0.5, 1.7], [0, 0])
+    with pytest.raises(ValueError, match="^periods_in_state must be a whole number"):
+        RegimeState([0, 1], [3, 2.9])
+    with pytest.raises(ValueError, match="^periods_in_state must be nonnegative"):
+        RegimeState([0, 1], [-3, 2])
+    state = RegimeState([0.0, 1.0], [4.0, 0.0])
+    assert state.state.dtype == state.periods_in_state.dtype == np.intp
+    assert state.state.tolist() == [0, 1] and state.periods_in_state.tolist() == [4, 0]
 
 
 def test_scalar_functions_reject_nan():
