@@ -60,6 +60,13 @@ def _whole(x, name: str):
     return int(arr) if arr.ndim == 0 else arr.astype(np.intp)
 
 
+def _location(x, n: int, name: str) -> int:
+    i = _whole(x, name)
+    if not 0 <= i < n:
+        raise ValueError(f"{name} {i} out of range")
+    return i
+
+
 def _checked_path(path, params: EconomyParams) -> np.ndarray:
     """``path`` as location indices, one per tier, each a known location."""
     path = _whole(path, "path")
@@ -77,11 +84,17 @@ def _real(x, name: str) -> float:
         raise ValueError(f"{name} must be a number, got {x!r}") from None
 
 
+def _json_object(d, kind: str) -> dict:
+    if not isinstance(d, dict):
+        raise ValueError(f"{kind} config must be a JSON object, got {type(d).__name__}")
+    return d
+
+
 class _JsonConfig:
     """JSON form of a config dataclass: one key per field in field order,
     arrays as lists and nested configs as dicts.  Loading ignores unknown
     keys and names every missing key without a default, in a message that
-    starts with the class's ``kind``."""
+    starts with the class's ``kind``; anything but a JSON object is refused."""
 
     def to_dict(self) -> dict:
         return asdict(self, dict_factory=lambda items: {
@@ -89,6 +102,7 @@ class _JsonConfig:
 
     @classmethod
     def from_dict(cls, d: dict):
+        d = _json_object(d, cls.kind)
         missing = [f.name for f in fields(cls) if f.name not in d
                    and f.default is MISSING and f.default_factory is MISSING]
         if missing:
@@ -330,9 +344,7 @@ def chain_cost_scale(path, dest: int, params: EconomyParams, costs) -> float:
     """
     facs = _Chain(params).factors(costs)
     path = _checked_path(path, params)
-    dest = _whole(dest, "dest")
-    if not 0 <= dest < params.n_locations:
-        raise ValueError(f"unknown destination {dest}")
+    dest = _location(dest, params.n_locations, "dest")
     scale = 1.0
     for n in range(params.n_tiers - 1):
         scale *= facs[n][path[n], path[n + 1]]
@@ -358,9 +370,7 @@ def price_indices(params: EconomyParams, costs) -> np.ndarray:
 
 
 def price_index(dest: int, params: EconomyParams, costs) -> float:
-    dest = _whole(dest, "dest")
-    if not 0 <= dest < params.n_locations:
-        raise ValueError(f"unknown destination {dest}")
+    dest = _location(dest, params.n_locations, "dest")
     return float(price_indices(params, costs)[dest])
 
 
@@ -424,9 +434,7 @@ def local_chain_real_wage(j: int, params: EconomyParams, pi_jj: float) -> float:
     an identity that lets the gains from fragmentation be read off a single
     observable share.  With composite costs it returns c_j / P_j.
     """
-    j = _whole(j, "j")
-    if not 0 <= j < params.n_locations:
-        raise ValueError(f"unknown location {j}")
+    j = _location(j, params.n_locations, "j")
     if not 0.0 < pi_jj <= 1.0:
         raise ValueError("pi_jj must lie in (0, 1]")
     k = kappa(params.theta, params.sigma)

@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import __version__
 from .charts import timeseries_chart
-from .chains import EconomyParams
+from .chains import EconomyParams, _json_object
 from .equilibrium import EquilibriumConvergenceError, SolverConfig, solve_equilibrium
 from .iotables import compute_fir, compute_fmr, load_table, reliance_change
 from .scenarios import INFO_ENVS, REALIZATIONS, ScenarioConfig, run_matrix, run_scenario
@@ -108,7 +108,7 @@ def _cmd_simulate(args) -> int:
     config_path = Path(args.config)
     raw = _load_json(config_path)
     if args.seed is not None:
-        raw["seed"] = args.seed
+        raw = {**_json_object(raw, ScenarioConfig.kind), "seed": args.seed}
     config = ScenarioConfig.from_dict(raw)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

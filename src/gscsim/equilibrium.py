@@ -146,12 +146,9 @@ def solve_equilibrium(params: EconomyParams,
     """
     cfg = config or SolverConfig()
     J = params.n_locations
+    w = np.full(J, 1.0, dtype=float)
     if cfg.initial_wages is not None:
-        w = np.asarray(cfg.initial_wages, dtype=float).copy()
-        if w.shape != (J,) or np.any(w <= 0.0) or not np.all(np.isfinite(w)):
-            raise ValueError("initial_wages must be strictly positive with one entry per location")
-    else:
-        w = np.full(J, 1.0, dtype=float)
+        w = _positive_array(cfg.initial_wages, (J,), "initial_wages").copy()
     w *= cfg.world_income / float(w @ params.L)
 
     chain = _Chain(params)

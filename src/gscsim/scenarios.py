@@ -8,8 +8,8 @@ state resets every period, so the stationary rule would reproduce the same
 split each morning.  At the shock period the scripted draw destroys the hit
 location's labour for exactly one period, and the run records supplier
 counts, survival and welfare period by period.  Every other period is calm,
-so a run evaluates each branch once and lays the calm and the scripted
-outcome out over the horizon.
+so an allocation's shock branches are evaluated once, by ``sourcing``'s one
+survival rule, and every realisation's run is laid out from that evaluation.
 
 Welfare is the destination household's real wage scaled by the love-of-
 variety factor of the surviving supplier basket relative to the full one,
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chains import EconomyParams, _JsonConfig, _whole
+from .chains import EconomyParams, _JsonConfig, _json_object, _location, _whole
 from .equilibrium import EquilibriumSolution, SolverConfig, solve_equilibrium
 from .shocks import BRANCHES, EAST, SOUTH, ShockParams, _draw_branches
 from .sourcing import (
@@ -32,6 +32,7 @@ from .sourcing import (
     UtilitySpec,
     _branch_values,
     _checked_costs,
+    _survives,
     _surviving_counts,
     individual_sourcing,
     planner_ambiguity_sourcing,
@@ -64,6 +65,8 @@ class ScenarioConfig(_JsonConfig):
     utility: UtilitySpec = field(default_factory=UtilitySpec)
     beliefs: BeliefSet = field(default_factory=lambda: BeliefSet(0.0, 1.0))
 
+    kind = "scenario"
+
     def __post_init__(self):
         if self.economy.n_locations != 2:
             raise ValueError("scenarios use a two-location East/South economy")
@@ -86,18 +89,19 @@ class ScenarioConfig(_JsonConfig):
             raise ValueError("suppliers_per_tier must be at least 1")
         if self.grid_resolution < 2:
             raise ValueError("grid_resolution must be at least 2")
-        if not 0 <= self.destination < self.economy.n_locations:
-            raise ValueError(f"destination {self.destination} is not a location")
+        _location(self.destination, self.economy.n_locations, "destination")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
+        d = _json_object(d, cls.kind)
+
         def section(name, loader, default=None):
             if name not in d:
                 if default is not None:
                     return default
                 raise ValueError(f"scenario config missing section '{name}'")
             try:
-                return loader(d[name])
+                return loader(_json_object(d[name], name))
             except (ValueError, TypeError) as err:
                 raise ValueError(f"{name}: {err}") from None
             except KeyError as err:
@@ -159,59 +163,60 @@ def choose_allocation(config: ScenarioConfig,
                                       costs=solution.costs)
 
 
-def run_scenario(config: ScenarioConfig,
-                 solution: EquilibriumSolution | None = None,
-                 allocation: SourcingAllocation | None = None) -> TimeSeries:
-    """Simulate one scripted realisation over the horizon.
+def _realization_runs(config: ScenarioConfig, solution: EquilibriumSolution | None = None,
+                      allocation: SourcingAllocation | None = None) -> tuple[TimeSeries, ...]:
+    """:func:`run_scenario` for every realisation, in ``REALIZATIONS`` order.
 
-    Each shock branch is evaluated once (supplier counts, survival and
-    value), and every period takes the calm branch except the shock
-    period, which takes the scripted one.  The equilibrium and the
-    allocation can be passed in to reuse across the scenario matrix; they
-    do not depend on the scripted realisation.
+    Each shock branch is evaluated once; a run takes the calm branch in
+    every period but the shock period, which takes its scripted one.
     """
     if solution is None:
         solution = solve_equilibrium(config.economy, SolverConfig())
     if allocation is None:
         allocation = choose_allocation(config, solution)
-
     counts = supplier_counts(allocation)
     costs = _checked_costs(config.economy, solution.costs, allocation)
     values = np.array(_branch_values(counts, config.economy, costs))
+    # Surviving counts per branch: the hit location's labour is gone for it.
+    left = np.stack([_surviving_counts(counts, draw) for draw in BRANCHES])
     real_wage = float(solution.real_wages[config.destination])
-
     periods = np.arange(1, config.horizon + 1)
-    branch = np.where(periods == config.shock_period,
-                      REALIZATIONS.index(config.realization), 0)
-    # Surviving counts per period: the hit location's labour is gone for it.
-    left = np.stack([_surviving_counts(counts, draw) for draw in BRANCHES])[branch]
-    east, south = left[:, EAST, 0], left[:, SOUTH, 0]
-    # A dead chain is worth 0, so its welfare is 0 as well.
-    return TimeSeries(period=periods, suppliers_east=east, suppliers_south=south,
-                      suppliers_total=east + south,
-                      chain_alive=np.all(left.sum(axis=1) >= 1, axis=1),
-                      welfare=real_wage * values[branch] / values[0],
-                      allocation=allocation,
-                      decision_mode=config.decision_mode,
-                      info_env=config.info_env, realization=config.realization)
+    runs = []
+    for k, realization in enumerate(REALIZATIONS):
+        branch = np.where(periods == config.shock_period, k, 0)
+        east, south = left[branch, EAST, 0], left[branch, SOUTH, 0]
+        # A dead chain is worth 0, so its welfare is 0 as well.
+        runs.append(TimeSeries(period=periods, suppliers_east=east, suppliers_south=south,
+                               suppliers_total=east + south, chain_alive=_survives(left[branch]),
+                               welfare=real_wage * values[branch] / values[0],
+                               allocation=allocation, decision_mode=config.decision_mode,
+                               info_env=config.info_env, realization=realization))
+    return tuple(runs)
+
+
+def run_scenario(config: ScenarioConfig,
+                 solution: EquilibriumSolution | None = None,
+                 allocation: SourcingAllocation | None = None) -> TimeSeries:
+    """Simulate one scripted realisation over the horizon.
+
+    The equilibrium and the allocation do not depend on the realisation;
+    either can be passed in to reuse it.
+    """
+    return _realization_runs(config, solution, allocation)[REALIZATIONS.index(config.realization)]
 
 
 def run_matrix(config: ScenarioConfig) -> dict:
     """All six cells (realisation x info environment) of one decision mode.
 
     Returns a dict keyed by (realization, info_env).  The equilibrium is
-    shared; allocations are computed once per info environment since the
-    scripted realisation never feeds back into the choice.
+    shared, and each info environment's allocation is chosen and evaluated
+    once, since the scripted realisation never feeds back into the choice.
     """
     solution = solve_equilibrium(config.economy, SolverConfig())
     out = {}
     for env in INFO_ENVS:
-        env_cfg = replace(config, info_env=env)
-        alloc = choose_allocation(env_cfg, solution)
-        for realization in REALIZATIONS:
-            cell = replace(config, info_env=env, realization=realization)
-            out[(realization, env)] = run_scenario(cell, solution=solution,
-                                                   allocation=alloc)
+        runs = _realization_runs(replace(config, info_env=env), solution)
+        out.update({(realization, env): ts for realization, ts in zip(REALIZATIONS, runs)})
     return out
 
 
@@ -229,24 +234,17 @@ def monte_carlo_survival(config: ScenarioConfig, n_runs: int,
 
     One generator seeded with ``seed`` draws all ``n_runs`` uniforms at
     once; run r's shock is the :func:`draw_shock` outcome of element r.
-    Only three realisations exist, so each is replayed once through the
-    scripted engine and the runs are tallied per realisation.  A run
+    Only three realisations exist, so the allocation's three scripted runs
+    are laid out once and the runs are tallied per realisation.  A run
     counts as surviving when the chain is alive in every period.
     ``stderr`` is the binomial standard error of the survival rate.
     """
     n_runs = _whole(n_runs, "n_runs")
     if n_runs < 1:
         raise ValueError("need at least one run")
-    solution = solve_equilibrium(config.economy, SolverConfig())
-    allocation = choose_allocation(config, solution)
-
-    alive = np.empty(len(REALIZATIONS))
-    welfare = np.empty(len(REALIZATIONS))
-    for k, realization in enumerate(REALIZATIONS):
-        ts = run_scenario(replace(config, realization=realization),
-                          solution=solution, allocation=allocation)
-        alive[k] = ts.chain_alive.all()
-        welfare[k] = ts.welfare.mean()
+    runs = _realization_runs(config)
+    alive = np.array([ts.chain_alive.all() for ts in runs], dtype=float)
+    welfare = np.array([ts.welfare.mean() for ts in runs])
 
     u = np.random.default_rng(seed).random(n_runs)
     tally = np.bincount(_draw_branches(config.shock, u), minlength=len(REALIZATIONS))

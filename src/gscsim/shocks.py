@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chains import _JsonConfig, _real, _whole
+from .chains import _JsonConfig, _location, _real, _whole
 
 NORMAL = 0
 SHOCK = 1
@@ -77,7 +77,7 @@ def step_regime(state: RegimeState, params: ShockParams, rand) -> RegimeState:
     rand < lam.
     """
     u = np.broadcast_to(np.asarray(rand, dtype=float), state.state.shape)
-    if np.any(u < 0.0) or np.any(u >= 1.0):
+    if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
         raise ValueError("uniform draws must lie in [0, 1)")
     is_shock = state.state == SHOCK
     flip = np.where(is_shock, u < params.lam, u < params.eta)
@@ -101,7 +101,7 @@ def simulate_regime(params: ShockParams, draws, initial: int = NORMAL) -> np.nda
     u = np.asarray(draws, dtype=float)
     if u.ndim != 1:
         raise ValueError("draws must be a 1-d sequence of uniforms")
-    if u.size and (u.min() < 0.0 or u.max() >= 1.0):
+    if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
         raise ValueError("uniform draws must lie in [0, 1)")
     hit = u < params.eta
     recover = u < params.lam
@@ -165,18 +165,11 @@ def _draw_branches(params: ShockParams, u: np.ndarray) -> np.ndarray:
     return np.searchsorted(_draw_cuts(params), u, side="right")
 
 
-def _hit_location(draw: ShockDraw, n_locations: int) -> int:
-    loc = _whole(draw.location, "shock location")
-    if not 0 <= loc < n_locations:
-        raise ValueError(f"shock location {loc} out of range")
-    return loc
-
-
 def apply_shock(labor, draw: ShockDraw) -> np.ndarray:
     """Labour endowments after the draw: the hit location loses everything."""
     out = np.array(labor, dtype=float, copy=True)
     if draw.location is not None:
-        out[_hit_location(draw, out.shape[0])] = 0.0
+        out[_location(draw.location, out.shape[0], "shock location")] = 0.0
     return out
 
 

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import EconomyParams, _JsonConfig, _positive_array, _real, _whole
+from .chains import EconomyParams, _JsonConfig, _location, _positive_array, _real, _whole
 from .equilibrium import SolverConfig, solve_equilibrium
-from .shocks import BRANCHES, EAST, SOUTH, ShockDraw, ShockParams, _hit_location
+from .shocks import BRANCHES, EAST, SOUTH, ShockDraw, ShockParams
 
 logger = logging.getLogger(__name__)
 
@@ -162,19 +162,23 @@ def _surviving_counts(counts: np.ndarray, shock: ShockDraw) -> np.ndarray:
     if shock.location is None:
         return counts
     out = counts.copy()
-    out[_hit_location(shock, len(counts)), :] = 0
+    out[_location(shock.location, len(counts), "shock location"), :] = 0
     return out
+
+
+def _survives(counts: np.ndarray):
+    """Whether every tier keeps a live supplier, for counts shaped (..., J, n_tiers)."""
+    return (counts.sum(axis=-2) >= 1).all(axis=-1)
 
 
 def chain_survives(alloc: SourcingAllocation, shock: ShockDraw) -> bool:
     """True when every tier retains at least one live supplier."""
-    left = _surviving_counts(supplier_counts(alloc), shock)
-    return bool(np.all(left.sum(axis=0) >= 1))
+    return bool(_survives(_surviving_counts(supplier_counts(alloc), shock)))
 
 
 def _value_from_counts(counts: np.ndarray, params: EconomyParams,
                        costs: np.ndarray) -> float:
-    if np.any(counts.sum(axis=0) < 1):
+    if not _survives(counts):
         return 0.0
     s = (params.sigma - 1.0) / params.sigma
     per_location = (1.0 / costs) ** s          # variety quantity q = 1/c

@@ -133,3 +133,46 @@ def test_cli_names_every_missing_shock_key(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "error: shock: shock config missing keys: lam, zeta\n"
     assert not (tmp_path / "out").exists()
+
+
+# (case, subcommand, file content, extra arguments, message); each used to
+# reach a TypeError or a KeyError that named no config.
+NOT_AN_OBJECT = [
+    ("economy-string", "equilibrium", "T L tau alpha beta theta sigma", [],
+     "economy config must be a JSON object, got str"),
+    ("economy-list", "equilibrium", [1, 2], [],
+     "economy config must be a JSON object, got list"),
+    ("utility-int", "simulate", {**CI_SCENARIO, "utility": 5}, [],
+     "utility: utility config must be a JSON object, got int"),
+    ("economy-section-list", "simulate", {**CI_SCENARIO, "economy": [1, 2]}, [],
+     "economy: economy config must be a JSON object, got list"),
+    ("scenario-list", "simulate", [1, 2], [],
+     "scenario config must be a JSON object, got list"),
+    ("scenario-list-seed", "simulate", [1, 2], ["--seed", "3"],
+     "scenario config must be a JSON object, got list"),
+]
+
+
+@pytest.mark.parametrize("command,content,extra,message",
+                         [row[1:] for row in NOT_AN_OBJECT],
+                         ids=[row[0] for row in NOT_AN_OBJECT])
+def test_cli_names_config_that_is_not_an_object(tmp_path, capsys, command, content,
+                                                extra, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(content))
+    flag = "--params" if command == "equilibrium" else "--config"
+    out = tmp_path / "out"
+    assert main([command, flag, str(path), "--out", str(out), *extra]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_sections_that_are_not_objects_are_named():
+    for kind, value in (("economy", "x"), ("shock", 0.2), ("beliefs", [0.1, 0.9])):
+        with pytest.raises(ValueError, match=f"^{kind}: {kind} config must be a JSON object, "
+                                             f"got {type(value).__name__}$"):
+            ScenarioConfig.from_dict({**CI_SCENARIO, kind: value})
+    for cls in (EconomyParams, ShockParams, BeliefSet, ScenarioConfig):
+        with pytest.raises(ValueError, match=f"^{cls.kind} config must be a JSON object, "
+                                             "got NoneType$"):
+            cls.from_dict(None)

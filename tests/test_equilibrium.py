@@ -171,8 +171,8 @@ def test_random_economies_converge():
 def test_initial_wages_must_be_finite():
     params = symmetric_two_tier()
     for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="initial_wages must be strictly positive "
-                                             "with one entry per location"):
+        with pytest.raises(ValueError, match=r"^initial_wages must be strictly positive "
+                                             r"and finite with shape \(2,\)$"):
             solve_equilibrium(params, SolverConfig(initial_wages=np.array([1.0, bad])))
 
 

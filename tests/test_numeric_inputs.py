@@ -31,6 +31,7 @@ from gscsim import (
     chain_productivity_theta_sensitivity,
     chain_survives,
     crra_utility,
+    draw_shock,
     individual_sourcing,
     local_chain_real_wage,
     monte_carlo_survival,
@@ -39,7 +40,9 @@ from gscsim import (
     planner_risk_sourcing,
     price_index,
     risk_objective,
+    simulate_regime,
     solve_equilibrium,
+    step_regime,
 )
 from gscsim.cli import main
 
@@ -222,8 +225,19 @@ def _regime_rows():
                lambda v=v: RegimeState([0, 1], [0, v]))
 
 
+def _uniform_draw_rows():
+    # NaN used to pass both regime checks and act as "no event".
+    shock = ShockParams(0.3, 0.5, 0.5)
+    for v in (math.nan, math.inf, -math.inf, -0.1, 1.0):
+        yield "simulate_regime.draws", v, lambda v=v: simulate_regime(shock, [0.1, v, 0.9])
+        yield ("step_regime.rand", v,
+               lambda v=v: step_regime(RegimeState.all_normal(2), shock, [v, 0.1]))
+        yield "draw_shock.rand", v, lambda v=v: draw_shock(shock, v)
+
+
 ROWS = [*_economy_rows(), *_solver_rows(), *_odds_rows(), *_allocation_rows(),
-        *_sourcing_rows(), *_scenario_rows(), *_location_index_rows(), *_regime_rows()]
+        *_sourcing_rows(), *_scenario_rows(), *_location_index_rows(), *_regime_rows(),
+        *_uniform_draw_rows()]
 
 
 @pytest.mark.parametrize("field,value,call", ROWS,
@@ -273,6 +287,20 @@ def test_location_indices_name_their_field_and_whole_floats_convert():
         chain_productivity_location(np.array([1, 0]), params)
     assert price_index(1.0, params, unit) == price_index(1, params, unit)
     assert local_chain_real_wage(1.0, params, 0.5) == local_chain_real_wage(1, params, 0.5)
+
+
+def test_out_of_range_locations_share_one_message():
+    params = symmetric_two_tier()
+    unit = np.ones(2)
+    calls = (("dest", lambda i: chain_cost_scale([0, 1], i, params, unit)),
+             ("dest", lambda i: price_index(i, params, unit)),
+             ("j", lambda i: local_chain_real_wage(i, params, 0.5)),
+             ("destination", lambda i: ScenarioConfig.from_dict({**SCENARIO, "destination": i})),
+             ("shock location", lambda i: apply_shock([1.0, 1.0], ShockDraw(i))))
+    for name, call in calls:
+        for i in (-1, 2):
+            with pytest.raises(ValueError, match=f"^{name} {i} out of range$"):
+                call(i)
 
 
 def test_shock_locations_and_regimes_name_their_field():

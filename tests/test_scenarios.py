@@ -17,6 +17,7 @@ from gscsim import (
     solve_equilibrium,
 )
 
+from gscsim import scenarios, sourcing
 from gscsim.shocks import EAST, SOUTH, ShockDraw, _draw_branches, _draw_cuts, draw_shock
 from gscsim.sourcing import (
     SourcingAllocation,
@@ -256,6 +257,32 @@ def test_monte_carlo_tallies_scripted_outcomes():
         summary = monte_carlo_survival(cfg, n_runs=n, seed=seed)
         assert summary.survival_rate == survived / n
         assert summary.mean_welfare == pytest.approx(welfare / n, rel=1e-12)
+
+
+def test_each_allocation_is_evaluated_once(monkeypatch):
+    # The scripted realisation never feeds back into an allocation's
+    # outcomes: run_matrix evaluates one allocation per info environment
+    # and the Monte Carlo one, each shock branch valued once per allocation.
+    calls = {"counts": 0, "values": 0}
+
+    def spy(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    counts = spy("counts", sourcing.supplier_counts)
+    monkeypatch.setattr(sourcing, "supplier_counts", counts)
+    monkeypatch.setattr(scenarios, "supplier_counts", counts)
+    monkeypatch.setattr(sourcing, "_value_from_counts",
+                        spy("values", sourcing._value_from_counts))
+    for mode in ("individual", "planner"):
+        for run, want in ((run_matrix, 2), (lambda c: monte_carlo_survival(c, 100, seed=1), 1)):
+            calls.update(counts=0, values=0)
+            run(make_config(decision_mode=mode))
+            assert calls["counts"] == want, (mode, run)
+            if mode == "individual":     # the planner's grid search values candidates too
+                assert calls["values"] == 3 * want, (mode, run)
 
 
 def test_choose_allocation_dispatch():
