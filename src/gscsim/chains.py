@@ -47,12 +47,13 @@ def _positive_array(x, shape, name: str) -> np.ndarray:
 
 
 def _whole(x, name: str):
-    """``x`` as an int (an ``intp`` array if array-like).  NaN, inf and fractions
-    raise; whole floats pass, and Python ints are kept exact, large seeds too."""
-    if isinstance(x, (int, np.integer)):
+    """``x`` as an int (an ``intp`` array if array-like).  NaN, inf, fractions
+    and booleans raise; whole floats pass, and ints are kept exact."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return int(x)
     try:
-        arr = np.asarray(x, dtype=float)
+        arr = np.asarray(x)
+        arr = None if arr.dtype == bool else arr.astype(float)
     except (TypeError, ValueError):     # not numeric, or ragged
         arr = None
     if arr is None or not (np.isfinite(arr) & (arr == np.floor(arr))).all():
@@ -79,9 +80,11 @@ def _checked_path(path, params: EconomyParams) -> np.ndarray:
 
 def _real(x, name: str) -> float:
     try:
-        return float(x)
+        if np.asarray(x).dtype != bool:     # float(True) would read 1.0
+            return float(x)
     except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a number, got {x!r}") from None
+        pass
+    raise ValueError(f"{name} must be a number, got {x!r}")
 
 
 def _json_object(d, kind: str) -> dict:

@@ -16,6 +16,9 @@ percentage matrices with the diagonal (domestic share) set aside, and
 optionally aggregate every country outside a focus list into a
 rest-of-world column.  An alternative "gross" measure replaces value-added
 weights with total intermediate input content.
+
+Tables are read from CSV with one numpy parse per row, on every usable
+CPU for large tables: forked workers parse later slices of the rows.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ from __future__ import annotations
 import csv
 import itertools
 import logging
+import os
 import warnings
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +46,13 @@ FD_PREFIX = "FD"
 VA_LABEL = "VA"
 OUT_LABEL = "OUT"
 ROW_LABEL = "ROW"
+
+# load_table forks a worker per MIN_SLICE_ROWS rows, up to the usable CPUs
+# less one.  A worker re-reads the lines before its slice, so the parent's
+# slice is PARENT_SLICE_WEIGHT times as long.  Rows come back in chunks.
+MIN_SLICE_ROWS = 200
+PARENT_SLICE_WEIGHT = 1.1
+SLICE_CHUNK_ROWS = 64
 
 
 class TableFormatError(ValueError):
@@ -131,17 +143,19 @@ def _leontief_columns(table: WorldIOTable, cols: np.ndarray) -> np.ndarray:
     the exact productivity test needs the whole inverse.  The residual
     max |(I - A) B[:, cols] - I[:, cols]| is checked on those columns.
     """
-    A = technical_coefficients(table)
-    n = A.shape[0]
-    eye = np.eye(n)
-    lhs = eye - A
-    unit = eye[:, cols]
-    bound = min(A.sum(axis=0).max(initial=0.0), A.sum(axis=1).max(initial=0.0))
+    lhs = technical_coefficients(table)
+    n = lhs.shape[0]
+    bound = min(lhs.sum(axis=0).max(initial=0.0), lhs.sum(axis=1).max(initial=0.0))
+    # I - A in place, bytes as eye - A: 0 - a keeps +0.0, 1 + (-a) == 1 - a
+    np.subtract(0.0, lhs, out=lhs)
+    lhs.flat[::n + 1] += 1.0
+    unit = np.zeros((n, len(cols)))
+    unit[cols, np.arange(len(cols))] = 1.0
     if bound < 1.0:
         B = np.linalg.solve(lhs, unit)
     else:
         try:
-            full = np.linalg.solve(lhs, eye)
+            full = np.linalg.solve(lhs, np.eye(n))
         except np.linalg.LinAlgError:
             full = None
         if full is None or full.min() < -NONNEGATIVE_RTOL * np.abs(full).max():
@@ -353,22 +367,95 @@ def _parse_cells(rest: str):
     return cells
 
 
-def _records(lines):
+def _fast_cells(line: str):
+    """numpy's cells of one physical line, or None for the csv path: lines
+    with a quote, and the VA and OUT rows, whose final demand stays blank."""
+    label, sep, rest = line.partition(",")
+    if sep and '"' not in line and label.strip() not in (VA_LABEL, OUT_LABEL):
+        return _parse_cells(rest)
+    return None
+
+
+def _parse_slice(path, start: int, stop, conn):
+    """Worker: :func:`_fast_cells` of lines ``start:stop``, sent in chunks.
+    A read error ends it early; the parent then meets the error itself."""
+    try:
+        with open(path, newline="") as fh:
+            cells = [_fast_cells(line) for line in itertools.islice(fh, start, stop)]
+        for i in range(0, len(cells), SLICE_CHUNK_ROWS):
+            conn.send(cells[i:i + SLICE_CHUNK_ROWS])
+    except (OSError, ValueError):
+        pass
+
+
+class _Lines:
+    """The physical lines of a table file; ``result`` is a worker's cells
+    for the line read last, or None where the parent parses it itself."""
+
+    def __init__(self, fh):
+        self.fh, self.count, self.workers = fh, 0, []
+        self.results = itertools.repeat(None)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> str:
+        line = next(self.fh)
+        self.count += 1
+        try:
+            self.result = next(self.results)
+        except (EOFError, OSError):     # a worker stopped short: parse the rest here
+            self.results, self.result = itertools.repeat(None), None
+        return line
+
+    def fork(self, path, rows: int):
+        """Hand later slices of the next ``rows`` lines to forked workers, if
+        ``path`` names a regular file they can reopen.  They make no BLAS
+        call, so a fork after BLAS started threads is safe."""
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        k = min(cpus, rows // MIN_SLICE_ROWS)
+        if k < 2 or isinstance(path, int) or not os.path.isfile(path):
+            return
+        import multiprocessing
+        if ("fork" not in multiprocessing.get_all_start_methods()
+                or multiprocessing.current_process().daemon):
+            return
+        context = multiprocessing.get_context("fork")
+        starts = [self.count + round(rows * (PARENT_SLICE_WEIGHT + j)
+                                     / (PARENT_SLICE_WEIGHT + k - 1)) for j in range(k - 1)]
+        streams = [itertools.repeat(None, starts[0] - self.count)]
+        for start, stop in zip(starts, starts[1:] + [None]):
+            conn, send = context.Pipe(duplex=False)
+            worker = context.Process(target=_parse_slice, args=(path, start, stop, send))
+            try:
+                worker.start()
+                self.workers.append((worker, conn))
+            except OSError:             # no process to spare: parse here
+                conn.close()
+            send.close()
+            sent = itertools.chain.from_iterable(iter(conn.recv, None))
+            streams.append(itertools.islice(sent, None if stop is None else stop - start))
+        self.results = itertools.chain(*streams)
+
+    def close(self):
+        for worker, conn in self.workers:
+            worker.kill()
+            worker.join()
+            conn.close()
+
+
+def _records(lines: _Lines):
     """(label, cells) for every nonblank row left in ``lines``.
 
     ``cells`` is a float array when numpy took the line, else the stripped
     strings csv.reader gives: quotes, blank cells, numbers numpy declines.
-    The VA and OUT rows keep blank final-demand cells, so they always take
-    the csv path.
     """
     for line in lines:
-        label, sep, rest = line.partition(",")
-        label = label.strip()
-        if sep and '"' not in line and label not in (VA_LABEL, OUT_LABEL):
-            cells = _parse_cells(rest)
-            if cells is not None:
-                yield label, cells
-                continue
+        cells = _fast_cells(line) if lines.result is None else lines.result
+        if cells is not None:
+            yield line.partition(",")[0].strip(), cells
+            continue
         # csv.reader pulls further lines when a quoted field spans them
         row = next(csv.reader(itertools.chain([line], lines)))
         if _nonblank(row):
@@ -395,9 +482,12 @@ def load_table(path) -> WorldIOTable:
     column on any structural or balance problem, among them a row label
     that is not a header column, a repeated row (``VA`` and ``OUT``
     included) and a nonblank final-demand cell in ``VA`` or ``OUT``.
+
+    A regular file of about ``2 * MIN_SLICE_ROWS`` rows or more is parsed on
+    every usable CPU: forked workers only convert later slices of the rows to
+    numbers, every check and message stays here, and none outlives the call.
     """
-    with open(path, newline="") as fh:
-        lines = iter(fh)
+    with open(path, newline="") as fh, closing(_Lines(fh)) as lines:
         header = next((row for row in csv.reader(lines) if _nonblank(row)), None)
         records = _records(lines)
         head = list(itertools.islice(records, 3))
@@ -427,6 +517,7 @@ def load_table(path) -> WorldIOTable:
                 f"{path}: final demand columns must cover every country in order")
 
         n = len(flow_labels)
+        lines.fork(path, n + 2 - len(head))
         width = n + len(countries)
         row_of = {f"{c}:{s}": k for k, (c, s) in enumerate(expect)}
         data = np.empty((n, width))

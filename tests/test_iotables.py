@@ -1,4 +1,10 @@
 import csv
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +21,7 @@ from gscsim import (
     technical_coefficients,
     write_table,
 )
+from gscsim import iotables
 from gscsim.iotables import FD_PREFIX, OUT_LABEL, VA_LABEL
 
 
@@ -599,6 +606,147 @@ def test_loader_matches_per_cell_reference(tmp_path):
         assert (table.countries, table.sectors) == (ref.countries, ref.sectors), name
         for attr in ("Z", "F", "v", "x"):
             assert getattr(table, attr).tobytes() == getattr(ref, attr).tobytes(), (name, attr)
+
+
+# ---------------------------------------------------------------------------
+# rows parsed in forked workers
+
+def count_workers(monkeypatch, cpus: int, min_slice: int = 1) -> list:
+    """Set the usable CPUs and the slice size; returns a list that gets the
+    number of workers each later load starts."""
+    monkeypatch.setattr(iotables, "MIN_SLICE_ROWS", min_slice)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    started = []
+    fork = iotables._Lines.fork
+
+    def counted(self, *args):
+        fork(self, *args)
+        started.append(len(self.workers))
+
+    monkeypatch.setattr(iotables._Lines, "fork", counted)
+    return started
+
+
+@pytest.mark.parametrize("cpus", (2, 3, 1000))
+def test_parallel_loader_matches_per_cell_reference(tmp_path, monkeypatch, cpus):
+    # With 1000 CPUs each row after the first three gets a slice of its
+    # own, so slices start on nearly every line: inside quoted multi-line
+    # labels, on blank lines, and with CR or CRLF line ends.  Rows labelled
+    # S\nRV between plain MFG rows would take the wrong worker's cells if
+    # a line pulled by csv.reader went uncounted.
+    texts = loader_inputs(tmp_path)
+    path = tmp_path / "multiline_labels.csv"
+    write_table(random_balanced_table(np.random.default_rng(23), ["A", "B", "C", "D"],
+                                      ["MFG", "S\nRV"]), path)
+    texts["multiline_labels"] = path.read_text()
+    started = count_workers(monkeypatch, cpus)
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        try:
+            ref = reference_load_table(path)
+        except TableFormatError as err:
+            with pytest.raises(TableFormatError) as got:
+                load_table(path)
+            assert str(got.value) == str(err), name
+            continue
+        table = load_table(path)
+        assert (table.countries, table.sectors) == (ref.countries, ref.sectors), name
+        for attr in ("Z", "F", "v", "x"):
+            assert getattr(table, attr).tobytes() == getattr(ref, attr).tobytes(), (name, attr)
+    assert min(cpus - 1, 6) <= max(started) <= cpus - 1
+    assert multiprocessing.active_children() == []
+
+
+def test_parallel_loader_at_the_default_slice_size(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    path = tmp_path / "wide.csv"
+    write_table(random_balanced_table(rng, [f"C{i}" for i in range(15)],
+                                      [f"S{k}" for k in range(30)]), path)
+    started = count_workers(monkeypatch, 1, iotables.MIN_SLICE_ROWS)
+    serial = load_table(path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    table = load_table(path)
+    # 449 rows after the first three make two slices of at least 200.
+    assert started == [0, 1]
+    for attr in ("Z", "F", "v", "x"):
+        assert getattr(table, attr).tobytes() == getattr(serial, attr).tobytes(), attr
+
+
+def _exit_at_once(path, start, stop, conn):
+    os._exit(1)
+
+
+def _send_first_line(path, start, stop, conn, parse_slice=iotables._parse_slice):
+    parse_slice(path, start, start + 1, conn)
+
+
+@pytest.mark.parametrize("worker", (_exit_at_once, _send_first_line))
+def test_parallel_loader_parses_rows_a_worker_never_sent(tmp_path, monkeypatch, worker):
+    path = tmp_path / "table.csv"
+    write_table(random_balanced_table(np.random.default_rng(8), ["AAA", "BBB", "CCC"],
+                                      ["MFG", "SRV", "AGR"]), path)
+    serial = load_table(path)
+    started = count_workers(monkeypatch, 4)
+    monkeypatch.setattr(iotables, "_parse_slice", worker)
+    table = load_table(path)
+    assert started == [3]
+    for attr in ("Z", "F", "v", "x"):
+        assert getattr(table, attr).tobytes() == getattr(serial, attr).tobytes(), attr
+    assert multiprocessing.active_children() == []
+
+
+def _stall(path, start, stop, conn):
+    time.sleep(60)
+
+
+@pytest.mark.parametrize("worker", (iotables._parse_slice, _stall))
+def test_parallel_loader_leaves_no_worker_after_an_error(tmp_path, monkeypatch, worker):
+    path = tmp_path / "table.csv"
+    write_table(random_balanced_table(np.random.default_rng(9), ["AAA", "BBB", "CCC"],
+                                      ["MFG", "SRV", "AGR"]), path)
+    lines = path.read_text().splitlines(keepends=True)
+    started = count_workers(monkeypatch, 4)
+    monkeypatch.setattr(iotables, "_parse_slice", worker)
+    # A short row in the parent's slice, while the workers still run; and
+    # with working workers, one in the last slice.
+    for k in (4,) if worker is _stall else (4, len(lines) - 3):
+        bad = tmp_path / f"short_{k}.csv"
+        bad.write_text("".join(lines[:k]) + lines[k].rsplit(",", 1)[0] + "\n"
+                       + "".join(lines[k + 1:]))
+        begun = time.monotonic()
+        with pytest.raises(TableFormatError, match="has 11 cells, expected 12"):
+            load_table(bad)
+        assert time.monotonic() - begun < 30
+        assert started[-1] == 3
+        assert multiprocessing.active_children() == []
+
+
+def test_parallel_loader_reads_a_descriptor_or_a_pipe_alone(tmp_path, monkeypatch):
+    # A worker reopening either would take lines from the parent's stream.
+    path = tmp_path / "table.csv"
+    write_table(random_balanced_table(np.random.default_rng(8), ["AAA", "BBB", "CCC"],
+                                      ["MFG", "SRV", "AGR"]), path)
+    serial = load_table(path)
+    started = count_workers(monkeypatch, 4)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_text(path.read_text()), daemon=True)
+    writer.start()
+    tables = [load_table(os.open(path, os.O_RDONLY)), load_table(fifo)]
+    writer.join(timeout=10)
+    assert started == [0, 0] and not writer.is_alive()
+    for table in tables:
+        for attr in ("Z", "F", "v", "x"):
+            assert getattr(table, attr).tobytes() == getattr(serial, attr).tobytes(), attr
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    src = os.path.dirname(os.path.dirname(iotables.__file__))
+    code = "import sys, gscsim; sys.exit('multiprocessing' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src}).returncode == 0
 
 
 def test_reliance_to_csv(tmp_path):

@@ -416,3 +416,64 @@ def test_cli_names_non_numeric_field(tmp_path, capsys):
     assert "theta must be a number, got 'abc'" in err
     assert "could not convert" not in err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# booleans are not numbers, though bool is an int subclass
+
+def _boolean_scalar_rows():
+    params = symmetric_two_tier()
+    unit = np.ones(2)
+    cfg = ScenarioConfig.from_dict({**SCENARIO, "grid_resolution": 11})
+    for key in SCENARIO_INTS:
+        yield key, lambda v, k=key: ScenarioConfig.from_dict({**SCENARIO, k: v})
+    for key in ("theta", "sigma", "gamma"):
+        yield key, lambda v, k=key: EconomyParams.from_dict({**ECONOMY, k: v})
+    for key in SHOCK:
+        yield key, lambda v, k=key: ShockParams.from_dict({**SHOCK, k: v})
+    for key in BELIEFS:
+        yield key, lambda v, k=key: BeliefSet.from_dict({**BELIEFS, k: v})
+    for key in ("tolerance", "damping", "world_income", "max_iterations"):
+        yield key, lambda v, k=key: SolverConfig(**{k: v})
+    yield "rho", lambda v: UtilitySpec(rho=v)
+    yield "alpha2", lambda v: EconomyParams.two_tier([1.0, 1.0], [1.0, 1.0], [1.0, 1.0],
+                                                     np.ones((2, 2)), v, 4.0, 3.0)
+    yield "shock location", lambda v: apply_shock([1.0, 2.0], ShockDraw(v))
+    yield "dest", lambda v: price_index(v, params, unit)
+    yield "j", lambda v: local_chain_real_wage(v, params, 0.5)
+    yield "n_runs", lambda v: monte_carlo_survival(cfg, n_runs=v, seed=0)
+    yield ("suppliers_per_tier",
+           lambda v: SourcingAllocation.uniform_tiers([0.5, 0.5], v, 2))
+
+
+BOOLEAN_SCALAR_ROWS = list(_boolean_scalar_rows())
+
+
+@pytest.mark.parametrize("value", (True, False, np.True_, np.array(False)), ids=repr)
+@pytest.mark.parametrize("field,call", BOOLEAN_SCALAR_ROWS,
+                         ids=[field for field, _ in BOOLEAN_SCALAR_ROWS])
+def test_boolean_scalar_names_its_field(field, call, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a (whole )?number, got "):
+        call(value)
+
+
+@pytest.mark.parametrize("value", ([True, False], np.array([False, True])), ids=repr)
+@pytest.mark.parametrize("field,call", [
+    ("path", lambda v: chain_productivity_location(v, symmetric_two_tier())),
+    ("M", lambda v: SourcingAllocation(phi=[[0.5, 0.5], [0.5, 0.5]], M=v)),
+    ("state", lambda v: RegimeState(v, [0, 0])),
+    ("periods_in_state", lambda v: RegimeState([0, 1], v)),
+], ids=("path", "M", "state", "periods_in_state"))
+def test_boolean_array_names_its_field(field, call, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a whole number, got "):
+        call(value)
+
+
+def test_cli_rejects_boolean_horizon(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SCENARIO, "horizon": True}))
+    assert '"horizon": true' in cfg.read_text()
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "horizon must be a whole number, got True" in capsys.readouterr().err
+    assert not out.exists()
