@@ -36,8 +36,11 @@ MAX_PATHS = 1_000_000
 
 
 def _positive_array(x, shape, name: str) -> np.ndarray:
+    """``x`` as a float array of ``shape``, strictly positive and finite.
+    Booleans raise, as in :func:`_whole`."""
     try:
-        arr = np.asarray(x, dtype=float)
+        arr = np.asarray(x)
+        arr = None if arr.dtype == bool else arr.astype(float, copy=False)
     except (TypeError, ValueError):     # not numeric, or ragged
         arr = None
     # Every checked shape has an element; min and max reject NaN too.

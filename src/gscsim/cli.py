@@ -32,8 +32,6 @@ from .equilibrium import EquilibriumConvergenceError, SolverConfig, solve_equili
 from .iotables import compute_fir, compute_fmr, load_table, reliance_change
 from .scenarios import INFO_ENVS, REALIZATIONS, ScenarioConfig, run_matrix, run_scenario
 
-logger = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import logging
 import os
 import warnings
 from contextlib import closing
@@ -33,14 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-logger = logging.getLogger(__name__)
-
 # Relative slack for accounting identities in published tables.
 BALANCE_RTOL = 1e-3
 LEONTIEF_RESIDUAL_TOL = 1e-10
-# Entries of (I - A)^-1 below -NONNEGATIVE_RTOL times its largest magnitude
-# count as negative; rounding leaves structural zeros far closer to zero.
-NONNEGATIVE_RTOL = 1e-9
 
 FD_PREFIX = "FD"
 VA_LABEL = "VA"
@@ -136,34 +130,35 @@ def technical_coefficients(table: WorldIOTable) -> np.ndarray:
 
 
 def _leontief_columns(table: WorldIOTable, cols: np.ndarray) -> np.ndarray:
-    """Columns ``cols`` of B = (I - A)^-1 from one solve, with the guards of
-    :func:`leontief_inverse`.
+    """Columns ``cols`` of B = (I - A)^-1 from one solve that also certifies
+    that A is productive.
 
-    Below the sum bound only the requested columns are solved for; past it
-    the exact productivity test needs the whole inverse.  The residual
-    max |(I - A) B[:, cols] - I[:, cols]| is checked on those columns.
+    I - A is solved against the unit columns ``cols`` plus one column of
+    ones.  A nonnegative A is productive (spectral radius below one) iff
+    some x > 0 has (I - A) x > 0 (Hawkins & Simon 1949); when it is,
+    x = (I - A)^-1 1 >= 1 is such a vector, so the solved ones column is
+    the certificate, and a singular I - A fails it.  The residual
+    max |(I - A) B[:, cols] - I[:, cols]| is checked on the requested
+    columns only: near the boundary x, and so its residual, is large.
     """
     lhs = technical_coefficients(table)
-    n = lhs.shape[0]
-    bound = min(lhs.sum(axis=0).max(initial=0.0), lhs.sum(axis=1).max(initial=0.0))
-    # I - A in place, bytes as eye - A: 0 - a keeps +0.0, 1 + (-a) == 1 - a
+    n, k = lhs.shape[0], len(cols)
+    # I - A in place, bitwise as if formed anew: 0 - a keeps +0.0, 1 + (-a) == 1 - a
     np.subtract(0.0, lhs, out=lhs)
     lhs.flat[::n + 1] += 1.0
-    unit = np.zeros((n, len(cols)))
-    unit[cols, np.arange(len(cols))] = 1.0
-    if bound < 1.0:
-        B = np.linalg.solve(lhs, unit)
-    else:
-        try:
-            full = np.linalg.solve(lhs, np.eye(n))
-        except np.linalg.LinAlgError:
-            full = None
-        if full is None or full.min() < -NONNEGATIVE_RTOL * np.abs(full).max():
-            raise TableFormatError(
-                "input coefficients are not productive (column and row sums "
-                f"reach {bound:.6f} and (I - A)^-1 is not nonnegative)")
-        B = full[:, cols]
-    residual = float(np.max(np.abs(lhs @ B - unit), initial=0.0))
+    rhs = np.zeros((n, k + 1))
+    rhs[cols, np.arange(k)] = 1.0
+    rhs[:, k] = 1.0
+    try:
+        solved = np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError:       # singular
+        solved = np.full_like(rhs, np.nan)
+    x = solved[:, k]
+    if not ((x > 0.0).all() and (lhs @ x > 0.0).all()):
+        raise TableFormatError(
+            "input coefficients are not productive: no x > 0 has (I - A) x > 0")
+    B = solved[:, :k]
+    residual = float(np.max(np.abs(lhs @ B - rhs[:, :k]), initial=0.0))
     if residual > LEONTIEF_RESIDUAL_TOL:
         raise TableFormatError(
             f"Leontief inverse residual {residual:.3e} exceeds tolerance")
@@ -173,13 +168,11 @@ def _leontief_columns(table: WorldIOTable, cols: np.ndarray) -> np.ndarray:
 def leontief_inverse(table: WorldIOTable) -> np.ndarray:
     """B = (I - A)^-1 with productivity and accuracy guards.
 
-    Requires the spectral radius of A to be strictly below one, and checks
-    the solve residual max |(I - A) B - I| against
-    ``LEONTIEF_RESIDUAL_TOL``.  For nonnegative A the largest column sum
-    and the largest row sum both bound the spectral radius from above;
-    when neither is below one the exact test decides: the radius is below
-    one iff (I - A)^-1 exists and is nonnegative (Miller & Blair,
-    Input-Output Analysis, ch. 2).
+    One solve of I - A against the identity plus a column of ones: the
+    ones column certifies that A is productive, the condition for B to
+    exist and be nonnegative (Miller & Blair, Input-Output Analysis,
+    ch. 2), and the residual max |(I - A) B - I| is checked against
+    ``LEONTIEF_RESIDUAL_TOL``.  See :func:`_leontief_columns`.
     """
     return _leontief_columns(table, np.arange(len(table.x)))
 

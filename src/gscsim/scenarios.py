@@ -18,7 +18,6 @@ and drops to zero in any period the chain is dead.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,8 +38,6 @@ from .sourcing import (
     planner_risk_sourcing,
     supplier_counts,
 )
-
-logger = logging.getLogger(__name__)
 
 DECISION_MODES = ("individual", "planner")
 INFO_ENVS = ("risk", "ambiguity")

@@ -146,12 +146,7 @@ def draw_shock(params: ShockParams, rand: float) -> ShockDraw:
     u = float(rand)
     if not 0.0 <= u < 1.0:
         raise ValueError("uniform draw must lie in [0, 1)")
-    none_below, east_below = _draw_cuts(params)
-    if u < none_below:
-        return BRANCHES[0]
-    if u < east_below:
-        return BRANCHES[1]
-    return BRANCHES[2]
+    return BRANCHES[int(_draw_branches(params, u))]
 
 
 def _draw_cuts(params: ShockParams) -> np.ndarray:
@@ -161,7 +156,8 @@ def _draw_cuts(params: ShockParams) -> np.ndarray:
 
 
 def _draw_branches(params: ShockParams, u: np.ndarray) -> np.ndarray:
-    """:func:`draw_shock` for an array of uniforms, as indices into BRANCHES."""
+    """Indices into BRANCHES of the uniforms ``u``: the one cut rule, for
+    :func:`draw_shock` and for arrays of draws."""
     return np.searchsorted(_draw_cuts(params), u, side="right")
 
 

@@ -21,7 +21,6 @@ over a set of East-conditional odds; the risk planner's set is one point.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -30,8 +29,6 @@ import numpy as np
 from .chains import EconomyParams, _JsonConfig, _location, _positive_array, _real, _whole
 from .equilibrium import SolverConfig, solve_equilibrium
 from .shocks import BRANCHES, EAST, SOUTH, ShockDraw, ShockParams
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_GRID = 1001
 DEFAULT_SUPPLIERS = 10

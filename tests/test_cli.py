@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from gscsim import EconomyParams, write_table
+from gscsim import EconomyParams, WorldIOTable, write_table
 from gscsim.cli import main
 
 from conftest import (
@@ -237,6 +237,36 @@ def test_reliance_error_exit_codes(tmp_path, capsys):
     bad.write_text("table,ALP:MFG,FD:ALP\nALP:MFG,0.0,1.0\n")
     assert main(["fir", "--table", str(bad), "--sector", "MFG",
                  "--out", str(tmp_path)]) == 2
+
+
+def test_fir_rejects_non_productive_table(tmp_path, capsys):
+    # Balanced within BALANCE_RTOL, but the one input coefficient is 1.0009.
+    table = WorldIOTable(countries=["SOLO"], sectors=["MFG"],
+                         Z=np.array([[10.009]]), F=np.array([[0.0]]),
+                         v=np.array([-0.009]), x=np.array([10.0]))
+    table_path = tmp_path / "world.csv"
+    write_table(table, table_path)
+    out = tmp_path / "out"
+    assert main(["fir", "--table", str(table_path), "--sector", "MFG",
+                 "--out", str(out)]) == 2
+    assert "not productive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fir_accepts_productive_table_past_the_sum_bounds(tmp_path):
+    # Column and row sums reach 1.5; the spectral radius is sqrt(0.6).
+    A = np.array([[0.0, 0.4], [1.5, 0.0]])
+    F = np.diag([100.0, 10.0])
+    x = np.linalg.solve(np.eye(2) - A, F.sum(axis=1))
+    Z = A * x[None, :]
+    table_path = tmp_path / "world.csv"
+    write_table(WorldIOTable(countries=["ALP", "BET"], sectors=["MFG"], Z=Z, F=F,
+                             v=x - Z.sum(axis=0), x=x), table_path)
+    out = tmp_path / "out"
+    assert main(["fir", "--table", str(table_path), "--sector", "MFG",
+                 "--out", str(out)]) == 0
+    lines = (out / "fir.csv").read_text().strip().splitlines()
+    assert lines == ["fir,ALP,BET", "ALP,,225.0", "BET,-50.0,"]
 
 
 def test_gsc_log_env(tmp_path, monkeypatch):

@@ -129,6 +129,27 @@ def test_productive_table_past_the_sum_bounds_accepted():
     assert B.min() >= 0.0
 
 
+@pytest.mark.parametrize("a,productive", ((3.9, True), (3.999, True),
+                                          (4.0, False), (4.001, False)))
+def test_three_cycle_productivity_boundary(a, productive):
+    # det(I - A) = 1 - a / 4 and the spectral radius is (a / 4) ** (1/3), so
+    # A is productive exactly below a = 4; past one, both sum bounds are a.
+    A = np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 0.5], [a, 0.0, 0.0]])
+    rng = np.random.default_rng(16)
+    table = random_balanced_table(rng, ["AAA", "BBB", "CCC"], ["MFG"])
+    table.Z = A * table.x[None, :]
+    if productive:
+        np.testing.assert_allclose(leontief_inverse(table),
+                                   np.linalg.inv(np.eye(3) - A), rtol=1e-9)
+        for compute in (compute_fir, compute_fmr):
+            assert np.isfinite(compute(table, "MFG").domestic).all()
+    else:
+        for call in (leontief_inverse, lambda t: compute_fir(t, "MFG"),
+                     lambda t: compute_fmr(t, "MFG", measure="gross")):
+            with pytest.raises(TableFormatError, match="not productive"):
+                call(table)
+
+
 def reference_shares(table, target_sector, measure, metric):
     """Per-country share vectors read off the full inverse, as computed
     before only the target columns were solved for."""
@@ -200,10 +221,10 @@ def test_target_columns_match_full_inverse():
         for _ in range(3):
             table = random_balanced_table(rng, countries, sectors)
             assert_matches_full_inverse(table, "MFG")
-            # below the sum bound only the C target columns are solved for
+            # one solve: the C target columns plus the ones column
             for compute in (compute_fir, compute_fmr):
                 for measure in ("va", "gross"):
-                    assert solve_widths(table, compute, measure) == [len(countries)]
+                    assert solve_widths(table, compute, measure) == [len(countries) + 1]
 
 
 def test_target_columns_past_the_sum_bounds():
@@ -211,7 +232,7 @@ def test_target_columns_past_the_sum_bounds():
     table.Z = np.array([[0.0, 0.4], [1.5, 0.0]]) * table.x[None, :]
     assert_matches_full_inverse(table, "MFG")
     # The same coupling between the MFG sectors, plus a small SRV block:
-    # both sum bounds still reach 1.5, so the whole inverse is formed.
+    # both sum bounds still reach 1.5, yet no full inverse is formed.
     rng = np.random.default_rng(23)
     table = random_balanced_table(rng, ["AAA", "BBB"], ["MFG", "SRV"])
     A = np.diag([0.0, 0.1, 0.0, 0.1])
@@ -219,7 +240,7 @@ def test_target_columns_past_the_sum_bounds():
     table.Z = A * table.x[None, :]
     assert_matches_full_inverse(table, "MFG")
     for compute in (compute_fir, compute_fmr):
-        assert solve_widths(table, compute, "va") == [4]
+        assert solve_widths(table, compute, "va") == [3]
     rng = np.random.default_rng(16)
     cyclic = random_balanced_table(rng, ["AAA", "BBB", "CCC"], ["MFG"])
     cyclic.Z = np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 0.5],

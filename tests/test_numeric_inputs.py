@@ -477,3 +477,33 @@ def test_cli_rejects_boolean_horizon(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     assert "horizon must be a whole number, got True" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ("T", "L", "tau"))
+def test_boolean_vector_names_its_field(tmp_path, capsys, key):
+    # All true reads as all ones, a valid T, L and tau of this economy.
+    value = np.ones(np.shape(ECONOMY[key]), dtype=bool).tolist()
+    with pytest.raises(ValueError, match=f"^{key} must be strictly positive and finite"):
+        EconomyParams.from_dict({**ECONOMY, key: value})
+    econ = tmp_path / "econ.json"
+    econ.write_text(json.dumps({**ECONOMY, key: value}))
+    assert "true" in econ.read_text()
+    out = tmp_path / "out"
+    assert main(["equilibrium", "--params", str(econ), "--out", str(out)]) == 2
+    assert f"{key} must be strictly positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ([True, True], np.array([True, True])), ids=repr)
+@pytest.mark.parametrize("field,call", [
+    ("initial_wages", lambda v: solve_equilibrium(symmetric_two_tier(),
+                                                  SolverConfig(initial_wages=v))),
+    ("costs", lambda v: allocation_value(SourcingAllocation.uniform_tiers([0.5, 0.5], 10, 2),
+                                         ShockDraw(None), symmetric_two_tier(), v)),
+    ("costs", lambda v: planner_risk_sourcing(symmetric_two_tier(), ShockParams(**SHOCK),
+                                              UtilitySpec(rho=2.0), grid_resolution=11,
+                                              costs=v)),
+], ids=("initial_wages", "allocation_value.costs", "planner_risk_sourcing.costs"))
+def test_boolean_positive_array_names_its_field(field, call, value):
+    with pytest.raises(ValueError, match=f"^{field} must be strictly positive and finite"):
+        call(value)
