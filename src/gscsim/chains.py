@@ -34,6 +34,8 @@ import numpy as np
 # tiers; refuse silently huge problems instead of sampling.
 MAX_PATHS = 1_000_000
 
+_FLOAT = np.dtype(float)
+
 
 def _positive_array(x, shape, name: str) -> np.ndarray:
     """``x`` as a float array of ``shape``, strictly positive and finite.
@@ -272,6 +274,13 @@ class _Chain:
     pass to the next: :meth:`forward` yields the chain totals ``S[j]``, which
     is all that prices need, and :meth:`backward` adds what participation
     and flow shares need.  Every pass checks its costs.
+
+    Each pass does the same floating-point operations, in the same order,
+    as the plain recursion: no product is regrouped and no matmul is
+    rewritten, since either changes the last bits.  The single-tier (N = 1)
+    shortcuts are exact: the head row ``fwd[0]`` is all ones, so the totals
+    are ``ones @ facs[0]``, ``bwd`` is ``facs`` itself and participation is
+    ``bwd / S``, because ``1.0 * x == x``.
     """
 
     def __init__(self, params: EconomyParams):
@@ -283,18 +292,29 @@ class _Chain:
         self.hop = params.tau[None, :, :] ** (-params.theta * params.beta[:, None, None])
         self.kappa = kappa(params.theta, params.sigma)
         self.inv_theta = -1.0 / params.theta
+        if params.n_tiers == 1:
+            # fwd of every pass; read-only, as the passes return it
+            self.head = np.ones((1, params.n_locations))
+            self.head.flags.writeable = False
 
     def factors(self, costs) -> np.ndarray:
         """Tier factors, (N, J, J): ``facs[n][a, b]`` multiplies a chain with
         tier n in a and tier n+1 in b, and ``facs[-1][a, j]`` includes the
         final shipment to j."""
-        costs = _positive_array(costs, self.shape, "costs")
+        # The solver's own costs, contiguous float64 of the right shape, need
+        # only the value test; anything else is converted and checked.
+        if not (type(costs) is np.ndarray and costs.dtype is _FLOAT
+                and costs.shape == self.shape and costs.flags.c_contiguous
+                and np.minimum.reduce(costs) > 0.0 and np.maximum.reduce(costs) < np.inf):
+            costs = _positive_array(costs, self.shape, "costs")
         return self.tech * costs[:, None] ** self.exponent * self.hop
 
     def forward(self, costs):
         """Tier factors; ``fwd[n][a]``, summed over chain heads that place
         tier n in a; and the totals ``S[j]`` over every chain serving j."""
         facs = self.factors(costs)
+        if len(facs) == 1:
+            return facs, self.head, self.head[0] @ facs[0]
         fwd = np.ones(facs.shape[:2])
         for n in range(len(facs) - 1):
             fwd[n + 1] = fwd[n] @ facs[n]
@@ -302,6 +322,8 @@ class _Chain:
 
     def backward(self, facs) -> np.ndarray:
         """``bwd[n][a, j]``, summed from tier n in a down to j."""
+        if len(facs) == 1:
+            return facs
         bwd = np.empty_like(facs)
         bwd[-1] = facs[-1]
         for n in range(len(facs) - 2, -1, -1):
@@ -312,7 +334,12 @@ class _Chain:
         return self.kappa * S ** self.inv_theta
 
     def participation(self, fwd, bwd, S: np.ndarray) -> np.ndarray:
-        return fwd[:, :, None] * bwd / S
+        """``fwd[:, :, None] * bwd / S``, a new array."""
+        if len(bwd) == 1:
+            return bwd / S
+        part = fwd[:, :, None] * bwd
+        part /= S
+        return part
 
 
 def path_scale_matrix(params: EconomyParams, costs) -> tuple[np.ndarray, np.ndarray]:

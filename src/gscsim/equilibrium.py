@@ -17,6 +17,13 @@ the composite costs for the residual; prices come from the last pass's
 chain totals when the solve returns.  With gamma < 1 composite costs feed
 back through the price index, so each sweep first runs an inner cost/price
 fixed point on forward passes alone.
+
+Sweeps are kept cheap by cutting numpy calls, never by changing arithmetic:
+every floating-point operation and its order match the plain loop written
+out, so results are the same bit for bit.  No product is regrouped and no
+einsum or matmul is rewritten, as either changes the last bits.  In-place
+updates repeat the operations they replace (``target *= step`` is
+``step * target``), and the single-tier shortcuts of ``_Chain`` are exact.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import EconomyParams, _Chain, _positive_array, _real, _whole, composite_cost
+from .chains import EconomyParams, _Chain, _positive_array, _real, _whole
 
 logger = logging.getLogger(__name__)
 
@@ -85,11 +92,13 @@ def _composite_costs(w: np.ndarray, chain: _Chain,
         return w.copy()
     c = w.copy()
     log_c = np.log(c)
+    # composite_cost(w, P, gamma) with its loop-invariant half hoisted
+    w_gamma, p_share = w ** gamma, 1.0 - gamma
     for _ in range(max_iterations):
         P = chain.prices(chain.forward(c)[-1])
-        c = composite_cost(w, P, gamma)
+        c = w_gamma * P ** p_share
         log_next = np.log(c)
-        gap = float(np.max(np.abs(log_next - log_c)))
+        gap = float(np.maximum.reduce(np.abs(log_next - log_c)))
         log_c = log_next
         if gap < tolerance:
             return c
@@ -121,7 +130,8 @@ def _residual_pass(w: np.ndarray, chain: _Chain):
     spending = w * chain.params.L                      # (J,)
     part = chain.participation(fwd, chain.backward(facs), S)
     income = np.einsum("n,nij,j->i", chain.ab, part, spending)
-    return income - spending, spending, costs, S
+    income -= spending
+    return income, spending, costs, S
 
 
 def labor_market_residuals(wages, params: EconomyParams) -> np.ndarray:
@@ -158,8 +168,8 @@ def solve_equilibrium(params: EconomyParams,
     step = cfg.damping
     for it in range(cfg.max_iterations + 1):
         residual, spending, costs, S = _residual_pass(w, chain)
-        walras.append(float(residual.sum()))
-        residual_norm = float(np.abs(residual).max()) / cfg.world_income
+        walras.append(float(np.add.reduce(residual)))
+        residual_norm = float(np.maximum.reduce(np.abs(residual))) / cfg.world_income
         if residual_norm < cfg.tolerance:
             logger.debug("equilibrium converged after %d iterations (residual %.3e)",
                          it, residual_norm)
@@ -174,8 +184,14 @@ def solve_equilibrium(params: EconomyParams,
             logger.debug("residual stalled at %.3e, damping reduced to %.4f",
                          residual_norm, step)
         previous_norm = residual_norm
-        target = (residual + spending) / params.L     # earnings per worker
-        w = (1.0 - step) * w + step * target
+        # w = (1 - step) * w + step * target, in place; target is the
+        # earnings per worker, (residual + spending) / L
+        target = residual
+        target += spending
+        target /= params.L
+        target *= step
+        w *= 1.0 - step
+        w += target
         w *= cfg.world_income / float(w @ params.L)
 
     raise EquilibriumConvergenceError(

@@ -330,6 +330,33 @@ def test_solver_matches_reference_loop_bit_for_bit():
         random_economy(rng, J=10, N=4, gamma=0.7), SolverConfig())
 
 
+# stiff09_j2n1 of the eq_ladder benchmark (seed 0), as in CI: it exits 4.
+STIFF09_J2N1 = {
+    "T": [[0.6655296205119072], [1.165997734333227]],
+    "L": [1.0981232360624997, 0.464613693413318],
+    "tau": [[1.0, 1.7333717931306722], [1.0594061776523371, 1.0]],
+    "alpha": [0.27586463257917426], "beta": [3.6249663128273464],
+    "theta": 8.59393049254594, "sigma": 6.225287562955225}
+
+
+def stiff_single_tier(seed, gamma):
+    """A J = 3, N = 1 draw at theta in [8, 20]."""
+    rng = np.random.default_rng(seed)
+    params = random_economy(rng, J=3, N=1, gamma=gamma)
+    return EconomyParams.from_dict({**params.to_dict(), "theta": float(rng.uniform(8.0, 20.0))})
+
+
+@pytest.mark.parametrize("params, converges", [
+    (EconomyParams.from_dict(STIFF09_J2N1), False),
+    (stiff_single_tier(0, gamma=1.0), False),       # theta 13.1
+    (stiff_single_tier(1, gamma=0.7), True),        # 578 sweeps
+], ids=["stiff09_j2n1", "j3n1_stiff", "j3n1_gamma0.7"])
+def test_single_tier_solver_matches_reference_over_full_budget(params, converges):
+    # Every sweep of the default budget, damping halvings included, through
+    # the single-tier shortcuts of the forward, backward and participation steps.
+    assert assert_solver_matches_reference(params, SolverConfig()) is converges
+
+
 def test_public_chain_functions_match_frozen_arithmetic():
     rng = np.random.default_rng(808)
     for k in range(30):
@@ -375,3 +402,108 @@ def test_costs_check_runs_on_every_pass(bad):
     for fn in (price_indices, tier_participation):
         with pytest.raises(ValueError, match=message):
             fn(symmetric_two_tier(), costs)
+
+
+def single_tier_two_locations(gamma=1.0) -> EconomyParams:
+    return EconomyParams.one_tier(T=[2.0, 1.0], L=[1.0, 1.5], tau=[[1.0, 1.3], [1.2, 1.0]],
+                                  theta=4.0, sigma=2.0, gamma=gamma)
+
+
+def strided(values) -> np.ndarray:
+    """A non-contiguous float64 view holding ``values``."""
+    out = np.full(2 * len(values), 7.0)
+    out[::2] = values
+    return out[::2]
+
+
+# float64 takes the fast path of _Chain.factors; the others are converted.
+COST_INPUTS = {
+    "float64": lambda v: np.array(v, dtype=np.float64),
+    "float32": lambda v: np.array(v, dtype=np.float32),
+    "int": lambda v: np.array(v, dtype=np.int64),
+    "list": list,
+    "strided": strided,
+}
+ECONOMIES = {"two_tier": symmetric_two_tier, "single_tier": single_tier_two_locations}
+# Two-tier float64 costs are the cases of test_costs_check_runs_on_every_pass.
+BAD_COST_CASES = [(economy, kind, bad) for economy in ECONOMIES for kind in COST_INPUTS
+                  for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0)
+                  if (kind != "int" or math.isfinite(bad))
+                  and (economy, kind) != ("two_tier", "float64")]
+
+
+@pytest.mark.parametrize("economy, kind, bad", BAD_COST_CASES)
+def test_costs_check_runs_on_every_pass_for_each_input_type(economy, kind, bad):
+    economy = ECONOMIES[economy]
+    costs = COST_INPUTS[kind]([1.0, bad])
+    message = "^" + re.escape("costs must be strictly positive and finite with shape (2,)") + "$"
+    for gamma in (1.0, 0.7):
+        params = EconomyParams.from_dict({**economy().to_dict(), "gamma": gamma})
+        with pytest.raises(ValueError, match=message):
+            solve_costs(costs, params)
+    for fn in (price_indices, tier_participation):
+        with pytest.raises(ValueError, match=message):
+            fn(economy(), costs)
+
+
+@pytest.mark.parametrize("economy", ECONOMIES)
+def test_converted_costs_give_the_float64_bytes(economy):
+    params = ECONOMIES[economy]()
+    want = [fn(params, np.array([1.0, 2.0])).tobytes() for fn in (price_indices, tier_participation)]
+    for costs in ([1.0, 2.0], np.array([1, 2]), strided([1.0, 2.0])):
+        assert [fn(params, costs).tobytes() for fn in (price_indices, tier_participation)] == want
+
+
+# ---------------------------------------------------------------------------
+# no output shares memory with another, or with the next call
+
+def test_solution_arrays_share_no_memory():
+    for params in (oracle_economy(), single_tier_two_locations(gamma=0.7), symmetric_two_tier()):
+        sol = solve_equilibrium(params)
+        arrays = (sol.wages, sol.costs, sol.prices)
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("economy", ECONOMIES)
+def test_outputs_are_fresh_writeable_arrays(economy):
+    params = ECONOMIES[economy]()
+    costs = np.array([0.8, 1.3])
+    for fn in (tier_participation, price_indices,
+               lambda p, c: labor_market_residuals(c, p)):
+        first = fn(params, costs)
+        want = first.tobytes()
+        assert first.flags.writeable
+        first[...] = -1.0
+        assert fn(params, costs).tobytes() == want
+    assert costs.tolist() == [0.8, 1.3]
+
+
+def test_chain_head_row_is_read_only():
+    chain = _Chain(single_tier_two_locations())
+    fwd = chain.forward(np.array([0.8, 1.3]))[1]
+    assert fwd is chain.head and not fwd.flags.writeable
+    np.testing.assert_array_equal(fwd, np.ones((1, 2)))
+    with pytest.raises(ValueError):
+        fwd[0, 0] = 2.0
+    fwd = _Chain(symmetric_two_tier()).forward(np.array([0.8, 1.3]))[1]
+    np.testing.assert_array_equal(fwd[0], np.ones(2))
+
+
+def test_solver_costs_skip_the_conversion(monkeypatch):
+    # The solver's own costs pass the value test alone; public inputs are
+    # converted and checked.
+    economies = (oracle_economy(), symmetric_two_tier(),
+                 random_economy(np.random.default_rng(5), J=3, N=3, gamma=0.6))
+    calls = []
+
+    def spy(x, shape, name, _real=chains._positive_array):
+        calls.append(name)
+        return _real(x, shape, name)
+    monkeypatch.setattr(chains, "_positive_array", spy)
+    for params in economies:
+        solve_equilibrium(params)
+    assert calls == []
+    price_indices(economies[0], [1.0, 2.0, 3.0])
+    assert calls == ["costs"]
