@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import logging
@@ -222,9 +223,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse keeps no state between parse_args calls, so in-process callers
+# of main share one parser instead of building the tree each time.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     _configure_logging()
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "simulate":
             return _cmd_simulate(args)

@@ -92,11 +92,15 @@ def simulate_regime(params: ShockParams, draws, initial: int = NORMAL) -> np.nda
     Applies the same transition rule as :func:`step_regime` to the whole
     path at once.  A draw below both eta and lam flips the regime, a draw
     below exactly one of them sets it (SHOCK when only eta's test passes,
-    NORMAL when only lam's does), and any other draw keeps it.  The regime
-    after draw t is therefore the last value set, flipped once per flip
-    since.  Returns the regime after each draw.
+    NORMAL when only lam's does), and any other draw keeps it.  So the
+    regime XOR the parity of flips so far changes only at a set draw,
+    where it becomes the value set XOR that parity.  The path takes two
+    scans: one for the flip parity and one for the latest set draw, whose
+    key (or ``initial`` before any) XOR the parity is the regime.  Returns
+    the regime after each draw.
     """
-    if initial not in (NORMAL, SHOCK):
+    initial = _whole(initial, "initial")
+    if not isinstance(initial, int) or initial not in (NORMAL, SHOCK):
         raise ValueError("initial regime must be NORMAL or SHOCK")
     u = np.asarray(draws, dtype=float)
     if u.ndim != 1:
@@ -105,18 +109,19 @@ def simulate_regime(params: ShockParams, draws, initial: int = NORMAL) -> np.nda
         raise ValueError("uniform draws must lie in [0, 1)")
     hit = u < params.eta
     recover = u < params.lam
-    # set_to[k] is the regime set by draw k-1; slot 0 holds the start.
-    set_to = np.empty(u.size + 1, dtype=np.uint8)
-    set_to[0] = initial
-    set_to[1:] = hit
-    last = np.arange(1, u.size + 1)
-    last[hit == recover] = 0
+    parity = np.logical_xor.accumulate(hit & recover)
+    # key[k] is the regime XOR parity from draw k-1 until the next set
+    # draw; slot 0 holds the start.
+    key = np.empty(u.size + 1, dtype=bool)
+    key[0] = initial
+    np.not_equal(hit, parity, out=key[1:])
+    # last[t] is 1 + the latest set draw up to t, or 0 before any.
+    last = np.arange(1, u.size + 1, dtype=np.intp)
+    last *= hit != recover
     np.maximum.accumulate(last, out=last)
-    # Flip counts wrap at 256 in uint8, which keeps their parity.
-    flips = np.zeros(u.size + 1, dtype=np.uint8)
-    np.cumsum(hit & recover, dtype=np.uint8, out=flips[1:])
-    since = flips[1:] - flips[last]
-    return ((since & 1) ^ set_to[last]).astype(np.intp)
+    # The path overwrites the index it is gathered by, which saves
+    # faulting in a fresh intp array.
+    return np.bitwise_xor(key[last], parity, out=last)
 
 
 @dataclass(frozen=True)
@@ -157,8 +162,10 @@ def _draw_cuts(params: ShockParams) -> np.ndarray:
 
 def _draw_branches(params: ShockParams, u: np.ndarray) -> np.ndarray:
     """Indices into BRANCHES of the uniforms ``u``: the one cut rule, for
-    :func:`draw_shock` and for arrays of draws."""
-    return np.searchsorted(_draw_cuts(params), u, side="right")
+    :func:`draw_shock` and for arrays of draws.  The index is the count of
+    cuts at or below u; the cuts are ordered since eta * zeta >= 0."""
+    cuts = _draw_cuts(params)
+    return np.add(u >= cuts[0], u >= cuts[1], dtype=np.intp)
 
 
 def apply_shock(labor, draw: ShockDraw) -> np.ndarray:

@@ -1,12 +1,16 @@
 import csv
 import hashlib
 import json
+import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gscsim
 from gscsim import EconomyParams, WorldIOTable, write_table
 from gscsim.cli import main
 
@@ -94,6 +98,36 @@ def test_simulate_matrix_outputs(tmp_path):
             assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
             assert "stroke-dasharray" in svg
     assert len(read_manifest(out)["outputs"]) == 12
+
+
+def test_usage_error_leaves_the_next_run_as_a_fresh_process_writes(tmp_path, capsys):
+    # main parses with one parser per process; a failed parse must not
+    # change what the next call writes.
+    cfg = write_json(tmp_path / "cfg.json", scenario_dict())
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", cfg, "--out", str(out), "--matrix", "--plot"]
+
+    def written():
+        manifest = read_manifest(out)
+        manifest.pop("created_utc")
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        return manifest, files
+
+    src = Path(gscsim.__file__).resolve().parents[1]
+    fresh = subprocess.run([sys.executable, "-m", "gscsim.cli", *argv],
+                           capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": str(src)})
+    expected = written()
+    assert len(expected[1]) == 12
+    shutil.rmtree(out)
+
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--out", str(out), "--matrix"])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    assert main(argv) == 0
+    assert capsys.readouterr().out == fresh.stdout
+    assert written() == expected
 
 
 def test_simulate_seed_override(tmp_path):

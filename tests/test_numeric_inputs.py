@@ -223,6 +223,11 @@ def _regime_rows():
     for v in (-3.0, -1.0, 2.9, math.nan, math.inf):
         yield ("RegimeState.periods_in_state", v,
                lambda v=v: RegimeState([0, 1], [0, v]))
+    # True used to pass as SHOCK, since True == 1.
+    shock = ShockParams(0.3, 0.5, 0.5)
+    for v in (True, False, 0.5, math.nan, math.inf, -1, 2, 2.0):
+        yield ("simulate_regime.initial", v,
+               lambda v=v: simulate_regime(shock, [0.1, 0.9], initial=v))
 
 
 def _uniform_draw_rows():
@@ -322,6 +327,18 @@ def test_shock_locations_and_regimes_name_their_field():
     state = RegimeState([0.0, 1.0], [4.0, 0.0])
     assert state.state.dtype == state.periods_in_state.dtype == np.intp
     assert state.state.tolist() == [0, 1] and state.periods_in_state.tolist() == [4, 0]
+
+
+def test_simulate_regime_initial_names_its_field():
+    shock = ShockParams(0.3, 0.5, 0.5)
+    for v in (0.5, math.nan):
+        with pytest.raises(ValueError, match="^initial must be a whole number, got "):
+            simulate_regime(shock, [0.9], initial=v)
+    for v in (2, -1, 2.0, [0, 1]):
+        with pytest.raises(ValueError, match="^initial regime must be NORMAL or SHOCK$"):
+            simulate_regime(shock, [0.9], initial=v)
+    for v in (1, 1.0, np.int64(1)):
+        assert simulate_regime(shock, [0.9, 0.1], initial=v).tolist() == [1, 0]
 
 
 def test_scalar_functions_reject_nan():
@@ -442,6 +459,7 @@ def _boolean_scalar_rows():
     yield "dest", lambda v: price_index(v, params, unit)
     yield "j", lambda v: local_chain_real_wage(v, params, 0.5)
     yield "n_runs", lambda v: monte_carlo_survival(cfg, n_runs=v, seed=0)
+    yield "initial", lambda v: simulate_regime(ShockParams(**SHOCK), [0.1], initial=v)
     yield ("suppliers_per_tier",
            lambda v: SourcingAllocation.uniform_tiers([0.5, 0.5], v, 2))
 

@@ -17,6 +17,7 @@ from gscsim import (
     stationary_share,
     step_regime,
 )
+from gscsim.shocks import _draw_branches, _draw_cuts
 
 
 def occupancy_stderr(params: ShockParams, n: int) -> float:
@@ -114,6 +115,42 @@ def test_simulate_regime_edge_cases():
                 (eta, lam, initial)
 
 
+def masked_scatter_path(params, draws, initial):
+    """The earlier whole-path algorithm: a masked scatter of set draws, a
+    running maximum and a uint8 flip count."""
+    u = np.asarray(draws, dtype=float)
+    hit = u < params.eta
+    recover = u < params.lam
+    # set_to[k] is the regime set by draw k-1; slot 0 holds the start.
+    set_to = np.empty(u.size + 1, dtype=np.uint8)
+    set_to[0] = initial
+    set_to[1:] = hit
+    last = np.arange(1, u.size + 1)
+    last[hit == recover] = 0
+    np.maximum.accumulate(last, out=last)
+    # Flip counts wrap at 256 in uint8, which keeps their parity.
+    flips = np.zeros(u.size + 1, dtype=np.uint8)
+    np.cumsum(hit & recover, dtype=np.uint8, out=flips[1:])
+    since = flips[1:] - flips[last]
+    return ((since & 1) ^ set_to[last]).astype(np.intp)
+
+
+@pytest.mark.parametrize("eta,lam", [
+    (0.07, 0.59), (0.6, 0.25), (0.4, 0.4), (0.0, 0.5), (1.0, 0.5),
+    (0.5, 0.0), (0.5, 1.0), (0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0),
+])
+def test_simulate_regime_matches_masked_scatter_on_long_paths(eta, lam):
+    params = ShockParams(eta=eta, lam=lam, zeta=0.5)
+    draws = np.random.default_rng(2024).random(10**6)
+    # some draws sit exactly on eta or lam
+    draws[::97] = eta if eta < 1.0 else 0.5
+    draws[::89] = lam if lam < 1.0 else 0.5
+    for initial in (NORMAL, SHOCK):
+        path = simulate_regime(params, draws, initial=initial)
+        assert path.dtype == np.intp
+        np.testing.assert_array_equal(path, masked_scatter_path(params, draws, initial))
+
+
 def test_simulate_regime_occupancy():
     params = ShockParams(eta=0.1, lam=0.3, zeta=0.5)
     rng = np.random.default_rng(4242)
@@ -135,6 +172,23 @@ def test_draw_shock_partition_boundaries():
     assert draw_shock(params, 0.9999).location == SOUTH
     with pytest.raises(ValueError):
         draw_shock(params, 1.0)
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.0, 0.2, 0.7])
+@pytest.mark.parametrize("zeta", [0.0, 1.0, 0.75, 0.3])
+def test_draw_branches_count_cuts_like_searchsorted(eta, zeta):
+    params = ShockParams(eta=eta, lam=0.5, zeta=zeta)
+    cuts = _draw_cuts(params)
+    u = np.concatenate([np.random.default_rng(3).random(1000), cuts,
+                        np.nextafter(cuts, 0.0), np.nextafter(cuts, 2.0),
+                        [0.0, np.nextafter(1.0, 0.0)]])
+    u = u[u < 1.0]
+    got = _draw_branches(params, u)
+    assert got.dtype == np.intp
+    np.testing.assert_array_equal(got, np.searchsorted(cuts, u, side="right"))
+    for x in u[1000:]:
+        assert draw_shock(params, float(x)).location == [None, EAST, SOUTH][
+            int(np.searchsorted(cuts, x, side="right"))]
 
 
 def test_draw_shock_frequencies():
