@@ -355,11 +355,16 @@ def path_scale_matrix(params: EconomyParams, costs) -> tuple[np.ndarray, np.ndar
     """
     facs = _Chain(params).factors(costs)
     paths = enumerate_paths(params.n_locations, params.n_tiers)
+    return paths, _path_product(facs, paths)
+
+
+def _path_product(facs: np.ndarray, paths: np.ndarray) -> np.ndarray:
+    """Cost scales (P, J) of the chains ``paths`` (P, N) for every destination:
+    the hop factors multiplied tier by tier, the last one shipping to j."""
     base = np.ones(len(paths))
-    for n in range(params.n_tiers - 1):
+    for n in range(len(facs) - 1):
         base = base * facs[n][paths[:, n], paths[:, n + 1]]
-    scales = base[:, None] * facs[-1][paths[:, -1], :]
-    return paths, scales
+    return base[:, None] * facs[-1][paths[:, -1], :]
 
 
 def chain_cost_scale(path, dest: int, params: EconomyParams, costs) -> float:
@@ -375,19 +380,20 @@ def chain_cost_scale(path, dest: int, params: EconomyParams, costs) -> float:
     destination.  It is decreasing in every cost and every trade friction
     along the chain.
     """
-    facs = _Chain(params).factors(costs)
+    return _chain_scale(_Chain(params).factors(costs), path, dest, params)
+
+
+def _chain_scale(facs: np.ndarray, path, dest: int, params: EconomyParams) -> float:
+    """:func:`chain_cost_scale` from the tier factors; checks path, then dest."""
     path = _checked_path(path, params)
     dest = _location(dest, params.n_locations, "dest")
-    scale = 1.0
-    for n in range(params.n_tiers - 1):
-        scale *= facs[n][path[n], path[n + 1]]
-    return float(scale * facs[-1][path[-1], dest])
+    return float(_path_product(facs, path[None])[0, dest])
 
 
 def path_share(path, dest: int, params: EconomyParams, costs) -> float:
     """Probability that destination ``dest`` sources along ``path``."""
-    S = _Chain(params).forward(costs)[-1]
-    return chain_cost_scale(path, dest, params, costs) / float(S[dest])
+    facs, _, S = _Chain(params).forward(costs)
+    return _chain_scale(facs, path, dest, params) / float(S[dest])
 
 
 def path_share_matrix(params: EconomyParams, costs) -> tuple[np.ndarray, np.ndarray]:

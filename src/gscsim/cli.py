@@ -10,7 +10,7 @@ the hash of the config's JSON form, seed, tool version and the SHA-256 of
 each output file, so a run can be traced back to exactly what produced
 it.  Exit codes: 0 success, 2 bad configuration or usage, 3 I/O failure,
 4 equilibrium non-convergence.  The ``GSC_LOG`` environment variable sets
-the log level.
+the level of the ``gscsim`` loggers on every run, leaving the root level alone.
 """
 
 from __future__ import annotations
@@ -40,12 +40,9 @@ EXIT_NO_CONVERGENCE = 4
 
 
 def _configure_logging():
-    level_name = os.environ.get("GSC_LOG", "WARNING").upper()
-    level = getattr(logging, level_name, None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(level=level,
-                        format="%(levelname)s %(name)s: %(message)s")
+    level = getattr(logging, os.environ.get("GSC_LOG", "WARNING").upper(), None)
+    logging.getLogger("gscsim").setLevel(level if isinstance(level, int) else logging.WARNING)
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
 
 
 def _load_json(path: Path) -> dict:
@@ -142,9 +139,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_equilibrium(args) -> int:
     params = EconomyParams.from_dict(_load_json(Path(args.params)))
-    solver = SolverConfig()
-    if args.tolerance is not None:
-        solver = SolverConfig(tolerance=args.tolerance)
+    solver = SolverConfig() if args.tolerance is None else SolverConfig(tolerance=args.tolerance)
     solution = solve_equilibrium(params, solver)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -203,11 +198,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="run all realisation/environment cells")
     sim.add_argument("--plot", action="store_true",
                      help="emit an SVG chart per run")
+    sim.set_defaults(run=_cmd_simulate)
 
     eq = sub.add_parser("equilibrium", help="solve the wage equilibrium")
     eq.add_argument("--params", required=True, help="economy JSON file")
     eq.add_argument("--out", default=".", help="output directory")
     eq.add_argument("--tolerance", type=float, default=None)
+    eq.set_defaults(run=_cmd_equilibrium)
 
     for metric in ("fir", "fmr"):
         rel = sub.add_parser(metric, help=f"compute the {metric.upper()} matrix")
@@ -219,6 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         rel.add_argument("--diff", default=None,
                          help="second table; also emit the change matrix")
         rel.add_argument("--out", default=".", help="output directory")
+        rel.set_defaults(run=functools.partial(_cmd_reliance, metric=metric))
 
     return parser
 
@@ -232,13 +230,7 @@ def main(argv=None) -> int:
     _configure_logging()
     args = _parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "equilibrium":
-            return _cmd_equilibrium(args)
-        if args.command in ("fir", "fmr"):
-            return _cmd_reliance(args, args.command)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.run(args)
     except EquilibriumConvergenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

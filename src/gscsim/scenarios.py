@@ -29,10 +29,8 @@ from .sourcing import (
     BeliefSet,
     SourcingAllocation,
     UtilitySpec,
-    _branch_values,
+    _branch_outcomes,
     _checked_costs,
-    _survives,
-    _surviving_counts,
     individual_sourcing,
     planner_ambiguity_sourcing,
     planner_risk_sourcing,
@@ -171,11 +169,8 @@ def _realization_runs(config: ScenarioConfig, solution: EquilibriumSolution | No
         solution = solve_equilibrium(config.economy, SolverConfig())
     if allocation is None:
         allocation = choose_allocation(config, solution)
-    counts = supplier_counts(allocation)
     costs = _checked_costs(config.economy, solution.costs, allocation)
-    values = np.array(_branch_values(counts, config.economy, costs))
-    # Surviving counts per branch: the hit location's labour is gone for it.
-    left = np.stack([_surviving_counts(counts, draw) for draw in BRANCHES])
+    left, alive, values = _branch_outcomes(supplier_counts(allocation), config.economy, costs)
     real_wage = float(solution.real_wages[config.destination])
     periods = np.arange(1, config.horizon + 1)
     runs = []
@@ -184,7 +179,7 @@ def _realization_runs(config: ScenarioConfig, solution: EquilibriumSolution | No
         east, south = left[branch, EAST, 0], left[branch, SOUTH, 0]
         # A dead chain is worth 0, so its welfare is 0 as well.
         runs.append(TimeSeries(period=periods, suppliers_east=east, suppliers_south=south,
-                               suppliers_total=east + south, chain_alive=_survives(left[branch]),
+                               suppliers_total=east + south, chain_alive=alive[branch],
                                welfare=real_wage * values[branch] / values[0],
                                allocation=allocation, decision_mode=config.decision_mode,
                                info_env=config.info_env, realization=realization))

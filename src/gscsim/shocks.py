@@ -154,10 +154,15 @@ def draw_shock(params: ShockParams, rand: float) -> ShockDraw:
     return BRANCHES[int(_draw_branches(params, u))]
 
 
+def _branch_odds(eta: float, zeta: float) -> tuple[float, float, float]:
+    """Odds of the BRANCHES (no shock, East hit, South hit) at East odds zeta."""
+    return (1.0 - eta, eta * zeta, eta * (1.0 - zeta))
+
+
 def _draw_cuts(params: ShockParams) -> np.ndarray:
-    """Cut points of [0, 1) for a world draw: none below the first, East
-    below the second, South from the second on."""
-    return np.array([1.0 - params.eta, 1.0 - params.eta + params.eta * params.zeta])
+    """Cut points of [0, 1) for a world draw, the running sum of the first two
+    odds: none below the first, East below the second, South from the second on."""
+    return np.cumsum(_branch_odds(params.eta, params.zeta)[:2])
 
 
 def _draw_branches(params: ShockParams, u: np.ndarray) -> np.ndarray:
@@ -168,12 +173,17 @@ def _draw_branches(params: ShockParams, u: np.ndarray) -> np.ndarray:
     return np.add(u >= cuts[0], u >= cuts[1], dtype=np.intp)
 
 
+def _knock_out(rows: np.ndarray, draw: ShockDraw) -> np.ndarray:
+    """A copy of the per-location ``rows`` with the hit location's row zeroed."""
+    out = rows.copy()
+    if draw.location is not None:
+        out[_location(draw.location, len(out), "shock location")] = 0
+    return out
+
+
 def apply_shock(labor, draw: ShockDraw) -> np.ndarray:
     """Labour endowments after the draw: the hit location loses everything."""
-    out = np.array(labor, dtype=float, copy=True)
-    if draw.location is not None:
-        out[_location(draw.location, out.shape[0], "shock location")] = 0.0
-    return out
+    return _knock_out(np.asarray(labor, dtype=float), draw)
 
 
 def stationary_share(params: ShockParams) -> float:

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import EconomyParams, _JsonConfig, _location, _positive_array, _real, _whole
+from .chains import EconomyParams, _JsonConfig, _positive_array, _real, _whole
 from .equilibrium import SolverConfig, solve_equilibrium
-from .shocks import BRANCHES, EAST, SOUTH, ShockDraw, ShockParams
+from .shocks import BRANCHES, ShockDraw, ShockParams, _branch_odds, _knock_out
 
 DEFAULT_GRID = 1001
 DEFAULT_SUPPLIERS = 10
@@ -155,14 +155,6 @@ def supplier_counts(alloc: SourcingAllocation) -> np.ndarray:
     return _apportion(alloc.phi.T, alloc.M).T
 
 
-def _surviving_counts(counts: np.ndarray, shock: ShockDraw) -> np.ndarray:
-    if shock.location is None:
-        return counts
-    out = counts.copy()
-    out[_location(shock.location, len(counts), "shock location"), :] = 0
-    return out
-
-
 def _survives(counts: np.ndarray):
     """Whether every tier keeps a live supplier, for counts shaped (..., J, n_tiers)."""
     return (counts.sum(axis=-2) >= 1).all(axis=-1)
@@ -170,7 +162,7 @@ def _survives(counts: np.ndarray):
 
 def chain_survives(alloc: SourcingAllocation, shock: ShockDraw) -> bool:
     """True when every tier retains at least one live supplier."""
-    return bool(_survives(_surviving_counts(supplier_counts(alloc), shock)))
+    return bool(_survives(_knock_out(supplier_counts(alloc), shock)))
 
 
 def _value_from_counts(counts: np.ndarray, params: EconomyParams,
@@ -196,8 +188,7 @@ def allocation_value(alloc: SourcingAllocation, shock: ShockDraw,
     Strictly increasing in the number of surviving varieties.
     """
     costs = _checked_costs(params, costs, alloc)
-    counts = _surviving_counts(supplier_counts(alloc), shock)
-    return _value_from_counts(counts, params, costs)
+    return _value_from_counts(_knock_out(supplier_counts(alloc), shock), params, costs)
 
 
 def _checked_costs(params: EconomyParams, costs,
@@ -208,11 +199,20 @@ def _checked_costs(params: EconomyParams, costs,
     return costs
 
 
-def _branch_values(counts: np.ndarray, params: EconomyParams,
-                   costs: np.ndarray) -> tuple[float, float, float]:
-    """Chain value under each of ``shocks.BRANCHES``: none, East, South."""
-    return tuple(_value_from_counts(_surviving_counts(counts, draw), params, costs)
-                 for draw in BRANCHES)
+def _branch_values(left, params: EconomyParams, costs: np.ndarray) -> tuple:
+    """Chain value of each branch's surviving counts ``left``."""
+    return tuple(_value_from_counts(counts, params, costs) for counts in left)
+
+
+def _branch_counts(counts: np.ndarray) -> list[np.ndarray]:
+    """Surviving counts under each of ``shocks.BRANCHES``: none, East, South."""
+    return [_knock_out(counts, draw) for draw in BRANCHES]
+
+
+def _branch_outcomes(counts: np.ndarray, params: EconomyParams, costs: np.ndarray):
+    """Surviving counts (3, J, n_tiers), survival and value under each branch."""
+    left = np.stack(_branch_counts(counts))
+    return left, _survives(left), np.array(_branch_values(left, params, costs))
 
 
 def _score(values: tuple[float, float, float], eta: float, zeta: float,
@@ -225,11 +225,9 @@ def _score(values: tuple[float, float, float], eta: float, zeta: float,
     ranked by how many shock branches they survive and by expected value
     with death counted as zero.
     """
-    probs = (1.0 - eta, eta * zeta, eta * (1.0 - zeta))
-    eu = 0.0
-    ev = 0.0
+    eu = ev = 0.0
     survived = 0
-    for p, v in zip(probs, values):
+    for p, v in zip(_branch_odds(eta, zeta), values):
         if p == 0.0:
             continue
         eu += p * crra_utility(v, rho)
@@ -260,7 +258,7 @@ def ambiguity_objective(alloc: SourcingAllocation, params: EconomyParams,
                         shock_params: ShockParams, beliefs: BeliefSet,
                         utility: UtilitySpec, costs) -> float:
     """Worst-case expected utility over the belief interval's endpoints."""
-    values = _branch_values(supplier_counts(alloc), params,
+    values = _branch_values(_branch_counts(supplier_counts(alloc)), params,
                             _checked_costs(params, costs, alloc))
     return _worst_score(values, shock_params.eta, beliefs.endpoints, utility.rho)[0]
 
@@ -285,9 +283,8 @@ def individual_sourcing(params: EconomyParams, shock_params: ShockParams,
     c = _default_costs(params, costs)
     J = params.n_locations
     hit = np.zeros(J)
-    hit[EAST] = shock_params.eta * shock_params.zeta
-    if J > 1:
-        hit[SOUTH] = shock_params.eta * (1.0 - shock_params.zeta)
+    for draw, p in zip(BRANCHES[1:J + 1], _branch_odds(shock_params.eta, shock_params.zeta)[1:]):
+        hit[draw.location] = p
     scores = (1.0 - hit) / c
     top = scores.max()
     winners = scores >= top * (1.0 - _TIE_RTOL)
@@ -323,8 +320,8 @@ def _grid_sweep(params: EconomyParams, eta: float, zetas, rho: float,
 
     def rank(i):
         x = float(xs[i])
-        values = _branch_values(np.repeat(counts[i][:, None], params.n_tiers, axis=1),
-                                params, costs)
+        tiers = np.repeat(counts[i][:, None], params.n_tiers, axis=1)
+        values = _branch_values(_branch_counts(tiers), params, costs)
         return (_worst_score(values, eta, zetas, rho), -abs(x - 0.5), -x)
 
     best_x = float(xs[max(winners, key=rank)])

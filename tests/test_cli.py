@@ -1,7 +1,9 @@
 import csv
 import hashlib
 import json
+import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -22,8 +24,9 @@ from conftest import (
     ORACLE_SIGMA,
     symmetric_two_tier,
 )
-from test_equilibrium import read_oracle_wages
+from test_equilibrium import STIFF09_J2N1, read_oracle_wages
 from test_iotables import two_country_table
+from test_numeric_inputs import COST_STALL
 
 
 def scenario_dict(**overrides) -> dict:
@@ -193,6 +196,21 @@ def test_equilibrium_non_convergence_exit_code(tmp_path, capsys):
     assert "no convergence" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("params, stderr", [
+    # The damped solver spends its whole budget; the last residual is the
+    # same 5000 sweeps, bit for bit.
+    (STIFF09_J2N1, re.escape("error: no convergence after 5000 iterations "
+                             "(residual norm 1.332e-07)\n")),
+    (COST_STALL, r"error: composite cost loop stalled at log-gap \d\.\d{3}e-\d+\n"),
+], ids=["stiff09_j2n1", "cost_stall"])
+def test_equilibrium_failure_exits_4_and_writes_nothing(tmp_path, capsys, params, stderr):
+    cfg = write_json(tmp_path / "econ.json", params)
+    out = tmp_path / "out"
+    assert main(["equilibrium", "--params", cfg, "--out", str(out)]) == 4
+    assert re.fullmatch(stderr, capsys.readouterr().err)
+    assert not (out / "equilibrium.csv").exists()
+
+
 def test_equilibrium_rejects_non_finite_tolerance(tmp_path, capsys):
     cfg = write_json(tmp_path / "econ.json", symmetric_two_tier().to_dict())
     for tol in ("nan", "inf", "0"):
@@ -242,6 +260,18 @@ def test_fmr_command_frozen_output(tmp_path):
     assert lines[0] == "fmr,ALP,BET"
     assert lines[1] == "ALP,,0.0"
     assert lines[2] == "BET,44.4,"
+    # Gross content is B - I; every country of this table sells inputs abroad.
+    Z = np.array([[0.0, 10.0, 5.0], [40.0, 0.0, 25.0], [5.0, 15.0, 0.0]])
+    F = np.diag([95.0, 60.0, 45.0])
+    x = Z.sum(axis=1) + F.sum(axis=1)
+    write_table(WorldIOTable(countries=["ALP", "BET", "GAM"], sectors=["MFG"],
+                             Z=Z, F=F, v=x - Z.sum(axis=0), x=x), table_path)
+    gross = tmp_path / "gross"
+    assert main(["fmr", "--table", str(table_path), "--sector", "MFG",
+                 "--measure", "gross", "--out", str(gross)]) == 0
+    assert (gross / "fmr.csv").read_text().splitlines() == [
+        "fmr,ALP,BET,GAM", "ALP,,50.1,31.4", "BET,53.2,,34.1", "GAM,34.0,53.7,"]
+    assert read_manifest(gross)["command"] == "fmr"
 
 
 def test_fir_diff_and_focus(tmp_path):
@@ -303,12 +333,26 @@ def test_fir_accepts_productive_table_past_the_sum_bounds(tmp_path):
     assert lines == ["fir,ALP,BET", "ALP,,225.0", "BET,-50.0,"]
 
 
-def test_gsc_log_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("GSC_LOG", "DEBUG")
+def test_gsc_log_env(tmp_path, monkeypatch, caplog):
+    # Every run applies GSC_LOG to the gscsim loggers; logging.basicConfig
+    # acts once per process, so the first run's level used to stick.  The
+    # root level belongs to the host application and stays as it is.
+    gsc, root = logging.getLogger("gscsim"), logging.getLogger()
+    gsc_level, root_level = gsc.level, root.level
     cfg = write_json(tmp_path / "cfg.json", scenario_dict())
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    monkeypatch.setenv("GSC_LOG", "not-a-level")   # falls back to WARNING
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "p")]) == 0
+    try:
+        for name, level in (("WARNING", logging.WARNING), ("debug", logging.DEBUG),
+                            ("not-a-level", logging.WARNING)):   # falls back to WARNING
+            monkeypatch.setenv("GSC_LOG", name)
+            caplog.clear()
+            assert main(["simulate", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            assert gsc.getEffectiveLevel() == level, name
+            assert root.level == root_level, name
+            solved = [r for r in caplog.records if r.getMessage().startswith(
+                "equilibrium converged")]
+            assert len(solved) == (level == logging.DEBUG), name
+    finally:
+        gsc.setLevel(gsc_level)
 
 
 def test_console_script_help():

@@ -16,8 +16,7 @@ from gscsim.cli import main
 
 from conftest import symmetric_two_tier
 
-# The economy and scenario of the console-script step in
-# .github/workflows/tests.yml.
+# A small two-location economy and a scenario on it, run through main.
 CI_ECONOMY = {"T": [[2.0, 1.5], [1.0, 1.0]], "L": [1.0, 1.5],
               "tau": [[1.0, 1.2], [1.2, 1.0]], "alpha": [1.0, 0.5],
               "beta": [0.5, 1.0], "theta": 4.0, "sigma": 2.0}

@@ -94,6 +94,15 @@ def test_leontief_residual_is_tight():
     assert residual < 1e-10
 
 
+def test_leontief_residual_guard(monkeypatch):
+    # Which near-singular tables leave a residual above the tolerance
+    # depends on the LAPACK build, so the tolerance goes below any residual.
+    monkeypatch.setattr(iotables, "LEONTIEF_RESIDUAL_TOL", -1.0)
+    with pytest.raises(TableFormatError,
+                       match=r"^Leontief inverse residual \S+ exceeds tolerance$"):
+        leontief_inverse(two_country_table())
+
+
 def test_non_productive_table_rejected():
     # self-input of 1.2 per unit of output cannot balance: caught either at
     # accounting validation or at inversion, both as TableFormatError
@@ -607,7 +616,15 @@ def loader_inputs(tmp_path) -> dict:
         "short_row": GOOD_TABLE.replace("BBB:MFG,40.0,0.0,0.0,10.0", "BBB:MFG,40.0,0.0,0.0"),
         "bad_number": GOOD_TABLE.replace("40.0", "forty"),
         "missing_row": GOOD_TABLE.replace("BBB:MFG,40.0,0.0,0.0,10.0\n", ""),
+        "short_va": GOOD_TABLE.replace("VA,60.0,50.0,,", "VA,60.0"),
+        "unlabelled_row": GOOD_TABLE.replace("VA,", "TOTAL,100.0,50.0,100.0,10.0\nVA,"),
     })
+    # Header layouts, each on GOOD_TABLE's rows.
+    header, rows = GOOD_TABLE.split("\n", 1)
+    for name, layout in (("flow_after_fd", "table,AAA:MFG,FD:AAA,BBB:MFG,FD:BBB"),
+                         ("sectors_not_nested", "table,AAA:MFG,BBB:MFG,AAA:SRV,FD:AAA,FD:BBB"),
+                         ("fd_out_of_order", "table,AAA:MFG,BBB:MFG,FD:BBB,FD:AAA")):
+        texts[name] = f"{layout}\n{rows}"
     return texts
 
 

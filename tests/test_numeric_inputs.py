@@ -8,6 +8,7 @@ a fraction, which must not be truncated into a different experiment.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,13 +16,16 @@ import pytest
 from gscsim import (
     BeliefSet,
     EconomyParams,
+    EquilibriumConvergenceError,
     RegimeState,
     ScenarioConfig,
     ShockDraw,
     ShockParams,
     SolverConfig,
     SourcingAllocation,
+    TableFormatError,
     UtilitySpec,
+    WorldIOTable,
     allocation_value,
     ambiguity_objective,
     apply_shock,
@@ -30,9 +34,11 @@ from gscsim import (
     chain_productivity_location,
     chain_productivity_theta_sensitivity,
     chain_survives,
+    compute_fmr,
     crra_utility,
     draw_shock,
     individual_sourcing,
+    intermediate_flow_shares,
     local_chain_real_wage,
     monte_carlo_survival,
     path_share,
@@ -46,7 +52,7 @@ from gscsim import (
 )
 from gscsim.cli import main
 
-from conftest import symmetric_two_tier
+from conftest import oracle_economy, symmetric_two_tier
 
 BAD = (math.nan, math.inf, -math.inf, 0.0, -1.0)
 FRACTION = 2.5
@@ -249,6 +255,82 @@ ROWS = [*_economy_rows(), *_solver_rows(), *_odds_rows(), *_allocation_rows(),
                          ids=[f"{field}={value}" for field, value, _ in ROWS])
 def test_numeric_input_rejects_out_of_range_value(field, value, call):
     with pytest.raises(ValueError):
+        call()
+
+
+# Seed 1000 of the census recipe at gamma 0.05 (J 2, N 2, theta 5.62): the
+# inner cost loop contracts with modulus 1 - gamma and spends its 500 passes.
+COST_STALL = {
+    "T": [[1.6773544933056348, 1.008119856361697], [1.8218975640501316, 0.9775907002019719]],
+    "L": [0.9223183979627776, 1.630522328287391],
+    "tau": [[1.0, 1.6909776605667108], [1.6442977767247373, 1.0]],
+    "alpha": [0.35188592966523224, 0.9871964655137377],
+    "beta": [1.0463170622275724, 0.6400101397290342],
+    "theta": 5.6230510820379775, "sigma": 2.19117043250983, "gamma": 0.05}
+
+
+def _io_table(**overrides) -> WorldIOTable:
+    """Two countries, one sector; BET adds no value, so it supplies no content."""
+    table = {"countries": ["ALP", "BET"], "sectors": ["MFG"],
+             "Z": [[0.0, 50.0], [40.0, 0.0]], "F": [[50.0, 0.0], [0.0, 10.0]],
+             "v": [60.0, 0.0], "x": [100.0, 50.0]}
+    return WorldIOTable(**{**table, **overrides})
+
+
+def _guard_rows():
+    params = symmetric_two_tier()
+    unit = np.ones(2)
+    shock = ShockParams(**SHOCK)
+    yield ("EconomyParams.T.empty", lambda: EconomyParams(**{**ECONOMY, "T": np.ones((0, 2))}),
+           ValueError, "need at least one location and one tier")
+    yield ("EconomyParams.alpha", lambda: EconomyParams(**{**ECONOMY, "alpha": [1.5, 0.5]}),
+           ValueError, "labour shares alpha must lie in (0, 1]")
+    for v in (0.0, 1.0):
+        yield (f"EconomyParams.two_tier.alpha2={v}",
+               lambda v=v: EconomyParams.two_tier(T1=[1.0, 1.0], T2=[1.0, 1.0], L=[1.0, 1.0],
+                                                  tau=np.ones((2, 2)), alpha2=v,
+                                                  theta=4.0, sigma=2.0),
+               ValueError, "alpha2 must lie strictly between 0 and 1")
+    yield ("chain_cost_scale.path.length", lambda: chain_cost_scale([0], 0, params, unit),
+           ValueError, "path must list one location per tier, got (1,)")
+    yield ("intermediate_flow_shares.one_tier",
+           lambda: intermediate_flow_shares(oracle_economy(), np.ones(3)),
+           ValueError, "intermediate flows need at least two tiers")
+    for v in (0.0, 1.5):
+        yield (f"local_chain_real_wage.pi_jj={v}", lambda v=v: local_chain_real_wage(0, params, v),
+               ValueError, "pi_jj must lie in (0, 1]")
+    yield ("RegimeState.shapes", lambda: RegimeState([0, 1], [0]),
+           ValueError, "state and periods_in_state must align")
+    yield ("simulate_regime.draws.2d", lambda: simulate_regime(shock, [[0.1, 0.9]]),
+           ValueError, "draws must be a 1-d sequence of uniforms")
+    yield ("SourcingAllocation.phi.1d", lambda: SourcingAllocation(phi=[0.5, 0.5], M=[10]),
+           ValueError, "phi must have shape (locations, tiers)")
+    yield ("SourcingAllocation.M.length",
+           lambda: SourcingAllocation(phi=[[0.5], [0.5]], M=[10, 10]),
+           ValueError, "M must give one supplier count per tier")
+    yield ("WorldIOTable.Z", lambda: _io_table(Z=np.zeros((3, 3))),
+           TableFormatError, "Z must be 2x2, got (3, 3)")
+    yield ("WorldIOTable.F", lambda: _io_table(F=[[50.0], [10.0]]),
+           TableFormatError, "F must be 2x2, got (2, 1)")
+    for key in ("v", "x"):
+        yield (f"WorldIOTable.{key}", lambda k=key: _io_table(**{k: [1.0]}),
+               TableFormatError, "v and x must have one entry per country-sector")
+    yield ("WorldIOTable.countries", lambda: _io_table(countries=["ALP", "ALP"]),
+           TableFormatError, "duplicate country or sector labels")
+    yield ("compute_fmr.no_content", lambda: compute_fmr(_io_table(), "MFG"),
+           ValueError, "BET supplies no content to MFG")
+    yield ("solve_equilibrium.cost_stall",
+           lambda: solve_equilibrium(EconomyParams.from_dict(COST_STALL)),
+           EquilibriumConvergenceError, "composite cost loop stalled at log-gap ")
+
+
+GUARD_ROWS = list(_guard_rows())
+
+
+@pytest.mark.parametrize("call,error,message", [row[1:] for row in GUARD_ROWS],
+                         ids=[row[0] for row in GUARD_ROWS])
+def test_shape_and_range_guards_name_the_problem(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
         call()
 
 

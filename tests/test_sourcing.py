@@ -9,6 +9,7 @@ from gscsim import (
     BeliefSet,
     ShockDraw,
     ShockParams,
+    SolverConfig,
     SourcingAllocation,
     UtilitySpec,
     allocation_value,
@@ -19,10 +20,11 @@ from gscsim import (
     planner_ambiguity_sourcing,
     planner_risk_sourcing,
     risk_objective,
+    solve_equilibrium,
     supplier_counts,
 )
 
-from gscsim.sourcing import _branch_values, _score
+from gscsim.sourcing import _branch_counts, _branch_values, _score
 
 from conftest import random_economy, symmetric_two_tier
 
@@ -209,6 +211,31 @@ def test_individual_sourcing_ignores_shock_when_eta_zero():
     np.testing.assert_allclose(alloc.phi[:, 0], [1.0, 0.0])
 
 
+def test_individual_sourcing_never_hits_a_third_location():
+    # The world draw hits East or South only; a third location is ranked by
+    # cost alone, and a lone location is East.
+    params = random_economy(np.random.default_rng(4), J=3)
+    shocks = ShockParams(0.2, 1.0, 0.5)             # East and South score 0.9 / cost
+    for third, want in ((1.1, [0.0, 0.0, 1.0]), (1.2, [0.5, 0.5, 0.0])):
+        alloc = individual_sourcing(params, shocks, costs=np.array([1.0, 1.0, third]))
+        np.testing.assert_array_equal(alloc.phi[:, 0], want)
+    one = random_economy(np.random.default_rng(5), J=1)
+    assert individual_sourcing(one, shocks, costs=[1.0]).phi.tolist() == \
+        [[1.0] * one.n_tiers]
+
+
+def test_sourcing_rules_solve_the_equilibrium_when_costs_are_omitted():
+    params = random_economy(np.random.default_rng(12), J=2)
+    costs = solve_equilibrium(params, SolverConfig()).costs
+    rules = (lambda **kw: individual_sourcing(params, SHOCKS, **kw),
+             lambda **kw: planner_risk_sourcing(params, SHOCKS, UtilitySpec(2.0),
+                                                grid_resolution=101, **kw),
+             lambda **kw: planner_ambiguity_sourcing(params, SHOCKS, BeliefSet(0.2, 0.8),
+                                                     grid_resolution=101, **kw))
+    for rule in rules:
+        assert rule().phi.tobytes() == rule(costs=costs).phi.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # independent grid oracle for the planner rules
 
@@ -342,7 +369,7 @@ def full_grid_phi(params, key_fn, grid, M, costs):
     for x in np.linspace(0.0, 1.0, grid):
         counts1 = np.array(oracle_counts([1.0 - x, x], M))
         counts = np.repeat(counts1[:, None], params.n_tiers, axis=1)
-        rank = (key_fn(_branch_values(counts, params, costs)), -abs(x - 0.5), -x)
+        rank = (key_fn(_branch_values(_branch_counts(counts), params, costs)), -abs(x - 0.5), -x)
         if best_rank is None or rank > best_rank:
             best_rank, best_x = rank, x
     return SourcingAllocation.uniform_tiers(
