@@ -11,7 +11,7 @@ chains come from a tier-by-tier matrix recursion in two halves: a forward
 half that yields the chain totals, and so the price indices, and a backward
 half that only participation and flow shares need.  Only the functions that
 return one value per chain enumerate the chains.  Every config dataclass of
-the package takes its JSON form, one key per field, from ``_JsonConfig``.
+the package, nested ones too, takes its JSON form from ``_JsonConfig``.
 
 Conventions used throughout:
 
@@ -25,8 +25,10 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -37,13 +39,20 @@ MAX_PATHS = 1_000_000
 _FLOAT = np.dtype(float)
 
 
+def _real_array(x, name: str) -> np.ndarray:
+    """``x`` as a float array; booleans raise, as in :func:`_real`."""
+    arr = np.asarray(x)
+    if arr.dtype == bool:
+        raise ValueError(f"{name} must be a number, got {x!r}")
+    return arr.astype(float, copy=False)
+
+
 def _positive_array(x, shape, name: str) -> np.ndarray:
     """``x`` as a float array of ``shape``, strictly positive and finite.
     Booleans raise, as in :func:`_whole`."""
     try:
-        arr = np.asarray(x)
-        arr = None if arr.dtype == bool else arr.astype(float, copy=False)
-    except (TypeError, ValueError):     # not numeric, or ragged
+        arr = _real_array(x, name)
+    except (TypeError, ValueError):     # boolean, not numeric, or ragged
         arr = None
     # Every checked shape has an element; min and max reject NaN too.
     if arr is None or arr.shape != shape or not (arr.min() > 0.0 and arr.max() < np.inf):
@@ -57,9 +66,8 @@ def _whole(x, name: str):
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return int(x)
     try:
-        arr = np.asarray(x)
-        arr = None if arr.dtype == bool else arr.astype(float)
-    except (TypeError, ValueError):     # not numeric, or ragged
+        arr = _real_array(x, name)
+    except (TypeError, ValueError):     # boolean, not numeric, or ragged
         arr = None
     if arr is None or not (np.isfinite(arr) & (arr == np.floor(arr))).all():
         raise ValueError(f"{name} must be a whole number, got {x}")
@@ -101,8 +109,9 @@ def _json_object(d, kind: str) -> dict:
 class _JsonConfig:
     """JSON form of a config dataclass: one key per field in field order,
     arrays as lists and nested configs as dicts.  Loading ignores unknown
-    keys and names every missing key without a default, in a message that
-    starts with the class's ``kind``; anything but a JSON object is refused."""
+    keys, refuses anything but a JSON object, names every missing key without
+    a default after the class's ``kind``, and loads each field annotated with
+    a config class through that class, its errors prefixed with the field."""
 
     def to_dict(self) -> dict:
         return asdict(self, dict_factory=lambda items: {
@@ -116,7 +125,21 @@ class _JsonConfig:
         if missing:
             noun = "key" if len(missing) == 1 else "keys"
             raise ValueError(f"{cls.kind} config missing {noun}: {', '.join(missing)}")
-        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
+        values = {f.name: d[f.name] for f in fields(cls) if f.name in d}
+        for name, config in _nested_configs(cls):
+            if name in values:
+                try:
+                    values[name] = config.from_dict(values[name])
+                except (ValueError, TypeError) as err:
+                    raise ValueError(f"{name}: {err}") from None
+        return cls(**values)
+
+
+@functools.cache
+def _nested_configs(cls) -> tuple:
+    """(name, class) of each field of ``cls`` annotated with a config class."""
+    return tuple((name, t) for name, t in get_type_hints(cls).items()
+                 if isinstance(t, type) and issubclass(t, _JsonConfig))
 
 
 @dataclass
@@ -228,7 +251,6 @@ class EconomyParams(_JsonConfig):
                    alpha=np.array([1.0, alpha2]),
                    beta=np.array([1.0 - alpha2, 1.0]),
                    theta=theta, sigma=sigma, gamma=gamma)
-
 
 
 def kappa(theta: float, sigma: float) -> float:

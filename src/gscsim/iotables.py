@@ -138,8 +138,9 @@ def _leontief_columns(table: WorldIOTable, cols: np.ndarray) -> np.ndarray:
     some x > 0 has (I - A) x > 0 (Hawkins & Simon 1949); when it is,
     x = (I - A)^-1 1 >= 1 is such a vector, so the solved ones column is
     the certificate, and a singular I - A fails it.  The residual
-    max |(I - A) B[:, cols] - I[:, cols]| is checked on the requested
-    columns only: near the boundary x, and so its residual, is large.
+    max |(I - A) B[:, cols] - I[:, cols]|, which grows with B, is checked
+    per unit of max(1, max |B|) on the requested columns only: near the
+    boundary x, and so its residual, is large.
     """
     lhs = technical_coefficients(table)
     n, k = lhs.shape[0], len(cols)
@@ -159,7 +160,7 @@ def _leontief_columns(table: WorldIOTable, cols: np.ndarray) -> np.ndarray:
             "input coefficients are not productive: no x > 0 has (I - A) x > 0")
     B = solved[:, :k]
     residual = float(np.max(np.abs(lhs @ B - rhs[:, :k]), initial=0.0))
-    if residual > LEONTIEF_RESIDUAL_TOL:
+    if residual > LEONTIEF_RESIDUAL_TOL * np.max(np.abs(B), initial=1.0):
         raise TableFormatError(
             f"Leontief inverse residual {residual:.3e} exceeds tolerance")
     return B
@@ -172,7 +173,7 @@ def leontief_inverse(table: WorldIOTable) -> np.ndarray:
     ones column certifies that A is productive, the condition for B to
     exist and be nonnegative (Miller & Blair, Input-Output Analysis,
     ch. 2), and the residual max |(I - A) B - I| is checked against
-    ``LEONTIEF_RESIDUAL_TOL``.  See :func:`_leontief_columns`.
+    ``LEONTIEF_RESIDUAL_TOL * max(1, max |B|)``.  See :func:`_leontief_columns`.
     """
     return _leontief_columns(table, np.arange(len(table.x)))
 

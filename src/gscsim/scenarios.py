@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chains import EconomyParams, _JsonConfig, _json_object, _location, _whole
+from .chains import EconomyParams, _JsonConfig, _location, _whole
 from .equilibrium import EquilibriumSolution, SolverConfig, solve_equilibrium
 from .shocks import BRANCHES, EAST, SOUTH, ShockParams, _draw_branches
 from .sourcing import (
@@ -33,7 +33,6 @@ from .sourcing import (
     _checked_costs,
     individual_sourcing,
     planner_ambiguity_sourcing,
-    planner_risk_sourcing,
     supplier_counts,
 )
 
@@ -86,32 +85,6 @@ class ScenarioConfig(_JsonConfig):
             raise ValueError("grid_resolution must be at least 2")
         _location(self.destination, self.economy.n_locations, "destination")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScenarioConfig":
-        d = _json_object(d, cls.kind)
-
-        def section(name, loader, default=None):
-            if name not in d:
-                if default is not None:
-                    return default
-                raise ValueError(f"scenario config missing section '{name}'")
-            try:
-                return loader(_json_object(d[name], name))
-            except (ValueError, TypeError) as err:
-                raise ValueError(f"{name}: {err}") from None
-            except KeyError as err:
-                raise ValueError(f"{name} config missing key: {err.args[0]}") from None
-
-        sections = {
-            "economy": section("economy", EconomyParams.from_dict),
-            "shock": section("shock", ShockParams.from_dict),
-            "utility": section("utility", lambda u: UtilitySpec(rho=u["rho"]),
-                               default=UtilitySpec()),
-            "beliefs": section("beliefs", BeliefSet.from_dict,
-                               default=BeliefSet(0.0, 1.0)),
-        }
-        return super().from_dict({**d, **sections})
-
 
 @dataclass
 class TimeSeries:
@@ -140,22 +113,17 @@ class TimeSeries:
 
 def choose_allocation(config: ScenarioConfig,
                       solution: EquilibriumSolution) -> SourcingAllocation:
-    """Apply the configured decision rule; individuals ignore the info env."""
-    econ = config.economy
+    """Apply the configured decision rule; individuals ignore the info env,
+    and a planner's beliefs under risk are the known odds {zeta}."""
     if config.decision_mode == "individual":
-        return individual_sourcing(econ, config.shock,
+        return individual_sourcing(config.economy, config.shock,
                                    suppliers_per_tier=config.suppliers_per_tier,
                                    costs=solution.costs)
-    if config.info_env == "risk":
-        return planner_risk_sourcing(econ, config.shock, config.utility,
-                                     grid_resolution=config.grid_resolution,
-                                     suppliers_per_tier=config.suppliers_per_tier,
-                                     costs=solution.costs)
-    return planner_ambiguity_sourcing(econ, config.shock, config.beliefs,
-                                      utility=config.utility,
-                                      grid_resolution=config.grid_resolution,
-                                      suppliers_per_tier=config.suppliers_per_tier,
-                                      costs=solution.costs)
+    beliefs = (config.beliefs if config.info_env == "ambiguity"
+               else BeliefSet.singleton(config.shock.zeta))
+    return planner_ambiguity_sourcing(config.economy, config.shock, beliefs, config.utility,
+                                      config.grid_resolution, config.suppliers_per_tier,
+                                      solution.costs)
 
 
 def _realization_runs(config: ScenarioConfig, solution: EquilibriumSolution | None = None,

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chains import _JsonConfig, _location, _real, _whole
+from .chains import _JsonConfig, _location, _real, _real_array, _whole
 
 NORMAL = 0
 SHOCK = 1
@@ -68,6 +68,14 @@ class RegimeState:
                    periods_in_state=np.zeros(n_locations, dtype=np.intp))
 
 
+def _uniforms(rand, name: str) -> np.ndarray:
+    """``rand`` as float uniform draws, each in [0, 1); booleans raise."""
+    u = _real_array(rand, name)
+    if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
+        raise ValueError("uniform draws must lie in [0, 1)")
+    return u
+
+
 def step_regime(state: RegimeState, params: ShockParams, rand) -> RegimeState:
     """Advance every location one period using uniform draws in [0, 1).
 
@@ -76,9 +84,7 @@ def step_regime(state: RegimeState, params: ShockParams, rand) -> RegimeState:
     Normal locations flip on rand < eta, shocked ones recover on
     rand < lam.
     """
-    u = np.broadcast_to(np.asarray(rand, dtype=float), state.state.shape)
-    if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
-        raise ValueError("uniform draws must lie in [0, 1)")
+    u = np.broadcast_to(_uniforms(rand, "rand"), state.state.shape)
     is_shock = state.state == SHOCK
     flip = np.where(is_shock, u < params.lam, u < params.eta)
     new_state = np.where(flip, 1 - state.state, state.state)
@@ -102,11 +108,9 @@ def simulate_regime(params: ShockParams, draws, initial: int = NORMAL) -> np.nda
     initial = _whole(initial, "initial")
     if not isinstance(initial, int) or initial not in (NORMAL, SHOCK):
         raise ValueError("initial regime must be NORMAL or SHOCK")
-    u = np.asarray(draws, dtype=float)
+    u = _uniforms(draws, "draws")
     if u.ndim != 1:
         raise ValueError("draws must be a 1-d sequence of uniforms")
-    if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
-        raise ValueError("uniform draws must lie in [0, 1)")
     hit = u < params.eta
     recover = u < params.lam
     parity = np.logical_xor.accumulate(hit & recover)
@@ -148,9 +152,7 @@ def draw_shock(params: ShockParams, rand: float) -> ShockDraw:
     Splits [0, 1) into [0, 1-eta) -> none, then a zeta : 1-zeta split of
     the remaining mass between East and South.
     """
-    u = float(rand)
-    if not 0.0 <= u < 1.0:
-        raise ValueError("uniform draw must lie in [0, 1)")
+    u = _uniforms(_real(rand, "rand"), "rand")
     return BRANCHES[int(_draw_branches(params, u))]
 
 
@@ -183,7 +185,7 @@ def _knock_out(rows: np.ndarray, draw: ShockDraw) -> np.ndarray:
 
 def apply_shock(labor, draw: ShockDraw) -> np.ndarray:
     """Labour endowments after the draw: the hit location loses everything."""
-    return _knock_out(np.asarray(labor, dtype=float), draw)
+    return _knock_out(_real_array(labor, "labor"), draw)
 
 
 def stationary_share(params: ShockParams) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import EconomyParams, _JsonConfig, _positive_array, _real, _whole
+from .chains import EconomyParams, _JsonConfig, _positive_array, _real, _real_array, _whole
 from .equilibrium import SolverConfig, solve_equilibrium
 from .shocks import BRANCHES, ShockDraw, ShockParams, _branch_odds, _knock_out
 
@@ -38,10 +38,12 @@ _TIE_RTOL = 1e-9
 
 
 @dataclass
-class UtilitySpec:
+class UtilitySpec(_JsonConfig):
     """CRRA utility with relative risk aversion rho (log at rho = 1)."""
 
     rho: float = 2.0
+
+    kind = "utility"
 
     def __post_init__(self):
         self.rho = _real(self.rho, "rho")
@@ -97,7 +99,7 @@ class SourcingAllocation:
     M: np.ndarray
 
     def __post_init__(self):
-        self.phi = np.asarray(self.phi, dtype=float)
+        self.phi = _real_array(self.phi, "phi")
         if self.phi.ndim != 2:
             raise ValueError("phi must have shape (locations, tiers)")
         if np.any(self.phi < 0.0) or np.any(self.phi > 1.0):
@@ -114,7 +116,7 @@ class SourcingAllocation:
     @classmethod
     def uniform_tiers(cls, weights, suppliers_per_tier: int, n_tiers: int) -> "SourcingAllocation":
         """Same location split at every tier, M suppliers each."""
-        w = np.asarray(weights, dtype=float)
+        w = _real_array(weights, "weights")
         phi = np.repeat(w[:, None], n_tiers, axis=1)
         M = _whole(suppliers_per_tier, "suppliers_per_tier")
         return cls(phi=phi, M=np.full(n_tiers, M, dtype=np.intp))
@@ -292,10 +294,35 @@ def individual_sourcing(params: EconomyParams, shock_params: ShockParams,
     return SourcingAllocation.uniform_tiers(phi, suppliers_per_tier, params.n_tiers)
 
 
-def _grid_sweep(params: EconomyParams, eta: float, zetas, rho: float,
-                grid_resolution: int, suppliers_per_tier: int,
-                costs: np.ndarray) -> SourcingAllocation:
-    """Maximise :func:`_worst_score` over the two-location allocation grid.
+def planner_risk_sourcing(params: EconomyParams, shock_params: ShockParams,
+                          utility: UtilitySpec,
+                          grid_resolution: int = DEFAULT_GRID,
+                          suppliers_per_tier: int = DEFAULT_SUPPLIERS,
+                          costs=None) -> SourcingAllocation:
+    """Expected-utility maximising split over the allocation grid.
+
+    With rho >= 1 a dead branch carries -inf utility, so any allocation
+    that concentrates a tier in one shockable location is dominated and
+    the optimum is interior.  The returned point is grid-optimal: no other
+    grid allocation scores higher.  The max-min planner over the single
+    belief {zeta} finds it.
+    """
+    return planner_ambiguity_sourcing(params, shock_params, BeliefSet.singleton(shock_params.zeta),
+                                      utility, grid_resolution, suppliers_per_tier, costs)
+
+
+def planner_ambiguity_sourcing(params: EconomyParams, shock_params: ShockParams,
+                               beliefs: BeliefSet,
+                               utility: UtilitySpec | None = None,
+                               grid_resolution: int = DEFAULT_GRID,
+                               suppliers_per_tier: int = DEFAULT_SUPPLIERS,
+                               costs=None) -> SourcingAllocation:
+    """Max-min allocation over the belief interval for the shock odds.
+
+    Maximises :func:`_worst_score`, the worst belief endpoint's score, over
+    the two-location allocation grid (Gilboa-Schmeidler).  With symmetric
+    costs and beliefs spanning [0, 1] the answer is an exact half split,
+    whatever odds later materialise.  Defaults to log utility.
 
     Ties (plateaus of identical integer counts are common) go to the most
     diversified allocation, then to the smaller South share.  The score only
@@ -303,6 +330,8 @@ def _grid_sweep(params: EconomyParams, eta: float, zetas, rho: float,
     vector, each group keeps its tie-rule winner, and every distinct count
     vector is scored once.
     """
+    costs = _default_costs(params, costs)
+    rho = (utility if utility is not None else UtilitySpec(rho=1.0)).rho
     if params.n_locations != 2:
         raise ValueError("the planner grid search handles exactly two locations")
     grid_resolution = _whole(grid_resolution, "grid_resolution")
@@ -322,45 +351,9 @@ def _grid_sweep(params: EconomyParams, eta: float, zetas, rho: float,
         x = float(xs[i])
         tiers = np.repeat(counts[i][:, None], params.n_tiers, axis=1)
         values = _branch_values(_branch_counts(tiers), params, costs)
-        return (_worst_score(values, eta, zetas, rho), -abs(x - 0.5), -x)
+        return (_worst_score(values, shock_params.eta, beliefs.endpoints, rho),
+                -abs(x - 0.5), -x)
 
     best_x = float(xs[max(winners, key=rank)])
     return SourcingAllocation.uniform_tiers(
         np.array([1.0 - best_x, best_x]), M, params.n_tiers)
-
-
-def planner_risk_sourcing(params: EconomyParams, shock_params: ShockParams,
-                          utility: UtilitySpec,
-                          grid_resolution: int = DEFAULT_GRID,
-                          suppliers_per_tier: int = DEFAULT_SUPPLIERS,
-                          costs=None) -> SourcingAllocation:
-    """Expected-utility maximising split over the allocation grid.
-
-    With rho >= 1 a dead branch carries -inf utility, so any allocation
-    that concentrates a tier in one shockable location is dominated and
-    the optimum is interior.  The returned point is grid-optimal: no other
-    grid allocation scores higher.
-    """
-    c = _default_costs(params, costs)
-    return _grid_sweep(params, shock_params.eta, (shock_params.zeta,), utility.rho,
-                       grid_resolution, suppliers_per_tier, c)
-
-
-def planner_ambiguity_sourcing(params: EconomyParams, shock_params: ShockParams,
-                               beliefs: BeliefSet,
-                               utility: UtilitySpec | None = None,
-                               grid_resolution: int = DEFAULT_GRID,
-                               suppliers_per_tier: int = DEFAULT_SUPPLIERS,
-                               costs=None) -> SourcingAllocation:
-    """Max-min allocation over the belief interval for the shock odds.
-
-    Evaluates the worst belief endpoint for every grid allocation and
-    maximises that worst case (Gilboa-Schmeidler).  With symmetric costs
-    and beliefs spanning [0, 1] the answer is an exact half split,
-    whatever odds later materialise.  Defaults to log utility; a singleton
-    belief reproduces the risk planner under the same utility.
-    """
-    c = _default_costs(params, costs)
-    u = utility if utility is not None else UtilitySpec(rho=1.0)
-    return _grid_sweep(params, shock_params.eta, beliefs.endpoints, u.rho,
-                       grid_resolution, suppliers_per_tier, c)

@@ -165,10 +165,11 @@ def test_simulate_rejects_bad_utility_section(tmp_path, capsys):
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"),
                      "--matrix"]) == 2
         assert "utility: rho must be finite" in capsys.readouterr().err
-    cfg = write_json(tmp_path / "norho.json", scenario_dict(utility={}))
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == "error: utility config missing key: rho\n"
     assert not (tmp_path / "out").exists()
+    # rho has a default, 2.0, like every optional field
+    cfg = write_json(tmp_path / "norho.json", scenario_dict(utility={}))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_equilibrium_matches_oracle_fixture(tmp_path):

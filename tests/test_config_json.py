@@ -33,14 +33,15 @@ def configs():
     economy = symmetric_two_tier()
     shock = ShockParams(eta=0.2, lam=0.5, zeta=0.75)
     beliefs = BeliefSet(0.2, 0.8)
+    utility = UtilitySpec(rho=1.0)
     scenario = ScenarioConfig(economy=economy, shock=shock, decision_mode="planner",
                               info_env="ambiguity", realization="east",
                               shock_period=3, horizon=6, grid_resolution=21,
-                              seed=7, utility=UtilitySpec(rho=1.0), beliefs=beliefs)
-    return [economy, shock, beliefs, scenario]
+                              seed=7, utility=utility, beliefs=beliefs)
+    return [economy, shock, beliefs, utility, scenario]
 
 
-IDS = ["economy", "shock", "belief", "scenario"]
+IDS = ["economy", "shock", "belief", "utility", "scenario"]
 # (class, kind, a complete dict) for the configs read by the shared from_dict
 REQUIRED = [
     (EconomyParams, "economy", symmetric_two_tier().to_dict()),
@@ -97,7 +98,7 @@ def test_defaults_fill_missing_optional_keys():
 
 
 def test_scenario_sections_name_every_missing_key():
-    with pytest.raises(ValueError, match="^scenario config missing section 'shock'$"):
+    with pytest.raises(ValueError, match="^scenario config missing key: shock$"):
         ScenarioConfig.from_dict({"economy": CI_ECONOMY})
     with pytest.raises(ValueError, match="^shock: shock config missing keys: lam, zeta$"):
         ScenarioConfig.from_dict({**CI_SCENARIO, "shock": {"eta": 0.2}})
@@ -107,6 +108,14 @@ def test_scenario_sections_name_every_missing_key():
     with pytest.raises(ValueError, match="^beliefs: belief config missing keys: "
                                          "zeta_lo, zeta_hi$"):
         ScenarioConfig.from_dict({**CI_SCENARIO, "beliefs": {}})
+
+
+def test_cli_names_both_missing_sections(tmp_path, capsys):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text("{}")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: scenario config missing keys: economy, shock\n"
+    assert not (tmp_path / "out").exists()
 
 
 def manifest_hash(out_dir) -> str:
@@ -167,11 +176,12 @@ def test_cli_names_config_that_is_not_an_object(tmp_path, capsys, command, conte
 
 
 def test_sections_that_are_not_objects_are_named():
-    for kind, value in (("economy", "x"), ("shock", 0.2), ("beliefs", [0.1, 0.9])):
-        with pytest.raises(ValueError, match=f"^{kind}: {kind} config must be a JSON object, "
+    for key, kind, value in (("economy", "economy", "x"), ("shock", "shock", 0.2),
+                             ("beliefs", "belief", [0.1, 0.9])):
+        with pytest.raises(ValueError, match=f"^{key}: {kind} config must be a JSON object, "
                                              f"got {type(value).__name__}$"):
-            ScenarioConfig.from_dict({**CI_SCENARIO, kind: value})
-    for cls in (EconomyParams, ShockParams, BeliefSet, ScenarioConfig):
+            ScenarioConfig.from_dict({**CI_SCENARIO, key: value})
+    for cls in (EconomyParams, ShockParams, BeliefSet, UtilitySpec, ScenarioConfig):
         with pytest.raises(ValueError, match=f"^{cls.kind} config must be a JSON object, "
                                              "got NoneType$"):
             cls.from_dict(None)

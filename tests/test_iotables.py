@@ -159,6 +159,23 @@ def test_three_cycle_productivity_boundary(a, productive):
                 call(table)
 
 
+@pytest.mark.parametrize("a", (4.0 - 1e-5, 4.0 - 1e-8, 4.0 - 1e-10))
+def test_three_cycle_near_the_boundary_is_accepted(a):
+    # The residual of an accurate solve grows with B, so an absolute bound
+    # refused these productive tables or not, depending on LU rounding.
+    A = np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 0.5], [a, 0.0, 0.0]])
+    rng = np.random.default_rng(16)
+    table = random_balanced_table(rng, ["AAA", "BBB", "CCC"], ["MFG"])
+    table.Z = A * table.x[None, :]
+    # A**3 = (a / 4) I, so (I - A)^-1 = (I + A + A**2) / (1 - a / 4); the
+    # solve's relative error may grow like the condition number, ~16 / (4 - a).
+    np.testing.assert_allclose(leontief_inverse(table),
+                               (np.eye(3) + A + A @ A) / (1.0 - a / 4.0),
+                               rtol=1e-14 / (4.0 - a))
+    assert np.isfinite(compute_fir(table, "MFG").domestic).all()
+    assert np.isfinite(compute_fmr(table, "MFG", measure="gross").domestic).all()
+
+
 def reference_shares(table, target_sector, measure, metric):
     """Per-country share vectors read off the full inverse, as computed
     before only the target columns were solved for."""

@@ -544,6 +544,14 @@ def _boolean_scalar_rows():
     yield "initial", lambda v: simulate_regime(ShockParams(**SHOCK), [0.1], initial=v)
     yield ("suppliers_per_tier",
            lambda v: SourcingAllocation.uniform_tiers([0.5, 0.5], v, 2))
+    # False used to read as 0.0: a valid draw, and a valid share next to True.
+    shock = ShockParams(**SHOCK)
+    yield "rand", lambda v: draw_shock(shock, v)
+    yield "rand", lambda v: step_regime(RegimeState.all_normal(2), shock, [v, v])
+    yield "draws", lambda v: simulate_regime(shock, [v, v])
+    yield "phi", lambda v: SourcingAllocation(phi=[[v], [not v]], M=[3])
+    yield "weights", lambda v: SourcingAllocation.uniform_tiers([v, not v], 3, 2)
+    yield "labor", lambda v: apply_shock([v, v], ShockDraw(None))
 
 
 BOOLEAN_SCALAR_ROWS = list(_boolean_scalar_rows())
