@@ -496,6 +496,7 @@ def local_chain_real_wage(j: int, params: EconomyParams, pi_jj: float) -> float:
     observable share.  With composite costs it returns c_j / P_j.
     """
     j = _location(j, params.n_locations, "j")
+    pi_jj = _real(pi_jj, "pi_jj")
     if not 0.0 < pi_jj <= 1.0:
         raise ValueError("pi_jj must lie in (0, 1]")
     k = kappa(params.theta, params.sigma)
@@ -518,6 +519,7 @@ def chain_productivity_cdf(z: float, path, params: EconomyParams) -> float:
 
         F(z) = exp(-z**(-theta) * prod_n T[l_n, n]**(alpha_n beta_n)).
     """
+    z = _real(z, "z")
     if math.isnan(z):
         raise ValueError("z must be a number, got nan")
     loc = chain_productivity_location(path, params)
@@ -528,6 +530,7 @@ def chain_productivity_cdf(z: float, path, params: EconomyParams) -> float:
 
 def chain_productivity_theta_sensitivity(z: float, path, params: EconomyParams) -> float:
     """Analytic derivative of the chain productivity CDF in theta."""
+    z = _real(z, "z")
     F = chain_productivity_cdf(z, path, params)
     if z <= 0.0 or z == math.inf:      # the limits at both ends are 0
         return 0.0

@@ -5,12 +5,14 @@ realisation-by-environment matrix), ``equilibrium`` (solve wages for a
 parameter file), and ``fir`` / ``fmr`` (reliance matrices from a world IO
 table, optionally differenced against a second table).
 
-Every invocation writes its artifacts plus a ``manifest.json`` recording
-the hash of the config's JSON form, seed, tool version and the SHA-256 of
-each output file, so a run can be traced back to exactly what produced
-it.  Exit codes: 0 success, 2 bad configuration or usage, 3 I/O failure,
-4 equilibrium non-convergence.  The ``GSC_LOG`` environment variable sets
-the level of the ``gscsim`` loggers on every run, leaving the root level alone.
+Every invocation computes all of its results first and then writes its
+artifacts plus a ``manifest.json`` recording the hash of the config's JSON
+form, seed, tool version and the SHA-256 of each output file, so a run can
+be traced back to exactly what produced it, and a run that fails writes no
+file and creates no directory.  Exit codes: 0 success, 2 bad configuration
+or usage, 3 I/O failure, 4 equilibrium non-convergence.  The ``GSC_LOG``
+environment variable sets the level of the ``gscsim`` loggers on every run,
+leaving the root level alone.
 """
 
 from __future__ import annotations
@@ -54,12 +56,21 @@ def _load_json(path: Path) -> dict:
                          f"column {err.colno}: {err.msg}") from None
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _publish(out: Path, command: str, config_obj, seed,
+             files) -> tuple[list[Path], Path]:
+    """Create ``out``, write each ``(name, writer)`` of ``files`` there, then
+    ``manifest.json``; returns the output paths and the manifest path.
 
-
-def _write_manifest(out_dir: Path, command: str, config_obj, seed,
-                    outputs: list[Path]) -> Path:
+    Each command calls this once, after every result is computed."""
+    out.mkdir(parents=True, exist_ok=True)
+    outputs, entries = [], []
+    for name, write in files:
+        path = out / name
+        write(path)
+        data = path.read_bytes()
+        outputs.append(path)
+        entries.append({"path": name, "sha256": hashlib.sha256(data).hexdigest(),
+                        "bytes": len(data)})
     canonical = json.dumps(config_obj, sort_keys=True, separators=(",", ":"))
     manifest = {
         "command": command,
@@ -67,14 +78,11 @@ def _write_manifest(out_dir: Path, command: str, config_obj, seed,
         "seed": seed,
         "tool_version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
-        "outputs": [
-            {"path": p.name, "sha256": _sha256(p), "bytes": p.stat().st_size}
-            for p in outputs
-        ],
+        "outputs": entries,
     }
-    path = out_dir / "manifest.json"
+    path = out / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n")
-    return path
+    return outputs, path
 
 
 def write_timeseries_csv(ts, path: Path):
@@ -101,13 +109,10 @@ def _cell_name(mode: str, realization: str, env: str) -> str:
 
 
 def _cmd_simulate(args) -> int:
-    config_path = Path(args.config)
-    raw = _load_json(config_path)
+    raw = _load_json(Path(args.config))
     if args.seed is not None:
         raw = {**_json_object(raw, ScenarioConfig.kind), "seed": args.seed}
     config = ScenarioConfig.from_dict(raw)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     # (status label, chart title, csv name, svg name, time series) per run
     if args.matrix:
@@ -119,20 +124,17 @@ def _cmd_simulate(args) -> int:
         runs = [(f"{config.decision_mode}/{config.realization}/{config.info_env}",
                  _cell_name(config.decision_mode, config.realization, config.info_env),
                  "timeseries.csv", "chart.svg", run_scenario(config))]
-    outputs = []
-    for label, title, csv_name, svg_name, ts in runs:
-        csv_path = out_dir / csv_name
-        write_timeseries_csv(ts, csv_path)
-        outputs.append(csv_path)
+    files = []
+    for _, title, csv_name, svg_name, ts in runs:
+        files.append((csv_name, functools.partial(write_timeseries_csv, ts)))
         if args.plot:
-            svg_path = out_dir / svg_name
-            svg_path.write_text(timeseries_chart(ts, title))
-            outputs.append(svg_path)
+            svg = timeseries_chart(ts, title)
+            files.append((svg_name, lambda path, svg=svg: path.write_text(svg)))
+    outputs, manifest = _publish(Path(args.out), "simulate", config.to_dict(),
+                                 config.seed, files)
+    for label, _, _, _, ts in runs:
         status = "alive" if ts.chain_alive.all() else "disrupted"
         print(f"{label}: {status}, min suppliers {int(ts.suppliers_total.min())}")
-
-    manifest = _write_manifest(out_dir, "simulate", config.to_dict(),
-                               config.seed, outputs)
     print(f"wrote {len(outputs)} file(s) and {manifest}")
     return EXIT_OK
 
@@ -141,14 +143,10 @@ def _cmd_equilibrium(args) -> int:
     params = EconomyParams.from_dict(_load_json(Path(args.params)))
     solver = SolverConfig() if args.tolerance is None else SolverConfig(tolerance=args.tolerance)
     solution = solve_equilibrium(params, solver)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "equilibrium.csv"
-    write_equilibrium_csv(solution, csv_path)
-    _write_manifest(out_dir, "equilibrium",
-                    {"params": params.to_dict(),
-                     "tolerance": solver.tolerance},
-                    None, [csv_path])
+    (csv_path,), _ = _publish(
+        Path(args.out), "equilibrium",
+        {"params": params.to_dict(), "tolerance": solver.tolerance}, None,
+        [("equilibrium.csv", functools.partial(write_equilibrium_csv, solution))])
     print(f"converged in {solution.iterations} iterations, "
           f"residual norm {solution.residual_norm:.3e}")
     print(f"wrote {csv_path}")
@@ -156,28 +154,19 @@ def _cmd_equilibrium(args) -> int:
 
 
 def _cmd_reliance(args, metric: str) -> int:
-    table = load_table(args.table)
     focus = args.focus.split(",") if args.focus else None
     compute = compute_fir if metric == "fir" else compute_fmr
-    matrix = compute(table, args.sector, focus=focus, measure=args.measure)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    main_path = out_dir / f"{metric}.csv"
-    matrix.to_csv(main_path)
-    outputs.append(main_path)
+    matrix = compute(load_table(args.table), args.sector, focus=focus, measure=args.measure)
+    files = [(f"{metric}.csv", matrix.to_csv)]
     if args.diff:
         other = compute(load_table(args.diff), args.sector, focus=focus,
                         measure=args.measure)
-        change = reliance_change(other, matrix)
-        diff_path = out_dir / f"{metric}_change.csv"
-        change.to_csv(diff_path)
-        outputs.append(diff_path)
-    _write_manifest(out_dir, metric,
-                    {"table": str(args.table), "diff": args.diff,
-                     "sector": args.sector, "focus": focus,
-                     "measure": args.measure},
-                    None, outputs)
+        files.append((f"{metric}_change.csv", reliance_change(other, matrix).to_csv))
+    outputs, _ = _publish(Path(args.out), metric,
+                          {"table": str(args.table), "diff": args.diff,
+                           "sector": args.sector, "focus": focus,
+                           "measure": args.measure},
+                          None, files)
     for p in outputs:
         print(f"wrote {p}")
     return EXIT_OK

@@ -32,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chains import _real_array
+
 # Relative slack for accounting identities in published tables.
 BALANCE_RTOL = 1e-3
 LEONTIEF_RESIDUAL_TOL = 1e-10
@@ -72,10 +74,8 @@ class WorldIOTable:
     def __post_init__(self):
         C, S = len(self.countries), len(self.sectors)
         n = C * S
-        self.Z = np.asarray(self.Z, dtype=float)
-        self.F = np.asarray(self.F, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        self.x = np.asarray(self.x, dtype=float)
+        for name in ("Z", "F", "v", "x"):
+            setattr(self, name, _real_array(getattr(self, name), name))
         if self.Z.shape != (n, n):
             raise TableFormatError(f"Z must be {n}x{n}, got {self.Z.shape}")
         if self.F.shape != (n, C):

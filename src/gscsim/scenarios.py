@@ -26,6 +26,8 @@ from .chains import EconomyParams, _JsonConfig, _location, _whole
 from .equilibrium import EquilibriumSolution, SolverConfig, solve_equilibrium
 from .shocks import BRANCHES, EAST, SOUTH, ShockParams, _draw_branches
 from .sourcing import (
+    DEFAULT_GRID,
+    DEFAULT_SUPPLIERS,
     BeliefSet,
     SourcingAllocation,
     UtilitySpec,
@@ -52,8 +54,8 @@ class ScenarioConfig(_JsonConfig):
     realization: str = "none"
     shock_period: int = 10
     horizon: int = 20
-    suppliers_per_tier: int = 10
-    grid_resolution: int = 1001
+    suppliers_per_tier: int = DEFAULT_SUPPLIERS
+    grid_resolution: int = DEFAULT_GRID
     destination: int = 0
     seed: int = 0
     utility: UtilitySpec = field(default_factory=UtilitySpec)

@@ -201,23 +201,15 @@ def _checked_costs(params: EconomyParams, costs,
     return costs
 
 
-def _branch_values(left, params: EconomyParams, costs: np.ndarray) -> tuple:
-    """Chain value of each branch's surviving counts ``left``."""
-    return tuple(_value_from_counts(counts, params, costs) for counts in left)
-
-
-def _branch_counts(counts: np.ndarray) -> list[np.ndarray]:
-    """Surviving counts under each of ``shocks.BRANCHES``: none, East, South."""
-    return [_knock_out(counts, draw) for draw in BRANCHES]
-
-
 def _branch_outcomes(counts: np.ndarray, params: EconomyParams, costs: np.ndarray):
-    """Surviving counts (3, J, n_tiers), survival and value under each branch."""
-    left = np.stack(_branch_counts(counts))
-    return left, _survives(left), np.array(_branch_values(left, params, costs))
+    """Surviving counts (3, J, n_tiers), survival and value under each of
+    ``shocks.BRANCHES`` (none, East, South).  Each value is its own
+    :func:`_value_from_counts`: one stacked product would round differently."""
+    left = np.stack([_knock_out(counts, draw) for draw in BRANCHES])
+    return left, _survives(left), np.array([_value_from_counts(c, params, costs) for c in left])
 
 
-def _score(values: tuple[float, float, float], eta: float, zeta: float,
+def _score(values: list[float], eta: float, zeta: float,
            rho: float) -> tuple[float, int, float]:
     """Ranking key (expected utility, branches survived, expected value).
 
@@ -239,13 +231,15 @@ def _score(values: tuple[float, float, float], eta: float, zeta: float,
     return (eu, survived, ev)
 
 
-def _worst_score(values: tuple[float, float, float], eta: float, zetas,
-                 rho: float) -> tuple[float, int, float]:
-    """The lowest :func:`_score` over the East-conditional odds ``zetas``.
+def _worst_score(counts: np.ndarray, params: EconomyParams, costs: np.ndarray,
+                 eta: float, zetas, rho: float) -> tuple[float, int, float]:
+    """The lowest :func:`_score` of supplier ``counts`` over the
+    East-conditional odds ``zetas``.
 
     Expected utility is linear in zeta for fixed branch values, so the
     endpoints of a belief interval are the only odds worth checking.
     """
+    values = _branch_outcomes(counts, params, costs)[2].tolist()
     return min(_score(values, eta, z, rho) for z in zetas)
 
 
@@ -260,9 +254,8 @@ def ambiguity_objective(alloc: SourcingAllocation, params: EconomyParams,
                         shock_params: ShockParams, beliefs: BeliefSet,
                         utility: UtilitySpec, costs) -> float:
     """Worst-case expected utility over the belief interval's endpoints."""
-    values = _branch_values(_branch_counts(supplier_counts(alloc)), params,
-                            _checked_costs(params, costs, alloc))
-    return _worst_score(values, shock_params.eta, beliefs.endpoints, utility.rho)[0]
+    return _worst_score(supplier_counts(alloc), params, _checked_costs(params, costs, alloc),
+                        shock_params.eta, beliefs.endpoints, utility.rho)[0]
 
 
 def _default_costs(params: EconomyParams, costs) -> np.ndarray:
@@ -350,8 +343,7 @@ def planner_ambiguity_sourcing(params: EconomyParams, shock_params: ShockParams,
     def rank(i):
         x = float(xs[i])
         tiers = np.repeat(counts[i][:, None], params.n_tiers, axis=1)
-        values = _branch_values(_branch_counts(tiers), params, costs)
-        return (_worst_score(values, shock_params.eta, beliefs.endpoints, rho),
+        return (_worst_score(tiers, params, costs, shock_params.eta, beliefs.endpoints, rho),
                 -abs(x - 0.5), -x)
 
     best_x = float(xs[max(winners, key=rank)])

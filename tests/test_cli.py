@@ -304,6 +304,31 @@ def test_reliance_error_exit_codes(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("diff, code", [("missing", 3), ("malformed", 2)])
+def test_failed_fir_diff_writes_nothing(tmp_path, capsys, diff, code):
+    # Both tables are read before anything is written, so a bad --diff
+    # leaves no fir.csv without its manifest.
+    table_path = tmp_path / "world.csv"
+    write_table(two_country_table(), table_path)
+    other = tmp_path / "other.csv"
+    if diff == "malformed":
+        other.write_text("table,ALP:MFG,FD:ALP\nALP:MFG,0.0,1.0\n")
+    out = tmp_path / "out"
+    assert main(["fir", "--table", str(table_path), "--sector", "MFG",
+                 "--diff", str(other), "--out", str(out)]) == code
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+def test_simulate_non_convergence_writes_nothing(tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", scenario_dict(economy=STIFF09_J2N1))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--matrix", "--plot"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no convergence" in captured.err
+    assert not out.exists()
+
+
 def test_fir_rejects_non_productive_table(tmp_path, capsys):
     # Balanced within BALANCE_RTOL, but the one input coefficient is 1.0009.
     table = WorldIOTable(countries=["SOLO"], sectors=["MFG"],

@@ -1,5 +1,6 @@
 """The byte-identity corpus of tools/identity.py: its smoke subset digests
-the same records the same way twice, and --compare names what differs."""
+the same records the same way twice, its failing CLI runs leave no output,
+and --compare names what differs."""
 
 import importlib.util
 import json
@@ -35,3 +36,28 @@ def test_compare_lists_every_differing_record(tmp_path, capsys):
                    "3 of 4 records differ"]
     assert tool.main(["--compare", str(a), str(a)]) == 0
     assert capsys.readouterr().out == "0 of 3 records differ\n"
+
+
+def test_failed_runs_leave_no_output(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    runs = load_tool().failed_runs(smoke=True)
+    assert {name: run["exit"] for name, run in runs.items()} == {
+        "cli-fail/fir-diff-missing/s0": 3,
+        "cli-fail/fmr-bad-sector/s0": 2,
+        "cli-fail/simulate-stiff09_j2n1/s0": 4,
+        "cli-fail/simulate-missing-config": 3,
+        "cli-fail/simulate-invalid-json": 2,
+        "cli-fail/equilibrium-stiff01_j3n1/s0": 4,
+    }
+    for run in runs.values():
+        assert run["stdout"] == "" and run["stderr"].startswith("error: ")
+        assert run["files"] == {} and not run["out_exists"]
+    assert not any(tmp_path.iterdir())
+
+
+def test_objective_records_repeat():
+    tool = load_tool()
+    first, second = {}, {}
+    tool._objective_records(first)
+    tool._objective_records(second)
+    assert len(first) == tool.N_ALLOCATIONS and first == second

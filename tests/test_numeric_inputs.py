@@ -540,6 +540,15 @@ def _boolean_scalar_rows():
     yield "shock location", lambda v: apply_shock([1.0, 2.0], ShockDraw(v))
     yield "dest", lambda v: price_index(v, params, unit)
     yield "j", lambda v: local_chain_real_wage(v, params, 0.5)
+    yield "pi_jj", lambda v: local_chain_real_wage(0, params, v)
+    yield "z", lambda v: chain_productivity_cdf(v, [0, 1], params)
+    yield "z", lambda v: chain_productivity_theta_sensitivity(v, [0, 1], params)
+    # A one-sector table of booleans used to read as a valid table of ones.
+    for name in ("Z", "F", "v", "x"):
+        yield name, lambda v, k=name: WorldIOTable(
+            countries=["A"], sectors=["M"],
+            **{"Z": [[0.0]], "F": [[1.0]], "v": [1.0], "x": [1.0],
+               k: [[v]] if k in ("Z", "F") else [v]})
     yield "n_runs", lambda v: monte_carlo_survival(cfg, n_runs=v, seed=0)
     yield "initial", lambda v: simulate_regime(ShockParams(**SHOCK), [0.1], initial=v)
     yield ("suppliers_per_tier",

@@ -24,7 +24,7 @@ from gscsim import (
     supplier_counts,
 )
 
-from gscsim.sourcing import _branch_counts, _branch_values, _score
+from gscsim.sourcing import _branch_outcomes, _score
 
 from conftest import random_economy, symmetric_two_tier
 
@@ -369,7 +369,7 @@ def full_grid_phi(params, key_fn, grid, M, costs):
     for x in np.linspace(0.0, 1.0, grid):
         counts1 = np.array(oracle_counts([1.0 - x, x], M))
         counts = np.repeat(counts1[:, None], params.n_tiers, axis=1)
-        rank = (key_fn(_branch_values(_branch_counts(counts), params, costs)), -abs(x - 0.5), -x)
+        rank = (key_fn(_branch_outcomes(counts, params, costs)[2]), -abs(x - 0.5), -x)
         if best_rank is None or rank > best_rank:
             best_rank, best_x = rank, x
     return SourcingAllocation.uniform_tiers(

@@ -22,9 +22,17 @@ The inputs are the benchmark's own, from ``bench/inputs.py``.  Records:
 * ``phi/...``: the allocation bytes of ``choose_allocation`` under both
   information environments and of both public planners, per scenario config;
 * ``error/...``: the error text, or the JSON form, of each config that
-  :func:`_malformed` lists.
+  :func:`_malformed` lists;
+* ``cli-fail/...``: the CLI runs of :func:`failed_runs`, each exiting 2, 3
+  or 4 into an ``--out`` that did not exist, with the files the run left
+  there and whether it created ``--out``;
+* ``objective/...``: ``risk_objective``, ``ambiguity_objective``, and
+  ``allocation_value`` and ``chain_survives`` under each shock branch, of
+  random allocations (2 locations, 1-3 tiers, 1-30 suppliers per tier)
+  spread over the scenario economies at their equilibrium costs.
 
-``--smoke`` keeps seed 0 and the benchmark's smoke sizes.
+``--smoke`` keeps seed 0 and the benchmark's smoke sizes, and leaves out the
+``cli-fail`` and ``objective`` records.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ import io
 import json
 import math
 import os
+import shutil
 import sys
 import tempfile
 from dataclasses import replace
@@ -46,16 +55,24 @@ ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
+import numpy as np  # noqa: E402
+
 from gscsim import (  # noqa: E402
     EconomyParams,
     ScenarioConfig,
+    SourcingAllocation,
+    allocation_value,
+    ambiguity_objective,
+    chain_survives,
     choose_allocation,
     planner_ambiguity_sourcing,
     planner_risk_sourcing,
+    risk_objective,
     solve_equilibrium,
 )
 from gscsim.cli import main as cli_main  # noqa: E402
 from gscsim.scenarios import INFO_ENVS  # noqa: E402
+from gscsim.shocks import BRANCHES  # noqa: E402
 
 _spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
 inputs = importlib.util.module_from_spec(_spec)
@@ -64,6 +81,8 @@ _spec.loader.exec_module(inputs)
 SCENARIO_SEEDS = (0, 1, 2, 3)
 LADDER_SEEDS = (0, 1)
 TABLE_SEED = 0
+N_ALLOCATIONS = 300
+ALLOCATION_SEED = 2024
 
 
 def _without(d: dict, *keys) -> dict:
@@ -110,13 +129,13 @@ def _config_hash(obj) -> str:
     return _digest(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode())
 
 
-def _run_cli(argv: list[str]) -> dict:
+def _run_cli(argv: list[str], out: str = "out") -> dict:
     """Exit code, stdout, stderr and output digests of one CLI run in ``out``."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli_main([*argv, "--out", "out"])
+        code = cli_main([*argv, "--out", out])
     files = {}
-    for path in sorted(Path("out").glob("*")):
+    for path in sorted(Path(out).glob("*")):
         if path.name == "manifest.json":
             files[path.name] = _digest(_without(json.loads(path.read_text()), "created_utc"))
         else:
@@ -169,6 +188,70 @@ def _table_records(smoke: bool, out: dict) -> None:
         ["fmr", "--table", "a.csv", *sector, "--measure", "gross"]))
 
 
+def failed_runs(smoke: bool = False) -> dict[str, dict]:
+    """Record name -> :func:`_run_cli` of each failing run, plus ``out_exists``.
+
+    Each run writes into ``failed``, which must not exist before it and is
+    removed after it.  The stiff economies are the ladder's of seed 0, which
+    exit 4 under the damped solver.
+    """
+    table, _, _ = inputs.table_pair(TABLE_SEED, smoke=smoke)
+    inputs.write_table_csv(table, "fail.csv")
+    stiff = dict(inputs.ladder(0))
+    scenario = {**inputs.scenario_configs(0, smoke=smoke)[0][1],
+                "economy": stiff["stiff09_j2n1"].to_dict()}
+    inputs.write_json(scenario, "stiff09.json")
+    inputs.write_json(stiff["stiff01_j3n1"].to_dict(), "stiff01.json")
+    Path("invalid.json").write_text("{nope")
+    sector = ["--sector", inputs.TARGET_SECTOR]
+    runs = {
+        f"fir-diff-missing/s{TABLE_SEED}":
+            ["fir", "--table", "fail.csv", *sector, "--diff", "missing.csv"],
+        f"fmr-bad-sector/s{TABLE_SEED}": ["fmr", "--table", "fail.csv", "--sector", "NOPE"],
+        "simulate-stiff09_j2n1/s0": ["simulate", "--config", "stiff09.json", "--matrix", "--plot"],
+        "simulate-missing-config": ["simulate", "--config", "missing.json"],
+        "simulate-invalid-json": ["simulate", "--config", "invalid.json"],
+        "equilibrium-stiff01_j3n1/s0": ["equilibrium", "--params", "stiff01.json"],
+    }
+    records = {}
+    for name, argv in runs.items():
+        if Path("failed").exists():
+            raise RuntimeError("failed/ exists before a failing run")
+        record = _run_cli(argv, "failed")
+        record["out_exists"] = Path("failed").exists()
+        shutil.rmtree("failed", ignore_errors=True)
+        records[f"cli-fail/{name}"] = record
+    for path in ("fail.csv", "stiff09.json", "stiff01.json", "invalid.json"):
+        os.remove(path)
+    return records
+
+
+def _objective_records(out: dict) -> None:
+    """The sourcing objectives of random allocations.  Each value is kept as
+    its repr, which is exact and also tells a Python float from a numpy one."""
+    cases = []
+    for seed in SCENARIO_SEEDS:
+        for _, cfg in inputs.scenario_configs(seed):
+            config = ScenarioConfig.from_dict(cfg)
+            cases.append((config, solve_equilibrium(config.economy).costs))
+    rng = np.random.default_rng(ALLOCATION_SEED)
+    for k in range(N_ALLOCATIONS):
+        config, costs = cases[k % len(cases)]
+        n_tiers = int(rng.integers(1, 4))
+        south = rng.random(n_tiers)
+        corner = rng.random(n_tiers) < 0.25      # a whole tier in one location
+        south[corner] = rng.integers(0, 2, size=int(corner.sum()))
+        alloc = SourcingAllocation(phi=np.stack([1.0 - south, south]),
+                                   M=rng.integers(1, 31, size=n_tiers))
+        econ, shock = config.economy, config.shock
+        values = [risk_objective(alloc, econ, shock, config.utility, costs),
+                  ambiguity_objective(alloc, econ, shock, config.beliefs, config.utility, costs)]
+        for draw in BRANCHES:
+            values += [allocation_value(alloc, draw, econ, costs), chain_survives(alloc, draw)]
+        out[f"objective/{k:03d}"] = _digest([alloc.phi.tobytes().hex(), alloc.M.tolist(),
+                                             [repr(v) for v in values]])
+
+
 def _error_records(out: dict) -> None:
     scenario = inputs.scenario_configs(0, smoke=True)[0][1]
     for name, cls, value in _malformed(scenario):
@@ -195,9 +278,14 @@ def collect(smoke: bool = False) -> dict[str, str]:
             for seed in LADDER_SEEDS[:1] if smoke else LADDER_SEEDS:
                 _ladder_records(seed, smoke, out)
             _table_records(smoke, out)
+            if not smoke:
+                out.update({name: _digest(record)
+                            for name, record in failed_runs().items()})
         finally:
             os.chdir(cwd)
     _error_records(out)
+    if not smoke:
+        _objective_records(out)
     return dict(sorted(out.items()))
 
 
