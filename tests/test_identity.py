@@ -61,3 +61,18 @@ def test_objective_records_repeat():
     tool._objective_records(first)
     tool._objective_records(second)
     assert len(first) == tool.N_ALLOCATIONS and first == second
+
+
+def test_solve_records_repeat():
+    tool = load_tool()
+    first, second = {}, {}
+    tool._solve_records(first, n_draws=6, smoke=True)
+    tool._solve_records(second, n_draws=6, smoke=True)
+    names = [name for name, _ in tool.inputs.ladder(0, smoke=True)]
+    assert sorted(first) == sorted([f"solve/ladder/s0/{name}" for name in names]
+                                   + [f"solve/{name}" for name, _ in tool.census_draws(6)])
+    assert first == second
+    stiff = dict(tool.inputs.ladder(0))["stiff01_j3n1"]
+    message, iterations, _ = tool._solve_outcome(stiff)
+    assert message.startswith("EquilibriumConvergenceError: no convergence after 5000 ")
+    assert iterations == 5000

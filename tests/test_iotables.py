@@ -797,11 +797,24 @@ def test_parallel_loader_reads_a_descriptor_or_a_pipe_alone(tmp_path, monkeypatc
             assert getattr(table, attr).tobytes() == getattr(serial, attr).tobytes(), attr
 
 
-def test_import_leaves_multiprocessing_unloaded():
+@pytest.fixture(scope="module")
+def imported_modules():
+    """The names in ``sys.modules`` of a fresh interpreter that has imported
+    ``gscsim`` and ``gscsim.cli``."""
     src = os.path.dirname(os.path.dirname(iotables.__file__))
-    code = "import sys, gscsim; sys.exit('multiprocessing' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code],
-                          env={**os.environ, "PYTHONPATH": src}).returncode == 0
+    code = "import sys, gscsim, gscsim.cli; print(*sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    return set(run.stdout.split())
+
+
+# multiprocessing loads only when load_table forks; the others are the network
+# stack, which xml.sax.saxutils would pull in.
+@pytest.mark.parametrize("module", ["multiprocessing", "ssl", "socket", "http.client",
+                                    "email", "urllib.request", "xml.sax"])
+def test_import_leaves_module_unloaded(imported_modules, module):
+    assert "gscsim.cli" in imported_modules
+    assert module not in imported_modules
 
 
 def test_reliance_to_csv(tmp_path):

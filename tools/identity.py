@@ -29,10 +29,15 @@ The inputs are the benchmark's own, from ``bench/inputs.py``.  Records:
 * ``objective/...``: ``risk_objective``, ``ambiguity_objective``, and
   ``allocation_value`` and ``chain_survives`` under each shock branch, of
   random allocations (2 locations, 1-3 tiers, 1-30 suppliers per tier)
-  spread over the scenario economies at their equilibrium costs.
+  spread over the scenario economies at their equilibrium costs;
+* ``solve/...``: ``solve_equilibrium`` on the ladder economies of seeds 0-1
+  and on the draws of :func:`census_draws`, each as the bytes of wages,
+  prices and costs with ``iterations``, ``walras_history`` and
+  ``residual_norm``, or as the error a failed solve raises with its
+  iteration count and residual norm.
 
 ``--smoke`` keeps seed 0 and the benchmark's smoke sizes, and leaves out the
-``cli-fail`` and ``objective`` records.
+``cli-fail``, ``objective`` and ``solve`` records.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ import numpy as np  # noqa: E402
 
 from gscsim import (  # noqa: E402
     EconomyParams,
+    EquilibriumConvergenceError,
     ScenarioConfig,
     SourcingAllocation,
     allocation_value,
@@ -83,6 +89,7 @@ LADDER_SEEDS = (0, 1)
 TABLE_SEED = 0
 N_ALLOCATIONS = 300
 ALLOCATION_SEED = 2024
+N_CENSUS_DRAWS = 240
 
 
 def _without(d: dict, *keys) -> dict:
@@ -252,6 +259,40 @@ def _objective_records(out: dict) -> None:
                                              [repr(v) for v in values]])
 
 
+def census_draws(n: int = N_CENSUS_DRAWS) -> list[tuple[str, EconomyParams]]:
+    """(name, economy) of draws 0 to n - 1.  Draw s takes ``default_rng(s)``,
+    J in 1-6, N in 1-4 and theta U(2, 20); gamma is 1, 0.7 or U(0.3, 1) as
+    s % 3 is 0, 1 or 2."""
+    draws = []
+    for s in range(n):
+        rng = np.random.default_rng(s)
+        J, N = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        theta = float(rng.uniform(2.0, 20.0))
+        gamma = (1.0, 0.7)[s % 3] if s % 3 < 2 else float(rng.uniform(0.3, 1.0))
+        draws.append((f"census/{s:03d}_j{J}n{N}",
+                      inputs.random_economy(rng, J, N, theta, gamma)))
+    return draws
+
+
+def _solve_outcome(economy: EconomyParams) -> list:
+    """What ``solve_equilibrium`` returns, or the error it raises."""
+    try:
+        sol = solve_equilibrium(economy)
+    except (EquilibriumConvergenceError, ValueError) as err:
+        return [f"{type(err).__name__}: {err}", getattr(err, "iterations", None),
+                getattr(err, "residual_norm", None)]
+    return [sol.wages.tobytes().hex(), sol.prices.tobytes().hex(), sol.costs.tobytes().hex(),
+            sol.iterations, sol.walras_history, sol.residual_norm]
+
+
+def _solve_records(out: dict, n_draws: int = N_CENSUS_DRAWS, smoke: bool = False) -> None:
+    cases = [(f"ladder/s{seed}/{name}", economy)
+             for seed in (LADDER_SEEDS[:1] if smoke else LADDER_SEEDS)
+             for name, economy in inputs.ladder(seed, smoke=smoke)]
+    for name, economy in cases + census_draws(n_draws):
+        out[f"solve/{name}"] = _digest(_solve_outcome(economy))
+
+
 def _error_records(out: dict) -> None:
     scenario = inputs.scenario_configs(0, smoke=True)[0][1]
     for name, cls, value in _malformed(scenario):
@@ -286,6 +327,7 @@ def collect(smoke: bool = False) -> dict[str, str]:
     _error_records(out)
     if not smoke:
         _objective_records(out)
+        _solve_records(out)
     return dict(sorted(out.items()))
 
 
