@@ -49,13 +49,17 @@ def _real_array(x, name: str) -> np.ndarray:
 
 def _positive_array(x, shape, name: str) -> np.ndarray:
     """``x`` as a float array of ``shape``, strictly positive and finite.
-    Booleans raise, as in :func:`_whole`."""
-    try:
-        arr = _real_array(x, name)
-    except (TypeError, ValueError):     # boolean, not numeric, or ragged
-        arr = None
+    A float64 ndarray, such as the solver's costs on every pass, is checked
+    as it is, not converted.  Booleans raise, as in :func:`_whole`."""
+    arr = x
+    if not (type(x) is np.ndarray and x.dtype is _FLOAT):
+        try:
+            arr = _real_array(x, name)
+        except (TypeError, ValueError):     # boolean, not numeric, or ragged
+            arr = None
     # Every checked shape has an element; min and max reject NaN too.
-    if arr is None or arr.shape != shape or not (arr.min() > 0.0 and arr.max() < np.inf):
+    if arr is None or arr.shape != shape or not (np.minimum.reduce(arr, axis=None) > 0.0
+                                                 and np.maximum.reduce(arr, axis=None) < np.inf):
         raise ValueError(f"{name} must be strictly positive and finite with shape {shape}")
     return arr
 
@@ -323,12 +327,7 @@ class _Chain:
         """Tier factors, (N, J, J): ``facs[n][a, b]`` multiplies a chain with
         tier n in a and tier n+1 in b, and ``facs[-1][a, j]`` includes the
         final shipment to j."""
-        # The solver's own costs, contiguous float64 of the right shape, need
-        # only the value test; anything else is converted and checked.
-        if not (type(costs) is np.ndarray and costs.dtype is _FLOAT
-                and costs.shape == self.shape and costs.flags.c_contiguous
-                and np.minimum.reduce(costs) > 0.0 and np.maximum.reduce(costs) < np.inf):
-            costs = _positive_array(costs, self.shape, "costs")
+        costs = _positive_array(costs, self.shape, "costs")
         return self.tech * costs[:, None] ** self.exponent * self.hop
 
     def forward(self, costs):

@@ -231,10 +231,8 @@ def _content_columns(table: WorldIOTable, cols: np.ndarray, measure: str) -> np.
         shares = np.zeros_like(table.x)
         np.divide(table.v, table.x, out=shares, where=table.x > 0.0)
         return shares[:, None] * B
-    if measure == "gross":
-        B[cols, np.arange(len(cols))] -= 1.0
-        return B
-    raise ValueError(f"measure must be 'va' or 'gross', got {measure!r}")
+    B[cols, np.arange(len(cols))] -= 1.0
+    return B
 
 
 def _split_focus(table: WorldIOTable, focus) -> tuple[list, list]:
@@ -263,11 +261,13 @@ def _reliance(metric: str, table: WorldIOTable, target_sector: str, focus,
     if target_sector not in table.sectors:
         raise ValueError(f"target sector {target_sector!r} not in table "
                          f"(have: {', '.join(table.sectors)})")
+    if measure not in ("va", "gross"):
+        raise ValueError(f"measure must be 'va' or 'gross', got {measure!r}")
+    focus_list, rest = _split_focus(table, focus)
     C, S = len(table.countries), len(table.sectors)
     target_cols = np.arange(C) * S + table.sectors.index(target_sector)
     content = _content_columns(table, target_cols, measure)
     by_target = np.ascontiguousarray(content.T).reshape(C, C, S).sum(axis=2)
-    focus_list, rest = _split_focus(table, focus)
     rows = [table.countries.index(c) for c in focus_list]
     if metric == "fir":
         shares = by_target[rows]

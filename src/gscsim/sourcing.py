@@ -323,14 +323,14 @@ def planner_ambiguity_sourcing(params: EconomyParams, shock_params: ShockParams,
     vector, each group keeps its tie-rule winner, and every distinct count
     vector is scored once.
     """
-    costs = _default_costs(params, costs)
-    rho = (utility if utility is not None else UtilitySpec(rho=1.0)).rho
     if params.n_locations != 2:
         raise ValueError("the planner grid search handles exactly two locations")
     grid_resolution = _whole(grid_resolution, "grid_resolution")
     if grid_resolution < 2:
-        raise ValueError("grid resolution must be at least 2")
+        raise ValueError("grid_resolution must be at least 2")
     M = _whole(suppliers_per_tier, "suppliers_per_tier")
+    costs = _default_costs(params, costs)
+    rho = (utility if utility is not None else UtilitySpec(rho=1.0)).rho
     xs = np.linspace(0.0, 1.0, grid_resolution)
     counts = _apportion(np.stack([1.0 - xs, xs], axis=1), M)
     # The counts keep the tier total, so the South count names the vector.

@@ -492,16 +492,16 @@ def test_chain_head_row_is_read_only():
 
 
 def test_solver_costs_skip_the_conversion(monkeypatch):
-    # The solver's own costs pass the value test alone; public inputs are
-    # converted and checked.
+    # The solver's own costs, float64 arrays, are checked without a
+    # conversion; public inputs such as lists are converted, then checked.
     economies = (oracle_economy(), symmetric_two_tier(),
                  random_economy(np.random.default_rng(5), J=3, N=3, gamma=0.6))
     calls = []
 
-    def spy(x, shape, name, _real=chains._positive_array):
+    def spy(x, name, _real=chains._real_array):
         calls.append(name)
-        return _real(x, shape, name)
-    monkeypatch.setattr(chains, "_positive_array", spy)
+        return _real(x, name)
+    monkeypatch.setattr(chains, "_real_array", spy)
     for params in economies:
         solve_equilibrium(params)
     assert calls == []

@@ -76,3 +76,37 @@ def test_solve_records_repeat():
     message, iterations, _ = tool._solve_outcome(stiff)
     assert message.startswith("EquilibriumConvergenceError: no convergence after 5000 ")
     assert iterations == 5000
+
+
+def test_chain_records_repeat():
+    tool = load_tool()
+    first, second = {}, {}
+    tool._chain_records(first, n_economies=6)
+    tool._chain_records(second, n_economies=6)
+    assert first == second
+    names = [name for name, _, _ in tool.chain_economies(6)]
+    assert {key.split("/")[1] for key in first} == set(names)
+    forms = {"float32", "list", "strided", "nan", "zero", "too-long"}
+    assert {key.split("/", 3)[3] for key in first if "/costs/" in key} == forms
+    name, economy, costs = tool.chain_economies(1)[0]
+    J = economy.n_locations
+    message = f"ValueError: costs must be strictly positive and finite with shape ({J},)"
+    assert tool._outcome(lambda: tool.chains.price_indices(economy, [1.0] * (J + 1))) == message
+
+
+def test_reliance_records_repeat():
+    tool = load_tool()
+    first, second = {}, {}
+    tool._reliance_records(first, smoke=True)
+    tool._reliance_records(second, smoke=True)
+    assert first == second
+    kinds = {key.split("/")[1] for key in first}
+    assert kinds == {"pair", "fault", "bounds", "cycle"}
+    # 1 seed x 2 tables x 2 sectors x 5 focus choices, 6 bound tables and 3
+    # cycles, each under 2 measures x 2 metrics, plus 4 faults x 2 metrics
+    assert len(first) == (20 + 6 + 3) * 4 + 8
+    for name, table in tool.bound_tables(6):
+        A = table.Z / table.x[None, :]
+        assert A.sum(axis=0).max() > 1.0 and A.sum(axis=1).max() > 1.0
+    refused = tool._reliance_outcome(tool.compute_fir, tool.three_cycles(smoke=True)[2][1], "MFG")
+    assert refused.startswith("TableFormatError: input coefficients are not productive")

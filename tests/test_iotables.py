@@ -381,6 +381,20 @@ def test_target_sector_checked():
         compute_fir(two_country_table(), "SRV")
 
 
+@pytest.mark.parametrize("compute", (compute_fir, compute_fmr))
+@pytest.mark.parametrize("kw,message", [
+    ({"measure": "bogus"}, "^measure must be 'va' or 'gross', got 'bogus'$"),
+    ({"focus": ["ALP", "ZZZ"]}, "^focus countries not in table: ZZZ$"),
+    ({"focus": ["ALP", "ALP"]}, "^focus countries must be unique$"),
+], ids=("measure", "unknown-focus", "repeated-focus"))
+def test_reliance_checks_its_inputs_before_the_solve(monkeypatch, compute, kw, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("Leontief solve called")
+    monkeypatch.setattr(iotables, "_leontief_columns", no_solve)
+    with pytest.raises(ValueError, match=message):
+        compute(two_country_table(), "MFG", **kw)
+
+
 # ---------------------------------------------------------------------------
 # differences between two periods
 

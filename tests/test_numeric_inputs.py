@@ -50,6 +50,7 @@ from gscsim import (
     solve_equilibrium,
     step_regime,
 )
+from gscsim.chains import _positive_array
 from gscsim.cli import main
 
 from conftest import oracle_economy, symmetric_two_tier
@@ -624,3 +625,46 @@ def test_boolean_vector_names_its_field(tmp_path, capsys, key):
 def test_boolean_positive_array_names_its_field(field, call, value):
     with pytest.raises(ValueError, match=f"^{field} must be strictly positive and finite"):
         call(value)
+
+
+# ---------------------------------------------------------------------------
+# the positive-array rule: a float64 array is checked as it is, anything
+# else is converted to float64 first, and both meet one value test
+
+def test_positive_array_returns_float64_input_itself():
+    arr = np.array([[0.5, 2.0], [1.0, 3.0]])
+    assert _positive_array(arr, (2, 2), "x") is arr
+    strided = arr[:, 1]
+    assert not strided.flags.c_contiguous
+    assert _positive_array(strided, (2,), "x") is strided
+
+
+@pytest.mark.parametrize("value", (np.array([0.5, 3.0], dtype=np.float32), np.array([1, 3]),
+                                   [0.5, 3.0], [1, 3]), ids=repr)
+def test_positive_array_converts_other_input_to_float64(value):
+    arr = _positive_array(value, (2,), "x")
+    assert type(arr) is np.ndarray and arr.dtype == np.float64
+    assert arr.tobytes() == np.array([float(v) for v in value]).tobytes()
+
+
+@pytest.mark.parametrize("shape,value", [
+    ((2,), [1.0, math.nan]), ((2,), [math.inf, 1.0]), ((2,), [-math.inf, 1.0]),
+    ((2,), [0.0, 1.0]), ((2,), [1.0, -0.5]), ((2,), [1.0, 2.0, 3.0]), ((2,), [[1.0, 2.0]]),
+    ((2,), []), ((2,), 1.0), ((2, 2), [[1.0, 2.0], [math.nan, 1.0]]),
+    ((2, 2), [[1.0, 2.0], [3.0, 0.0]]),
+], ids=repr)
+@pytest.mark.parametrize("form", (list, np.array, lambda v: np.array(v, dtype=np.float32)),
+                         ids=("list", "float64", "float32"))
+def test_positive_array_refusals_keep_their_message(shape, value, form):
+    message = re.escape(f"costs must be strictly positive and finite with shape {shape}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _positive_array(form(value) if np.ndim(value) else value, shape, "costs")
+
+
+@pytest.mark.parametrize("value", ([True, True], np.array([True, True]),
+                                   np.array([math.nan, 1.0, 2.0, 1.0])[::2],
+                                   np.array([1.0, 2.0, 0.0, 2.0])[::2]), ids=repr)
+def test_positive_array_refuses_booleans_and_strided_faults(value):
+    with pytest.raises(ValueError,
+                       match=r"^costs must be strictly positive and finite with shape \(2,\)$"):
+        price_index(0, symmetric_two_tier(), value)

@@ -24,6 +24,7 @@ from gscsim import (
     supplier_counts,
 )
 
+from gscsim import sourcing
 from gscsim.sourcing import _branch_outcomes, _score
 
 from conftest import random_economy, symmetric_two_tier
@@ -511,6 +512,24 @@ def test_planner_requires_two_locations():
     params = random_economy(rng, J=3, N=2)
     with pytest.raises(ValueError):
         planner_risk_sourcing(params, SHOCKS, UtilitySpec(2.0), costs=np.ones(3))
+
+
+@pytest.mark.parametrize("planner", ("risk", "ambiguity"))
+@pytest.mark.parametrize("J,kw,message", [
+    (3, {}, "^the planner grid search handles exactly two locations$"),
+    (2, {"grid_resolution": 1}, "^grid_resolution must be at least 2$"),
+    (2, {"suppliers_per_tier": 2.5}, "^suppliers_per_tier must be a whole number, got 2.5$"),
+], ids=("three-locations", "grid-1", "suppliers-fraction"))
+def test_planner_checks_its_inputs_before_the_solve(monkeypatch, planner, J, kw, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_equilibrium called")
+    monkeypatch.setattr(sourcing, "solve_equilibrium", no_solve)
+    params = random_economy(np.random.default_rng(77), J=J, N=2)
+    with pytest.raises(ValueError, match=message):
+        if planner == "risk":
+            planner_risk_sourcing(params, SHOCKS, UtilitySpec(2.0), costs=None, **kw)
+        else:
+            planner_ambiguity_sourcing(params, SHOCKS, BeliefSet(0.2, 0.8), costs=None, **kw)
 
 
 def test_diversification_costs_efficiency():

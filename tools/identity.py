@@ -34,16 +34,28 @@ The inputs are the benchmark's own, from ``bench/inputs.py``.  Records:
   and on the draws of :func:`census_draws`, each as the bytes of wages,
   prices and costs with ``iterations``, ``walras_history`` and
   ``residual_norm``, or as the error a failed solve raises with its
-  iteration count and residual norm.
+  iteration count and residual norm;
+* ``chain/...``: every public function of ``gscsim.chains`` on the economies
+  of :func:`chain_economies` at random costs, each result as its bytes or
+  repr, or the error it raises; and per economy, ``price_indices`` at the
+  costs given as float32, as a list, as a strided float64 view, with a NaN,
+  with a zero and with one location too many;
+* ``reliance/...``: ``compute_fir`` and ``compute_fmr`` under both measures
+  on ``table_pair`` seeds 0-3 (both tables, sectors MFG, S05 and S29, five
+  focus choices), on the tables of :func:`bound_tables` and on the
+  three-cycles of :func:`three_cycles`, each as the matrix bytes or the
+  error text; and one bad measure, focus or sector at a time on
+  ``table_pair(0)``.
 
 ``--smoke`` keeps seed 0 and the benchmark's smoke sizes, and leaves out the
-``cli-fail``, ``objective`` and ``solve`` records.
+``cli-fail``, ``objective``, ``solve``, ``chain`` and ``reliance`` records.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import importlib.util
 import io
@@ -67,15 +79,19 @@ from gscsim import (  # noqa: E402
     EquilibriumConvergenceError,
     ScenarioConfig,
     SourcingAllocation,
+    WorldIOTable,
     allocation_value,
     ambiguity_objective,
     chain_survives,
     choose_allocation,
+    compute_fir,
+    compute_fmr,
     planner_ambiguity_sourcing,
     planner_risk_sourcing,
     risk_objective,
     solve_equilibrium,
 )
+from gscsim import chains  # noqa: E402
 from gscsim.cli import main as cli_main  # noqa: E402
 from gscsim.scenarios import INFO_ENVS  # noqa: E402
 from gscsim.shocks import BRANCHES  # noqa: E402
@@ -90,6 +106,12 @@ TABLE_SEED = 0
 N_ALLOCATIONS = 300
 ALLOCATION_SEED = 2024
 N_CENSUS_DRAWS = 240
+N_CHAIN_ECONOMIES = 60
+CHAIN_SEED = 2025
+RELIANCE_SECTORS = ("MFG", "S05", "S29")
+SMOKE_RELIANCE_SECTORS = ("MFG", "S02")
+N_BOUND_TABLES = 120
+BOUND_SEED = 15
 
 
 def _without(d: dict, *keys) -> dict:
@@ -293,6 +315,171 @@ def _solve_records(out: dict, n_draws: int = N_CENSUS_DRAWS, smoke: bool = False
         out[f"solve/{name}"] = _digest(_solve_outcome(economy))
 
 
+def _outcome(call):
+    """What ``call()`` returns, arrays as dtype, shape and hex bytes and
+    anything else as its repr, or the error it raises."""
+    try:
+        value = call()
+    except (ValueError, TypeError) as err:
+        return f"{type(err).__name__}: {err}"
+    values = value if isinstance(value, tuple) else (value,)
+    return [[v.dtype.str, v.shape, v.tobytes().hex()] if isinstance(v, np.ndarray) else repr(v)
+            for v in values]
+
+
+def chain_economies(n: int = N_CHAIN_ECONOMIES) -> list[tuple[str, EconomyParams, np.ndarray]]:
+    """(name, economy, costs) of economies 0 to n - 1.  Economy k takes
+    ``default_rng((CHAIN_SEED, k))``, J in 1-5, N in 1-3, theta U(2, 12),
+    gamma 1 or U(0.3, 1) as k is even or odd, and costs U(0.4, 2.5)."""
+    out = []
+    for k in range(n):
+        rng = np.random.default_rng((CHAIN_SEED, k))
+        J, N = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        theta = float(rng.uniform(2.0, 12.0))
+        gamma = 1.0 if k % 2 == 0 else float(rng.uniform(0.3, 1.0))
+        economy = inputs.random_economy(rng, J, N, theta, gamma)
+        out.append((f"{k:02d}_j{J}n{N}", economy, rng.uniform(0.4, 2.5, size=J)))
+    return out
+
+
+def _chain_records(out: dict, n_economies: int = N_CHAIN_ECONOMIES) -> None:
+    for k, (name, p, costs) in enumerate(chain_economies(n_economies)):
+        rng = np.random.default_rng((CHAIN_SEED, k, 1))    # the arguments besides costs
+        J, N = p.n_locations, p.n_tiers
+        path, dest = rng.integers(0, J, size=N), int(rng.integers(0, J))
+        weights, z, pi_jj = rng.uniform(0.5, 2.0, size=J), float(rng.uniform(0.2, 3.0)), 0.5
+        prices = chains.price_indices(p, costs)
+        calls = {
+            "kappa": lambda: chains.kappa(p.theta, p.sigma),
+            "composite_cost": lambda: chains.composite_cost(costs, prices, p.gamma),
+            "enumerate_paths": lambda: chains.enumerate_paths(J, N),
+            "path_scale_matrix": lambda: chains.path_scale_matrix(p, costs),
+            "chain_cost_scale": lambda: chains.chain_cost_scale(path, dest, p, costs),
+            "path_share": lambda: chains.path_share(path, dest, p, costs),
+            "path_share_matrix": lambda: chains.path_share_matrix(p, costs),
+            "price_indices": lambda: chains.price_indices(p, costs),
+            "price_index": lambda: chains.price_index(dest, p, costs),
+            "final_demand_shares": lambda: chains.final_demand_shares(p, costs),
+            "tier_participation": lambda: chains.tier_participation(p, costs),
+            "intermediate_flow_shares": lambda: chains.intermediate_flow_shares(p, costs),
+            "intermediate_flow_shares/weighted":
+                lambda: chains.intermediate_flow_shares(p, costs, weights),
+            "local_chain_real_wage": lambda: chains.local_chain_real_wage(dest, p, pi_jj),
+            "chain_productivity_location": lambda: chains.chain_productivity_location(path, p),
+            "chain_productivity_cdf": lambda: chains.chain_productivity_cdf(z, path, p),
+            "chain_productivity_theta_sensitivity":
+                lambda: chains.chain_productivity_theta_sensitivity(z, path, p),
+        }
+        # The costs in every form the positive-array rule converts or refuses.
+        forms = {
+            "float32": costs.astype(np.float32),
+            "list": costs.tolist(),
+            "strided": np.repeat(costs, 2)[::2],
+            "nan": np.where(np.arange(J) == 0, np.nan, costs),
+            "zero": np.where(np.arange(J) == J - 1, 0.0, costs),
+            "too-long": np.append(costs, 1.0),
+        }
+        calls.update({f"costs/{form}": functools.partial(chains.price_indices, p, value)
+                      for form, value in forms.items()})
+        for fn, call in calls.items():
+            out[f"chain/{name}/{fn}"] = _digest(_outcome(call))
+
+
+def _reliance_outcome(compute, table: WorldIOTable, sector: str = inputs.TARGET_SECTOR,
+                      focus=None, measure: str = "va"):
+    """The bytes of a reliance matrix, or the error computing it raises."""
+    try:
+        m = compute(table, sector, focus=focus, measure=measure)
+    except ValueError as err:               # TableFormatError included
+        return f"{type(err).__name__}: {err}"
+    return [m.metric, m.target_sector, m.measure, m.rows, m.columns,
+            m.values.tobytes().hex(), m.domestic.tobytes().hex()]
+
+
+def _both_ways(out: dict, key: str, table: WorldIOTable, sector: str = inputs.TARGET_SECTOR,
+               focus=None) -> None:
+    """FIR and FMR records of ``table`` under both measures."""
+    for measure in ("va", "gross"):
+        for compute in (compute_fir, compute_fmr):
+            out[f"reliance/{key}/{measure}/{compute.__name__[-3:]}"] = _digest(
+                _reliance_outcome(compute, table, sector, focus, measure))
+
+
+def bound_tables(n: int = N_BOUND_TABLES) -> list[tuple[str, WorldIOTable]]:
+    """(name, table) of n balanced tables whose input coefficients are
+    productive although a column sum and a row sum both exceed 1.
+
+    Table k takes ``default_rng((BOUND_SEED, k))``: C in 1-4 countries and S
+    in 1-3 sectors (at least two country-sectors), A = D A0 D^-1 for a random
+    A0 of spectral radius U(0.5, 0.95) and a diagonal D whose log spread
+    grows until both sums pass 1, and final demand U(0.5, 2).  Value added,
+    x - Z's column sums, is then negative somewhere.
+    """
+    tables = []
+    for k in range(n):
+        rng = np.random.default_rng((BOUND_SEED, k))
+        C = int(rng.integers(1, 5))
+        S = int(rng.integers(2 if C == 1 else 1, 4))
+        size = C * S
+        A0 = rng.uniform(0.0, 1.0, size=(size, size))
+        A0 *= rng.uniform(0.5, 0.95) / np.max(np.abs(np.linalg.eigvals(A0)))
+        logs = rng.uniform(-1.0, 1.0, size=size)
+        spread = 1.0
+        while True:
+            d = np.exp(spread * logs)
+            A = d[:, None] * A0 / d[None, :]
+            if A.sum(axis=0).max() > 1.0 and A.sum(axis=1).max() > 1.0:
+                break
+            spread *= 1.5
+        F = rng.uniform(0.5, 2.0, size=(size, C))
+        x = np.linalg.solve(np.eye(size) - A, F.sum(axis=1))
+        Z = A * x[None, :]
+        tables.append((f"{k:03d}_c{C}s{S}", WorldIOTable(
+            countries=[f"K{i}" for i in range(C)],
+            sectors=[inputs.TARGET_SECTOR] + [f"S{i:02d}" for i in range(1, S)],
+            Z=Z, F=F, v=x - Z.sum(axis=0), x=x)))
+    return tables
+
+
+def three_cycles(smoke: bool = False) -> list[tuple[str, WorldIOTable]]:
+    """(name, table) of the three-cycle ``[[0, .5, 0], [0, 0, .5], [a, 0, 0]]``
+    for a from 3.9 to 4.1 in steps of 0.005, productive exactly below a = 4;
+    at smoke size a is 3.9, 4.0 and 4.1.  Z is set on a balanced three-country
+    table, as in ``tests/test_iotables.py``, so it is not rebalanced."""
+    tables = []
+    for a in np.linspace(3.9, 4.1, 41)[::20 if smoke else 1]:
+        table = inputs.balanced_table(np.random.default_rng(16), ["AAA", "BBB", "CCC"],
+                                      [inputs.TARGET_SECTOR])
+        table.Z = np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 0.5], [a, 0.0, 0.0]]) * table.x[None, :]
+        tables.append((f"{a:.3f}", table))
+    return tables
+
+
+def _reliance_records(out: dict, smoke: bool = False) -> None:
+    sectors = SMOKE_RELIANCE_SECTORS if smoke else RELIANCE_SECTORS
+    for seed in SCENARIO_SEEDS[:1] if smoke else SCENARIO_SEEDS:
+        table_a, table_b, focus = inputs.table_pair(seed, smoke=smoke)
+        countries = table_a.countries
+        focuses = {"all": None, "bench": focus, "reversed": focus[::-1],
+                   "one": focus[0], "third": countries[::3]}
+        for label, table in (("a", table_a), ("b", table_b)):
+            for sector in sectors:
+                for how, chosen in focuses.items():
+                    _both_ways(out, f"pair/s{seed}/{label}/{sector}/{how}", table, sector, chosen)
+        if seed == 0:       # one bad argument at a time
+            faults = {"measure": dict(measure="bogus"), "focus-unknown": dict(focus=["ZZZ"]),
+                      "focus-repeated": dict(focus=[focus[0], focus[0]]),
+                      "sector": dict(sector="NOPE")}
+            for fault, kw in faults.items():
+                for compute in (compute_fir, compute_fmr):
+                    out[f"reliance/fault/{fault}/{compute.__name__[-3:]}"] = _digest(
+                        _reliance_outcome(compute, table_a, **kw))
+    for name, table in bound_tables(6 if smoke else N_BOUND_TABLES):
+        _both_ways(out, f"bounds/{name}", table)
+    for name, table in three_cycles(smoke):
+        _both_ways(out, f"cycle/{name}", table)
+
+
 def _error_records(out: dict) -> None:
     scenario = inputs.scenario_configs(0, smoke=True)[0][1]
     for name, cls, value in _malformed(scenario):
@@ -328,6 +515,8 @@ def collect(smoke: bool = False) -> dict[str, str]:
     if not smoke:
         _objective_records(out)
         _solve_records(out)
+        _chain_records(out)
+        _reliance_records(out)
     return dict(sorted(out.items()))
 
 
