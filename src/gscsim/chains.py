@@ -64,18 +64,22 @@ def _positive_array(x, shape, name: str) -> np.ndarray:
     return arr
 
 
-def _whole(x, name: str):
-    """``x`` as an int (an ``intp`` array if array-like).  NaN, inf, fractions
-    and booleans raise; whole floats pass, and ints are kept exact."""
+def _whole(x, name: str, minimum: int | None = None):
+    """``x`` as an int (an ``intp`` array if array-like), each at least ``minimum``
+    if given.  NaN, inf, fractions and booleans raise; ints are kept exact."""
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
-        return int(x)
-    try:
-        arr = _real_array(x, name)
-    except (TypeError, ValueError):     # boolean, not numeric, or ragged
-        arr = None
-    if arr is None or not (np.isfinite(arr) & (arr == np.floor(arr))).all():
-        raise ValueError(f"{name} must be a whole number, got {x}")
-    return int(arr) if arr.ndim == 0 else arr.astype(np.intp)
+        out = int(x)
+    else:
+        try:
+            arr = _real_array(x, name)
+        except (TypeError, ValueError):     # boolean, not numeric, or ragged
+            arr = None
+        if arr is None or not (np.isfinite(arr) & (arr == np.floor(arr))).all():
+            raise ValueError(f"{name} must be a whole number, got {x}")
+        out = int(arr) if arr.ndim == 0 else arr.astype(np.intp)
+    if minimum is not None and np.any(out < minimum):
+        raise ValueError(f"{name} must be at least {minimum}")
+    return out
 
 
 def _location(x, n: int, name: str) -> int:
@@ -208,20 +212,10 @@ class EconomyParams(_JsonConfig):
                 f"tier labour weights must exhaust output value: "
                 f"sum(alpha * beta) = {weight:.12g}, expected 1"
             )
-        self.theta = _real(self.theta, "theta")
-        self.sigma = _real(self.sigma, "sigma")
+        self.theta, self.sigma = _real(self.theta, "theta"), _real(self.sigma, "sigma")
+        kappa(self.theta, self.sigma)       # the price index must exist
         self.gamma = _real(self.gamma, "gamma")
-        # Written so that NaN fails each range check.
-        if not 0.0 < self.theta < np.inf:
-            raise ValueError("theta must be positive and finite")
-        if not 1.0 < self.sigma < np.inf:
-            raise ValueError("sigma must exceed 1 and be finite")
-        if self.sigma - 1.0 >= self.theta:
-            raise ValueError(
-                f"price index requires sigma - 1 < theta, "
-                f"got sigma={self.sigma}, theta={self.theta}"
-            )
-        if not 0.0 < self.gamma <= 1.0:
+        if not 0.0 < self.gamma <= 1.0:     # NaN fails it too
             raise ValueError("gamma must lie in (0, 1]")
 
     @property
@@ -260,11 +254,18 @@ class EconomyParams(_JsonConfig):
 def kappa(theta: float, sigma: float) -> float:
     """CES constant of the Frechet price index.
 
-    kappa = Gamma((theta + 1 - sigma) / theta) ** (1 / (1 - sigma)), which is
-    finite exactly when sigma - 1 < theta.
+    kappa = Gamma((theta + 1 - sigma) / theta) ** (1 / (1 - sigma)), which
+    exists for finite theta > 0 and sigma > 1 with sigma - 1 < theta; any
+    other theta or sigma raises.  Written so that NaN fails each check.
     """
+    theta, sigma = _real(theta, "theta"), _real(sigma, "sigma")
+    if not 0.0 < theta < np.inf:
+        raise ValueError("theta must be positive and finite")
+    if not 1.0 < sigma < np.inf:
+        raise ValueError("sigma must exceed 1 and be finite")
     if sigma - 1.0 >= theta:
-        raise ValueError("kappa requires sigma - 1 < theta")
+        raise ValueError(f"price index requires sigma - 1 < theta, "
+                         f"got sigma={sigma}, theta={theta}")
     return math.gamma((theta + 1.0 - sigma) / theta) ** (1.0 / (1.0 - sigma))
 
 

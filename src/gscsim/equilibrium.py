@@ -62,9 +62,7 @@ class SolverConfig:
             raise ValueError("damping must lie in (0, 1]")
         if not (0.0 < self.tolerance < np.inf and 0.0 < self.world_income < np.inf):
             raise ValueError("tolerance and world_income must be finite and positive")
-        self.max_iterations = _whole(self.max_iterations, "max_iterations")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be nonnegative")
+        self.max_iterations = _whole(self.max_iterations, "max_iterations", 0)
 
 
 @dataclass
@@ -114,8 +112,7 @@ def solve_costs(wages, params: EconomyParams,
     c -> w**gamma * P(c)**(1-gamma), a log-space contraction with modulus
     1 - gamma.  Returns (costs, prices).
     """
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be at least 1")
+    max_iterations = _whole(max_iterations, "max_iterations", 1)
     chain = _Chain(params)
     # Checked before w**gamma and log(w): bad wages are bad costs.
     w = _positive_array(wages, chain.shape, "costs")

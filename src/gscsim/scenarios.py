@@ -32,6 +32,7 @@ from .sourcing import (
     SourcingAllocation,
     UtilitySpec,
     _branch_outcomes,
+    _check_locations,
     _checked_costs,
     individual_sourcing,
     planner_ambiguity_sourcing,
@@ -74,17 +75,11 @@ class ScenarioConfig(_JsonConfig):
         if self.realization not in REALIZATIONS:
             raise ValueError(f"realization must be one of {REALIZATIONS}, "
                              f"got {self.realization!r}")
-        for name in ("shock_period", "horizon", "suppliers_per_tier",
-                     "grid_resolution", "destination", "seed"):
-            setattr(self, name, _whole(getattr(self, name), name))
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least one period")
+        for name, minimum in (("shock_period", None), ("horizon", 1), ("suppliers_per_tier", 1),
+                              ("grid_resolution", 2), ("destination", None), ("seed", None)):
+            setattr(self, name, _whole(getattr(self, name), name, minimum))
         if not 1 <= self.shock_period <= self.horizon:
             raise ValueError("shock_period must lie within the horizon")
-        if self.suppliers_per_tier < 1:
-            raise ValueError("suppliers_per_tier must be at least 1")
-        if self.grid_resolution < 2:
-            raise ValueError("grid_resolution must be at least 2")
         _location(self.destination, self.economy.n_locations, "destination")
 
 
@@ -135,11 +130,13 @@ def _realization_runs(config: ScenarioConfig, solution: EquilibriumSolution | No
     Each shock branch is evaluated once; a run takes the calm branch in
     every period but the shock period, which takes its scripted one.
     """
+    if allocation is not None:          # before the solve it would waste
+        _check_locations(config.economy, allocation)
     if solution is None:
         solution = solve_equilibrium(config.economy, SolverConfig())
     if allocation is None:
         allocation = choose_allocation(config, solution)
-    costs = _checked_costs(config.economy, solution.costs, allocation)
+    costs = _checked_costs(config.economy, solution.costs)
     left, alive, values = _branch_outcomes(supplier_counts(allocation), config.economy, costs)
     real_wage = float(solution.real_wages[config.destination])
     periods = np.arange(1, config.horizon + 1)
@@ -194,16 +191,16 @@ def monte_carlo_survival(config: ScenarioConfig, n_runs: int,
                          seed: int) -> MonteCarloSummary:
     """Survival frequency when the shock realisation is drawn per run.
 
-    One generator seeded with ``seed`` draws all ``n_runs`` uniforms at
-    once; run r's shock is the :func:`draw_shock` outcome of element r.
-    Only three realisations exist, so the allocation's three scripted runs
-    are laid out once and the runs are tallied per realisation.  A run
-    counts as surviving when the chain is alive in every period.
+    One generator seeded with ``seed`` (a whole number, at least 0) draws
+    all ``n_runs`` uniforms at once; run r's shock is the :func:`draw_shock`
+    outcome of element r.  Only three realisations exist, so the
+    allocation's three scripted runs are laid out once and the runs are
+    tallied per realisation.  A run counts as surviving when the chain is
+    alive in every period.
     ``stderr`` is the binomial standard error of the survival rate.
     """
-    n_runs = _whole(n_runs, "n_runs")
-    if n_runs < 1:
-        raise ValueError("need at least one run")
+    n_runs = _whole(n_runs, "n_runs", 1)
+    seed = _whole(seed, "seed", 0)
     runs = _realization_runs(config)
     alive = np.array([ts.chain_alive.all() for ts in runs], dtype=float)
     welfare = np.array([ts.welfare.mean() for ts in runs])

@@ -107,18 +107,16 @@ class SourcingAllocation:
         col = self.phi.sum(axis=0)
         if not np.allclose(col, 1.0, atol=1e-9):
             raise ValueError("sourcing fractions must sum to 1 at every tier")
-        self.M = _whole(self.M, "M")
+        self.M = _whole(self.M, "M", 1)
         if np.shape(self.M) != (self.phi.shape[1],):
             raise ValueError("M must give one supplier count per tier")
-        if np.any(self.M < 1):
-            raise ValueError("each tier needs at least one supplier")
 
     @classmethod
     def uniform_tiers(cls, weights, suppliers_per_tier: int, n_tiers: int) -> "SourcingAllocation":
         """Same location split at every tier, M suppliers each."""
         w = _real_array(weights, "weights")
         phi = np.repeat(w[:, None], n_tiers, axis=1)
-        M = _whole(suppliers_per_tier, "suppliers_per_tier")
+        M = _whole(suppliers_per_tier, "suppliers_per_tier", 1)
         return cls(phi=phi, M=np.full(n_tiers, M, dtype=np.intp))
 
     @property
@@ -193,11 +191,16 @@ def allocation_value(alloc: SourcingAllocation, shock: ShockDraw,
     return _value_from_counts(_knock_out(supplier_counts(alloc), shock), params, costs)
 
 
+def _check_locations(params: EconomyParams, alloc: SourcingAllocation) -> None:
+    if alloc.phi.shape[0] != params.n_locations:
+        raise ValueError("allocation and economy disagree on the number of locations")
+
+
 def _checked_costs(params: EconomyParams, costs,
                    alloc: SourcingAllocation | None = None) -> np.ndarray:
     costs = _positive_array(costs, (params.n_locations,), "costs")
-    if alloc is not None and alloc.phi.shape[0] != params.n_locations:
-        raise ValueError("allocation and economy disagree on the number of locations")
+    if alloc is not None:
+        _check_locations(params, alloc)
     return costs
 
 
@@ -275,6 +278,7 @@ def individual_sourcing(params: EconomyParams, shock_params: ShockParams,
     are split equally.  Locations beyond the East/South pair are never hit
     by the one-shot draw, so only cost ranks them.
     """
+    M = _whole(suppliers_per_tier, "suppliers_per_tier", 1)
     c = _default_costs(params, costs)
     J = params.n_locations
     hit = np.zeros(J)
@@ -284,7 +288,7 @@ def individual_sourcing(params: EconomyParams, shock_params: ShockParams,
     top = scores.max()
     winners = scores >= top * (1.0 - _TIE_RTOL)
     phi = winners / winners.sum()
-    return SourcingAllocation.uniform_tiers(phi, suppliers_per_tier, params.n_tiers)
+    return SourcingAllocation.uniform_tiers(phi, M, params.n_tiers)
 
 
 def planner_risk_sourcing(params: EconomyParams, shock_params: ShockParams,
@@ -325,13 +329,10 @@ def planner_ambiguity_sourcing(params: EconomyParams, shock_params: ShockParams,
     """
     if params.n_locations != 2:
         raise ValueError("the planner grid search handles exactly two locations")
-    grid_resolution = _whole(grid_resolution, "grid_resolution")
-    if grid_resolution < 2:
-        raise ValueError("grid_resolution must be at least 2")
-    M = _whole(suppliers_per_tier, "suppliers_per_tier")
+    xs = np.linspace(0.0, 1.0, _whole(grid_resolution, "grid_resolution", 2))
+    M = _whole(suppliers_per_tier, "suppliers_per_tier", 1)
     costs = _default_costs(params, costs)
     rho = (utility if utility is not None else UtilitySpec(rho=1.0)).rho
-    xs = np.linspace(0.0, 1.0, grid_resolution)
     counts = _apportion(np.stack([1.0 - xs, xs], axis=1), M)
     # The counts keep the tier total, so the South count names the vector.
     # Its group's first point in tie order (nearest an even split, then the

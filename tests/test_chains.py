@@ -108,11 +108,22 @@ def test_price_index_single_location_frozen():
 
 def test_kappa_values_and_domain():
     assert kappa(4.0, 2.0) == pytest.approx(1.0 / math.gamma(0.75), rel=1e-15)
-    # sigma - 1 >= theta leaves the basket integral undefined
-    with pytest.raises(ValueError):
-        kappa(2.0, 3.0)
-    with pytest.raises(ValueError):
-        kappa(2.0, 3.5)
+    # sigma - 1 >= theta leaves the basket integral undefined, and kappa
+    # refuses every theta and sigma EconomyParams refuses, with its message.
+    # NaN, inf, a complex power, ZeroDivisionError and OverflowError were
+    # what some of these used to give.
+    nan, inf = math.nan, math.inf
+    for theta, sigma in ((2.0, 3.0), (2.0, 3.5), (nan, 2.0), (inf, 2.0), (-inf, 2.0),
+                         (4.0, nan), (4.0, inf), (nan, nan), (-1.0, -0.5), (0.0, 1.5),
+                         (4.0, 1.0), (4.0, 0.5), (1e-300, 0.9999), (True, 2.0), (4.0, False)):
+        with pytest.raises(ValueError) as refused:
+            kappa(theta, sigma)
+        with pytest.raises(ValueError) as economy:
+            EconomyParams.one_tier(T=[1.0], L=[1.0], tau=[[1.0]], theta=theta, sigma=sigma)
+        assert str(refused.value) == str(economy.value), (theta, sigma)
+    # just inside the domain kappa is finite and positive
+    for theta, sigma in ((2.0, 2.999), (0.5, 1.25), (1e6, 1.5)):
+        assert 0.0 < kappa(theta, sigma) < inf
 
 
 def test_single_tier_share_frozen():

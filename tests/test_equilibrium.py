@@ -130,6 +130,17 @@ def test_solve_costs_rejects_empty_iteration_budget():
         solve_costs(np.array([0.7, 1.1]), params, max_iterations=0)
 
 
+def test_solve_costs_takes_a_whole_float_budget():
+    # Like every other count, the budget may be a whole float.
+    params = EconomyParams.two_tier(T1=[1.0, 1.2], T2=[1.0, 0.9], L=[1.0, 1.0],
+                                    tau=np.ones((2, 2)), alpha2=0.5,
+                                    theta=4.0, sigma=2.0, gamma=0.7)
+    wages = np.array([0.7, 1.1])
+    want = solve_costs(wages, params, max_iterations=500)
+    got = solve_costs(wages, params, max_iterations=500.0)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
 def test_wage_validation():
     params = symmetric_two_tier()
     with pytest.raises(ValueError):

@@ -110,3 +110,18 @@ def test_reliance_records_repeat():
         assert A.sum(axis=0).max() > 1.0 and A.sum(axis=1).max() > 1.0
     refused = tool._reliance_outcome(tool.compute_fir, tool.three_cycles(smoke=True)[2][1], "MFG")
     assert refused.startswith("TableFormatError: input coefficients are not productive")
+
+
+def test_scenario_run_records_repeat():
+    tool = load_tool()
+    first, second = {}, {}
+    tool._scenario_run_records(first, seeds=(0,), smoke=True)
+    tool._scenario_run_records(second, seeds=(0,), smoke=True)
+    assert first == second
+    # per config 6 matrix cells, 3 scripted runs and 3 Monte Carlo sizes,
+    # and the regime path from both regimes
+    configs = [name for name, _ in tool.inputs.scenario_configs(0, smoke=True)]
+    assert len(first) == 12 * len(configs) + 2
+    assert {key.split("/")[3] for key in first if key.split("/")[2] in configs} == {
+        "matrix", "run", "mc"}
+    assert {f"scenario/s0/regime/{initial}" for initial in (0, 1)} <= first.keys()

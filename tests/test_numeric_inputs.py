@@ -47,6 +47,7 @@ from gscsim import (
     price_index,
     risk_objective,
     simulate_regime,
+    solve_costs,
     solve_equilibrium,
     step_regime,
 )
@@ -97,6 +98,8 @@ def _solver_rows():
     # A zero budget is valid: it only checks the initial guess.
     for v in (math.nan, math.inf, -math.inf, -1.0, FRACTION):
         yield "SolverConfig.max_iterations", v, lambda v=v: SolverConfig(max_iterations=v)
+        yield ("solve_costs.max_iterations", v,
+               lambda v=v: solve_costs([1.0, 1.0], symmetric_two_tier(), max_iterations=v))
     # initial_wages is checked when the solve starts.
     for v in BAD:
         yield ("SolverConfig.initial_wages", v,
@@ -184,6 +187,9 @@ def _scenario_rows():
     for v in BAD + (FRACTION,):
         yield ("monte_carlo_survival.n_runs", v,
                lambda v=v: monte_carlo_survival(cfg, n_runs=v, seed=0))
+        if v != 0.0:
+            yield ("monte_carlo_survival.seed", v,
+                   lambda v=v: monte_carlo_survival(cfg, n_runs=10, seed=v))
 
 
 def _location_index_rows():
@@ -354,6 +360,44 @@ def test_whole_floats_and_large_seeds_are_kept():
     assert cfg.horizon == 20 and isinstance(cfg.horizon, int)
     assert cfg.seed == 2**60 + 1
     assert SourcingAllocation(phi=[[0.5], [0.5]], M=[4.0]).M.dtype == np.intp
+
+
+def _floor_rows():
+    """(field, floor, call) of every count with a floor; ``call(v)`` passes
+    ``v`` as that count."""
+    params, shock, unit = symmetric_two_tier(), ShockParams(**SHOCK), np.ones(2)
+    cfg = ScenarioConfig.from_dict({**SCENARIO, "grid_resolution": 11})
+    for key, floor in (("horizon", 1), ("suppliers_per_tier", 1), ("grid_resolution", 2)):
+        yield key, floor, lambda v, k=key: ScenarioConfig.from_dict(
+            {**SCENARIO, "shock_period": 1, k: v})
+    yield "grid_resolution", 2, lambda v: planner_risk_sourcing(
+        params, shock, UtilitySpec(2.0), grid_resolution=v, costs=unit)
+    yield "suppliers_per_tier", 1, lambda v: planner_ambiguity_sourcing(
+        params, shock, BeliefSet(**BELIEFS), grid_resolution=11, suppliers_per_tier=v,
+        costs=unit)
+    yield "suppliers_per_tier", 1, lambda v: individual_sourcing(
+        params, shock, suppliers_per_tier=v, costs=unit)
+    yield "suppliers_per_tier", 1, lambda v: SourcingAllocation.uniform_tiers(unit / 2, v, 2)
+    yield "M", 1, lambda v: SourcingAllocation(phi=[[0.5, 0.5], [0.5, 0.5]], M=[v, 3])
+    yield "max_iterations", 0, lambda v: SolverConfig(max_iterations=v)
+    yield "max_iterations", 1, lambda v: solve_costs(unit, params, max_iterations=v)
+    yield "n_runs", 1, lambda v: monte_carlo_survival(cfg, n_runs=v, seed=0)
+    yield "seed", 0, lambda v: monte_carlo_survival(cfg, n_runs=10, seed=v)
+
+
+FLOOR_ROWS = list(_floor_rows())
+
+
+@pytest.mark.parametrize("field,floor,call", FLOOR_ROWS,
+                         ids=[f"{field}-{k}" for k, (field, _, _) in enumerate(FLOOR_ROWS)])
+def test_whole_number_floors_share_one_message(field, floor, call):
+    # The floor itself passes, as an int or a whole float; one below it, or
+    # far below it, is refused with one message naming the count.
+    call(floor)
+    call(float(floor))
+    for below in (floor - 1, float(floor - 1), floor - 7):
+        with pytest.raises(ValueError, match=f"^{field} must be at least {floor}$"):
+            call(below)
 
 
 def test_location_indices_name_their_field_and_whole_floats_convert():
@@ -535,6 +579,7 @@ def _boolean_scalar_rows():
         yield key, lambda v, k=key: BeliefSet.from_dict({**BELIEFS, k: v})
     for key in ("tolerance", "damping", "world_income", "max_iterations"):
         yield key, lambda v, k=key: SolverConfig(**{k: v})
+    yield "max_iterations", lambda v: solve_costs(unit, params, max_iterations=v)
     yield "rho", lambda v: UtilitySpec(rho=v)
     yield "alpha2", lambda v: EconomyParams.two_tier([1.0, 1.0], [1.0, 1.0], [1.0, 1.0],
                                                      np.ones((2, 2)), v, 4.0, 3.0)

@@ -135,6 +135,18 @@ def test_run_scenario_validates_allocation_and_costs():
             run_scenario(cfg, solution=replace(solution, costs=costs))
 
 
+def _no_solve(*args, **kwargs):
+    raise AssertionError("solve_equilibrium called")
+
+
+def test_run_scenario_checks_the_allocation_before_the_solve(monkeypatch):
+    monkeypatch.setattr(scenarios, "solve_equilibrium", _no_solve)
+    three = SourcingAllocation.uniform_tiers([0.2, 0.3, 0.5], 10, 2)
+    with pytest.raises(ValueError,
+                       match="^allocation and economy disagree on the number of locations$"):
+        run_scenario(make_config(), allocation=three)
+
+
 def test_planner_south_shock_degrades_but_survives():
     cfg = make_config(decision_mode="planner", realization="south",
                       utility=UtilitySpec(rho=2.0))
@@ -220,8 +232,25 @@ def test_monte_carlo_deterministic_in_seed():
     a = monte_carlo_survival(cfg, n_runs=2_000, seed=123)
     b = monte_carlo_survival(cfg, n_runs=2_000, seed=123)
     assert a == b
+    # a whole float or numpy integer seed is the same seed
+    assert monte_carlo_survival(cfg, n_runs=2_000, seed=123.0) == a
+    assert monte_carlo_survival(cfg, n_runs=2_000, seed=np.int64(123)) == a
     with pytest.raises(ValueError):
         monte_carlo_survival(cfg, n_runs=0, seed=1)
+
+
+@pytest.mark.parametrize("kw,message", [
+    ({"n_runs": 0}, "^n_runs must be at least 1$"),
+    ({"seed": True}, "^seed must be a whole number, got True$"),
+    ({"seed": -1}, "^seed must be at least 0$"),
+    ({"seed": 2.5}, "^seed must be a whole number, got 2.5$"),
+    ({"seed": None}, "^seed must be a whole number, got None$"),
+], ids=("runs-0", "seed-true", "seed-negative", "seed-fraction", "seed-none"))
+def test_monte_carlo_checks_its_inputs_before_the_solve(monkeypatch, kw, message):
+    # seed=True used to run as seed 1 and seed=None to draw fresh entropy.
+    monkeypatch.setattr(scenarios, "solve_equilibrium", _no_solve)
+    with pytest.raises(ValueError, match=message):
+        monte_carlo_survival(make_config(), **{"n_runs": 10, "seed": 0, **kw})
 
 
 def test_monte_carlo_classifier_matches_draw_shock():

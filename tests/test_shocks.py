@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -239,3 +240,23 @@ def test_params_validation_and_round_trip():
         ShockParams.from_dict({"eta": 0.2, "lam": 0.5})
     p = ShockParams(eta=0.2, lam=0.5, zeta=0.75)
     assert ShockParams.from_dict(p.to_dict()) == p
+
+
+# sha256 of the int8 bytes of each regime path over the same 10**6 draws,
+# keyed by (eta, lam, initial regime).
+REGIME_PATH_DIGESTS = {
+    (0.07, 0.59, 0): "260848cf61234d3597b30384ce19d6c4df44382a3053512d26960615a611d334",
+    (0.07, 0.59, 1): "254ed9bd871895c7865d106f7d9b6f4f7c247b2fdad62fd686f6879b0c381554",
+    (0.6, 0.25, 0): "71847429b24d7b27a529ec5e9ae3bf7193a1b17bde3ad9016508e8dbd746031f",
+    (0.6, 0.25, 1): "0fa93459226e55086ce32bebd9de20edc406541dca97d246ed86133e521555d2",
+}
+
+
+@pytest.mark.parametrize("eta,lam,initial", REGIME_PATH_DIGESTS,
+                         ids=[f"{eta}-{lam}-{initial}" for eta, lam, initial in REGIME_PATH_DIGESTS])
+def test_regime_path_is_pinned_bit_for_bit(eta, lam, initial):
+    draws = np.random.default_rng(2024).random(10**6)
+    path = simulate_regime(ShockParams(eta=eta, lam=lam, zeta=0.5), draws, initial=initial)
+    assert path.dtype == np.intp
+    got = hashlib.sha256(path.astype(np.int8).tobytes()).hexdigest()
+    assert got == REGIME_PATH_DIGESTS[eta, lam, initial]

@@ -519,7 +519,11 @@ def test_planner_requires_two_locations():
     (3, {}, "^the planner grid search handles exactly two locations$"),
     (2, {"grid_resolution": 1}, "^grid_resolution must be at least 2$"),
     (2, {"suppliers_per_tier": 2.5}, "^suppliers_per_tier must be a whole number, got 2.5$"),
-], ids=("three-locations", "grid-1", "suppliers-fraction"))
+    (2, {"suppliers_per_tier": 0}, "^suppliers_per_tier must be at least 1$"),
+    (2, {"suppliers_per_tier": -3}, "^suppliers_per_tier must be at least 1$"),
+    (2, {"suppliers_per_tier": True}, "^suppliers_per_tier must be a whole number, got True$"),
+], ids=("three-locations", "grid-1", "suppliers-fraction", "suppliers-0", "suppliers-negative",
+        "suppliers-true"))
 def test_planner_checks_its_inputs_before_the_solve(monkeypatch, planner, J, kw, message):
     def no_solve(*args, **kwargs):
         raise AssertionError("solve_equilibrium called")
@@ -530,6 +534,20 @@ def test_planner_checks_its_inputs_before_the_solve(monkeypatch, planner, J, kw,
             planner_risk_sourcing(params, SHOCKS, UtilitySpec(2.0), costs=None, **kw)
         else:
             planner_ambiguity_sourcing(params, SHOCKS, BeliefSet(0.2, 0.8), costs=None, **kw)
+
+
+@pytest.mark.parametrize("M,message", [
+    (0, "^suppliers_per_tier must be at least 1$"),
+    (-3, "^suppliers_per_tier must be at least 1$"),
+    (True, "^suppliers_per_tier must be a whole number, got True$"),
+    (2.5, "^suppliers_per_tier must be a whole number, got 2.5$"),
+], ids=("0", "negative", "true", "fraction"))
+def test_individual_sourcing_checks_suppliers_before_the_solve(monkeypatch, M, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_equilibrium called")
+    monkeypatch.setattr(sourcing, "solve_equilibrium", no_solve)
+    with pytest.raises(ValueError, match=message):
+        individual_sourcing(symmetric_two_tier(), SHOCKS, suppliers_per_tier=M, costs=None)
 
 
 def test_diversification_costs_efficiency():

@@ -45,10 +45,17 @@ The inputs are the benchmark's own, from ``bench/inputs.py``.  Records:
   focus choices), on the tables of :func:`bound_tables` and on the
   three-cycles of :func:`three_cycles`, each as the matrix bytes or the
   error text; and one bad measure, focus or sector at a time on
-  ``table_pair(0)``.
+  ``table_pair(0)``;
+* ``scenario/...``: every ``TimeSeries`` column, the allocation and the
+  labels of each ``run_matrix`` cell and of ``run_scenario`` under each
+  realisation, on the scenario configs of seeds 0-3;
+  ``monte_carlo_survival`` at 1, 7 and 1000 runs with the config's seed;
+  and per seed, the ``simulate_regime`` path from both regimes over the
+  first 10**5 draws of the benchmark's regime input.
 
 ``--smoke`` keeps seed 0 and the benchmark's smoke sizes, and leaves out the
-``cli-fail``, ``objective``, ``solve``, ``chain`` and ``reliance`` records.
+``cli-fail``, ``objective``, ``solve``, ``chain``, ``reliance`` and
+``scenario`` records.
 """
 
 from __future__ import annotations
@@ -79,6 +86,7 @@ from gscsim import (  # noqa: E402
     EquilibriumConvergenceError,
     ScenarioConfig,
     SourcingAllocation,
+    ShockParams,
     WorldIOTable,
     allocation_value,
     ambiguity_objective,
@@ -86,14 +94,18 @@ from gscsim import (  # noqa: E402
     choose_allocation,
     compute_fir,
     compute_fmr,
+    monte_carlo_survival,
     planner_ambiguity_sourcing,
     planner_risk_sourcing,
     risk_objective,
+    run_matrix,
+    run_scenario,
+    simulate_regime,
     solve_equilibrium,
 )
 from gscsim import chains  # noqa: E402
 from gscsim.cli import main as cli_main  # noqa: E402
-from gscsim.scenarios import INFO_ENVS  # noqa: E402
+from gscsim.scenarios import INFO_ENVS, REALIZATIONS  # noqa: E402
 from gscsim.shocks import BRANCHES  # noqa: E402
 
 _spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
@@ -112,6 +124,8 @@ RELIANCE_SECTORS = ("MFG", "S05", "S29")
 SMOKE_RELIANCE_SECTORS = ("MFG", "S02")
 N_BOUND_TABLES = 120
 BOUND_SEED = 15
+MC_RUNS = (1, 7, 1000)
+REGIME_DRAWS = 10**5
 
 
 def _without(d: dict, *keys) -> dict:
@@ -480,6 +494,36 @@ def _reliance_records(out: dict, smoke: bool = False) -> None:
         _both_ways(out, f"cycle/{name}", table)
 
 
+def _series(ts) -> list:
+    """Every column of a ``TimeSeries`` as dtype and hex bytes, then its
+    allocation's bytes and its three labels."""
+    return ([[column, getattr(ts, column).dtype.str, getattr(ts, column).tobytes().hex()]
+             for column in ts.COLUMNS]
+            + [ts.allocation.phi.tobytes().hex(), ts.allocation.M.tobytes().hex(),
+               ts.decision_mode, ts.info_env, ts.realization])
+
+
+def _scenario_run_records(out: dict, seeds=SCENARIO_SEEDS, smoke: bool = False) -> None:
+    for seed in seeds:
+        for name, cfg in inputs.scenario_configs(seed, smoke=smoke):
+            key = f"scenario/s{seed}/{name}"
+            config = ScenarioConfig.from_dict(cfg)
+            for (realization, env), ts in run_matrix(config).items():
+                out[f"{key}/matrix/{realization}/{env}"] = _digest(_series(ts))
+            for realization in REALIZATIONS:
+                ts = run_scenario(replace(config, realization=realization))
+                out[f"{key}/run/{realization}"] = _digest(_series(ts))
+            for n_runs in MC_RUNS:
+                mc = monte_carlo_survival(config, n_runs, config.seed)
+                out[f"{key}/mc/{n_runs}"] = _digest(
+                    [repr(v) for v in (mc.survival_rate, mc.mean_welfare, mc.stderr, mc.n_runs)])
+        shock, draws = inputs.regime_inputs(seed)
+        for initial in (0, 1):
+            path = simulate_regime(ShockParams(**shock), draws[:REGIME_DRAWS], initial=initial)
+            out[f"scenario/s{seed}/regime/{initial}"] = _digest(
+                [path.dtype.str, path.tobytes().hex()])
+
+
 def _error_records(out: dict) -> None:
     scenario = inputs.scenario_configs(0, smoke=True)[0][1]
     for name, cls, value in _malformed(scenario):
@@ -517,6 +561,7 @@ def collect(smoke: bool = False) -> dict[str, str]:
         _solve_records(out)
         _chain_records(out)
         _reliance_records(out)
+        _scenario_run_records(out)
     return dict(sorted(out.items()))
 
 
