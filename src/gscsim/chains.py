@@ -64,9 +64,12 @@ def _positive_array(x, shape, name: str) -> np.ndarray:
     return arr
 
 
-def _whole(x, name: str, minimum: int | None = None):
-    """``x`` as an int (an ``intp`` array if array-like), each at least ``minimum``
-    if given.  NaN, inf, fractions and booleans raise; ints are kept exact."""
+def _whole(x, name: str, minimum: int | None = None, maximum: int | None = None,
+           array: bool = False):
+    """``x`` as an int, or with ``array`` an ``intp`` array if array-like,
+    each at least ``minimum`` and at most ``maximum`` where given.  NaN, inf,
+    fractions, booleans and, without ``array``, sequences raise; ints are
+    kept exact."""
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         out = int(x)
     else:
@@ -76,26 +79,27 @@ def _whole(x, name: str, minimum: int | None = None):
             arr = None
         if arr is None or not (np.isfinite(arr) & (arr == np.floor(arr))).all():
             raise ValueError(f"{name} must be a whole number, got {x}")
-        out = int(arr) if arr.ndim == 0 else arr.astype(np.intp)
-    if minimum is not None and np.any(out < minimum):
+        if arr.ndim == 0:
+            out = int(arr)
+        elif array:
+            out = arr.astype(np.intp)
+        else:
+            raise ValueError(f"{name} must be a single value, got {x}")
+    # np.any costs microseconds on a Python bool, and a shock location is
+    # checked three times per scored sourcing candidate.
+    outside = bool if isinstance(out, int) else np.any
+    if minimum is not None and outside(out < minimum):
         raise ValueError(f"{name} must be at least {minimum}")
+    if maximum is not None and outside(out > maximum):
+        raise ValueError(f"{name} must be at most {maximum}")
     return out
-
-
-def _location(x, n: int, name: str) -> int:
-    i = _whole(x, name)
-    if not 0 <= i < n:
-        raise ValueError(f"{name} {i} out of range")
-    return i
 
 
 def _checked_path(path, params: EconomyParams) -> np.ndarray:
     """``path`` as location indices, one per tier, each a known location."""
-    path = _whole(path, "path")
+    path = _whole(path, "path", 0, params.n_locations - 1, array=True)
     if np.shape(path) != (params.n_tiers,):
         raise ValueError(f"path must list one location per tier, got {np.shape(path)}")
-    if np.any(path < 0) or np.any(path >= params.n_locations):
-        raise ValueError("path contains an unknown location index")
     return path
 
 
@@ -408,7 +412,7 @@ def chain_cost_scale(path, dest: int, params: EconomyParams, costs) -> float:
 def _chain_scale(facs: np.ndarray, path, dest: int, params: EconomyParams) -> float:
     """:func:`chain_cost_scale` from the tier factors; checks path, then dest."""
     path = _checked_path(path, params)
-    dest = _location(dest, params.n_locations, "dest")
+    dest = _whole(dest, "dest", 0, params.n_locations - 1)
     return float(_path_product(facs, path[None])[0, dest])
 
 
@@ -431,7 +435,7 @@ def price_indices(params: EconomyParams, costs) -> np.ndarray:
 
 
 def price_index(dest: int, params: EconomyParams, costs) -> float:
-    dest = _location(dest, params.n_locations, "dest")
+    dest = _whole(dest, "dest", 0, params.n_locations - 1)
     return float(price_indices(params, costs)[dest])
 
 
@@ -495,7 +499,7 @@ def local_chain_real_wage(j: int, params: EconomyParams, pi_jj: float) -> float:
     an identity that lets the gains from fragmentation be read off a single
     observable share.  With composite costs it returns c_j / P_j.
     """
-    j = _location(j, params.n_locations, "j")
+    j = _whole(j, "j", 0, params.n_locations - 1)
     pi_jj = _real(pi_jj, "pi_jj")
     if not 0.0 < pi_jj <= 1.0:
         raise ValueError("pi_jj must lie in (0, 1]")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chains import EconomyParams, _JsonConfig, _location, _whole
+from .chains import EconomyParams, _JsonConfig, _whole
 from .equilibrium import EquilibriumSolution, SolverConfig, solve_equilibrium
 from .shocks import BRANCHES, EAST, SOUTH, ShockParams, _draw_branches
 from .sourcing import (
@@ -75,12 +75,13 @@ class ScenarioConfig(_JsonConfig):
         if self.realization not in REALIZATIONS:
             raise ValueError(f"realization must be one of {REALIZATIONS}, "
                              f"got {self.realization!r}")
-        for name, minimum in (("shock_period", None), ("horizon", 1), ("suppliers_per_tier", 1),
-                              ("grid_resolution", 2), ("destination", None), ("seed", None)):
-            setattr(self, name, _whole(getattr(self, name), name, minimum))
-        if not 1 <= self.shock_period <= self.horizon:
-            raise ValueError("shock_period must lie within the horizon")
-        _location(self.destination, self.economy.n_locations, "destination")
+        self.horizon = _whole(self.horizon, "horizon", 1)
+        for name, minimum, maximum in (("shock_period", 1, self.horizon),
+                                       ("suppliers_per_tier", 1, None),
+                                       ("grid_resolution", 2, None),
+                                       ("destination", 0, self.economy.n_locations - 1),
+                                       ("seed", 0, None)):
+            setattr(self, name, _whole(getattr(self, name), name, minimum, maximum))
 
 
 @dataclass

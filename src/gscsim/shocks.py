@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chains import _JsonConfig, _location, _real, _real_array, _whole
+from .chains import _JsonConfig, _real, _real_array, _whole
 
 NORMAL = 0
 SHOCK = 1
@@ -52,15 +52,12 @@ class RegimeState:
     periods_in_state: np.ndarray
 
     def __post_init__(self):
-        self.state = np.asarray(_whole(self.state, "state"), dtype=np.intp)
+        self.state = np.asarray(_whole(self.state, "state", NORMAL, SHOCK, array=True),
+                                dtype=np.intp)
         self.periods_in_state = np.asarray(
-            _whole(self.periods_in_state, "periods_in_state"), dtype=np.intp)
+            _whole(self.periods_in_state, "periods_in_state", 0, array=True), dtype=np.intp)
         if self.state.shape != self.periods_in_state.shape:
             raise ValueError("state and periods_in_state must align")
-        if not np.all(np.isin(self.state, (NORMAL, SHOCK))):
-            raise ValueError("regime flags must be NORMAL or SHOCK")
-        if np.any(self.periods_in_state < 0):
-            raise ValueError("periods_in_state must be nonnegative")
 
     @classmethod
     def all_normal(cls, n_locations: int) -> "RegimeState":
@@ -105,9 +102,7 @@ def simulate_regime(params: ShockParams, draws, initial: int = NORMAL) -> np.nda
     key (or ``initial`` before any) XOR the parity is the regime.  Returns
     the regime after each draw.
     """
-    initial = _whole(initial, "initial")
-    if not isinstance(initial, int) or initial not in (NORMAL, SHOCK):
-        raise ValueError("initial regime must be NORMAL or SHOCK")
+    initial = _whole(initial, "initial", NORMAL, SHOCK)
     u = _uniforms(draws, "draws")
     if u.ndim != 1:
         raise ValueError("draws must be a 1-d sequence of uniforms")
@@ -179,7 +174,7 @@ def _knock_out(rows: np.ndarray, draw: ShockDraw) -> np.ndarray:
     """A copy of the per-location ``rows`` with the hit location's row zeroed."""
     out = rows.copy()
     if draw.location is not None:
-        out[_location(draw.location, len(out), "shock location")] = 0
+        out[_whole(draw.location, "shock location", 0, len(out) - 1)] = 0
     return out
 
 

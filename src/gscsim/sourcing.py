@@ -107,7 +107,7 @@ class SourcingAllocation:
         col = self.phi.sum(axis=0)
         if not np.allclose(col, 1.0, atol=1e-9):
             raise ValueError("sourcing fractions must sum to 1 at every tier")
-        self.M = _whole(self.M, "M", 1)
+        self.M = _whole(self.M, "M", 1, array=True)
         if np.shape(self.M) != (self.phi.shape[1],):
             raise ValueError("M must give one supplier count per tier")
 
@@ -336,17 +336,15 @@ def planner_ambiguity_sourcing(params: EconomyParams, shock_params: ShockParams,
     counts = _apportion(np.stack([1.0 - xs, xs], axis=1), M)
     # The counts keep the tier total, so the South count names the vector.
     # Its group's first point in tie order (nearest an even split, then the
-    # smaller South share) is the group's candidate.
+    # smaller South share) is the group's candidate.  The candidates are
+    # scored in tie order too, and max keeps the first of equal scores.
     by_tie = np.lexsort((xs, np.abs(xs - 0.5)))
     _, lead = np.unique(counts[by_tie, 1], return_index=True)
-    winners = by_tie[lead]
 
-    def rank(i):
-        x = float(xs[i])
+    def score(i):
         tiers = np.repeat(counts[i][:, None], params.n_tiers, axis=1)
-        return (_worst_score(tiers, params, costs, shock_params.eta, beliefs.endpoints, rho),
-                -abs(x - 0.5), -x)
+        return _worst_score(tiers, params, costs, shock_params.eta, beliefs.endpoints, rho)
 
-    best_x = float(xs[max(winners, key=rank)])
+    best_x = float(xs[max(by_tie[np.sort(lead)], key=score)])
     return SourcingAllocation.uniform_tiers(
         np.array([1.0 - best_x, best_x]), M, params.n_tiers)

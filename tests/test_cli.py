@@ -141,6 +141,26 @@ def test_simulate_seed_override(tmp_path):
     assert read_manifest(out)["seed"] == 42
 
 
+def test_simulate_refuses_a_negative_seed(tmp_path, capsys):
+    # The config used to take any whole seed and record it, though
+    # monte_carlo_survival refuses one below 0.
+    cfg = write_json(tmp_path / "cfg.json", scenario_dict())
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
+    assert "seed must be at least 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_refuses_a_list_seed(tmp_path, capsys):
+    # A list seed used to run, write timeseries.csv and then exit 2 when
+    # the manifest could not serialise the config.
+    cfg = write_json(tmp_path / "cfg.json", {**scenario_dict(), "seed": [1, 2]})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert "seed must be a single value, got [1, 2]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_error_exit_codes(tmp_path, capsys):
     bad_json = tmp_path / "broken.json"
     bad_json.write_text("{nope")

@@ -4,7 +4,12 @@ and --compare names what differs."""
 
 import importlib.util
 import json
+import os
+import runpy
+import sys
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "identity.py"
 
@@ -36,6 +41,24 @@ def test_compare_lists_every_differing_record(tmp_path, capsys):
                    "3 of 4 records differ"]
     assert tool.main(["--compare", str(a), str(a)]) == 0
     assert capsys.readouterr().out == "0 of 3 records differ\n"
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_a_run_uses_one_blas_thread_and_an_import_changes_nothing(tmp_path, monkeypatch):
+    # The reliance records rounded differently at two BLAS threads.
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "2")
+    load_tool()
+    assert [os.environ[var] for var in BLAS_THREAD_VARS] == ["2", "2", "2"]
+    records = tmp_path / "records.json"
+    records.write_text("{}")
+    monkeypatch.setattr(sys, "argv", [str(TOOL), "--compare", str(records), str(records)])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(TOOL), run_name="__main__")
+    assert stop.value.code == 0
+    assert [os.environ[var] for var in BLAS_THREAD_VARS] == ["1", "1", "1"]
 
 
 def test_failed_runs_leave_no_output(tmp_path, monkeypatch):

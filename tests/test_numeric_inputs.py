@@ -174,9 +174,9 @@ def _sourcing_rows():
 def _scenario_rows():
     for key in SCENARIO_INTS:
         for v in BAD + (FRACTION,):
-            # Location 0 is a destination, and the seed is only recorded,
-            # so any whole number is a valid seed.
-            if (key == "destination" and v == 0.0) or (key == "seed" and v in (0.0, -1.0)):
+            # Location 0 is a destination and seed 0 a seed; a negative seed,
+            # which monte_carlo_survival refuses, was accepted here.
+            if key in ("destination", "seed") and v == 0.0:
                 continue
             yield f"ScenarioConfig.{key}", v, lambda v=v, k=key: ScenarioConfig(
                 economy=EconomyParams.from_dict(ECONOMY), shock=ShockParams(**SHOCK),
@@ -383,6 +383,8 @@ def _floor_rows():
     yield "max_iterations", 1, lambda v: solve_costs(unit, params, max_iterations=v)
     yield "n_runs", 1, lambda v: monte_carlo_survival(cfg, n_runs=v, seed=0)
     yield "seed", 0, lambda v: monte_carlo_survival(cfg, n_runs=10, seed=v)
+    yield "seed", 0, lambda v: ScenarioConfig.from_dict({**SCENARIO, "seed": v})
+    yield "periods_in_state", 0, lambda v: RegimeState([0, 1], [v, 0])
 
 
 FLOOR_ROWS = list(_floor_rows())
@@ -400,12 +402,80 @@ def test_whole_number_floors_share_one_message(field, floor, call):
             call(below)
 
 
+def _bounded_rows():
+    """(field, minimum, maximum, call) of every index with both bounds;
+    ``call(v)`` passes ``v`` as that index."""
+    params, unit = symmetric_two_tier(), np.ones(2)
+    alloc = SourcingAllocation(phi=[[1.0, 1.0], [0.0, 0.0]], M=[3, 3])
+    shock = ShockParams(0.3, 0.5, 0.5)
+    yield "dest", 0, 1, lambda v: chain_cost_scale([0, 1], v, params, unit)
+    yield "dest", 0, 1, lambda v: price_index(v, params, unit)
+    yield "j", 0, 1, lambda v: local_chain_real_wage(v, params, 0.5)
+    yield "destination", 0, 1, lambda v: ScenarioConfig.from_dict({**SCENARIO, "destination": v})
+    yield "shock location", 0, 1, lambda v: apply_shock([1.0, 1.0], ShockDraw(v))
+    yield "shock location", 0, 1, lambda v: chain_survives(alloc, ShockDraw(v))
+    yield "path", 0, 1, lambda v: chain_cost_scale([0, v], 0, params, unit)
+    yield "state", 0, 1, lambda v: RegimeState([0, v], [0, 0])
+    yield "initial", 0, 1, lambda v: simulate_regime(shock, [0.9], initial=v)
+    yield "shock_period", 1, SCENARIO["horizon"], lambda v: ScenarioConfig.from_dict(
+        {**SCENARIO, "shock_period": v})
+
+
+BOUNDED_ROWS = list(_bounded_rows())
+
+
+@pytest.mark.parametrize("field,low,high,call", BOUNDED_ROWS,
+                         ids=[f"{row[0]}-{k}" for k, row in enumerate(BOUNDED_ROWS)])
+def test_whole_number_ceilings_share_one_message(field, low, high, call):
+    # Both bounds pass, as an int or a whole float; one past either bound,
+    # or far past it, is refused with the one message for that bound.
+    for v in (low, float(low), high, float(high)):
+        call(v)
+    for below in (low - 1, float(low - 1), low - 7):
+        with pytest.raises(ValueError, match=f"^{field} must be at least {low}$"):
+            call(below)
+    for above in (high + 1, float(high + 1), high + 7):
+        with pytest.raises(ValueError, match=f"^{field} must be at most {high}$"):
+            call(above)
+
+
+def _single_value_rows():
+    """(field, call) of whole numbers that take one value, not a sequence."""
+    params, unit = symmetric_two_tier(), np.ones(2)
+    cfg = ScenarioConfig.from_dict({**SCENARIO, "grid_resolution": 11})
+    yield "dest", lambda v: price_index(v, params, unit)
+    yield "j", lambda v: local_chain_real_wage(v, params, 0.5)
+    yield "shock location", lambda v: apply_shock([1.0, 1.0], ShockDraw(v))
+    yield "initial", lambda v: simulate_regime(ShockParams(0.3, 0.5, 0.5), [0.9], initial=v)
+    for key in SCENARIO_INTS:
+        yield key, lambda v, k=key: ScenarioConfig.from_dict({**SCENARIO, k: v})
+    yield "max_iterations", lambda v: SolverConfig(max_iterations=v)
+    yield "n_runs", lambda v: monte_carlo_survival(cfg, n_runs=v, seed=0)
+    yield "seed", lambda v: monte_carlo_survival(cfg, n_runs=10, seed=v)
+    yield "suppliers_per_tier", lambda v: SourcingAllocation.uniform_tiers(unit / 2, v, 2)
+
+
+SINGLE_VALUE_ROWS = list(_single_value_rows())
+
+
+@pytest.mark.parametrize("value", ([0, 1], [1], [], [[1]]), ids=repr)
+@pytest.mark.parametrize("field,call", SINGLE_VALUE_ROWS,
+                         ids=[f"{row[0]}-{k}" for k, row in enumerate(SINGLE_VALUE_ROWS)])
+def test_single_whole_numbers_refuse_sequences(field, call, value):
+    # A one-element list location used to pass (ShockDraw([1]) zeroed row
+    # 1, j=[1] gave an array of real wages), and a list seed ran the
+    # scenario, then broke the manifest.
+    with pytest.raises(ValueError, match=f"^{field} must be a single value, "
+                                         f"got {re.escape(str(value))}$"):
+        call(value)
+
+
 def test_location_indices_name_their_field_and_whole_floats_convert():
     params = symmetric_two_tier()
     unit = np.ones(2)
     with pytest.raises(ValueError, match="^path must be a whole number"):
         chain_productivity_location([0.5, 0], params)
-    with pytest.raises(ValueError, match="^path contains an unknown location"):
+    with pytest.raises(ValueError, match="^path must be at least 0$"):
         chain_cost_scale([-1, 0], 0, params, unit)
     with pytest.raises(ValueError, match="^dest must be a whole number"):
         chain_cost_scale([0, 1], 0.5, params, unit)
@@ -430,15 +500,15 @@ def test_out_of_range_locations_share_one_message():
              ("destination", lambda i: ScenarioConfig.from_dict({**SCENARIO, "destination": i})),
              ("shock location", lambda i: apply_shock([1.0, 1.0], ShockDraw(i))))
     for name, call in calls:
-        for i in (-1, 2):
-            with pytest.raises(ValueError, match=f"^{name} {i} out of range$"):
+        for i, bound in ((-1, "at least 0"), (2, "at most 1")):
+            with pytest.raises(ValueError, match=f"^{name} must be {bound}$"):
                 call(i)
 
 
 def test_shock_locations_and_regimes_name_their_field():
     alloc = SourcingAllocation(phi=[[1.0, 1.0], [0.0, 0.0]], M=[3, 3])
-    for v in (-1, 2):
-        with pytest.raises(ValueError, match=f"^shock location {v} out of range$"):
+    for v, bound in ((-1, "at least 0"), (2, "at most 1")):
+        with pytest.raises(ValueError, match=f"^shock location must be {bound}$"):
             chain_survives(alloc, ShockDraw(v))
     with pytest.raises(ValueError, match="^shock location must be a whole number"):
         allocation_value(alloc, ShockDraw(0.5), symmetric_two_tier(), np.ones(2))
@@ -449,7 +519,7 @@ def test_shock_locations_and_regimes_name_their_field():
         RegimeState([0.5, 1.7], [0, 0])
     with pytest.raises(ValueError, match="^periods_in_state must be a whole number"):
         RegimeState([0, 1], [3, 2.9])
-    with pytest.raises(ValueError, match="^periods_in_state must be nonnegative"):
+    with pytest.raises(ValueError, match="^periods_in_state must be at least 0$"):
         RegimeState([0, 1], [-3, 2])
     state = RegimeState([0.0, 1.0], [4.0, 0.0])
     assert state.state.dtype == state.periods_in_state.dtype == np.intp
@@ -461,8 +531,9 @@ def test_simulate_regime_initial_names_its_field():
     for v in (0.5, math.nan):
         with pytest.raises(ValueError, match="^initial must be a whole number, got "):
             simulate_regime(shock, [0.9], initial=v)
-    for v in (2, -1, 2.0, [0, 1]):
-        with pytest.raises(ValueError, match="^initial regime must be NORMAL or SHOCK$"):
+    for v, message in ((2, "at most 1"), (-1, "at least 0"), (2.0, "at most 1"),
+                       ([0, 1], r"a single value, got \[0, 1\]")):
+        with pytest.raises(ValueError, match=f"^initial must be {message}$"):
             simulate_regime(shock, [0.9], initial=v)
     for v in (1, 1.0, np.int64(1)):
         assert simulate_regime(shock, [0.9, 0.1], initial=v).tolist() == [1, 0]

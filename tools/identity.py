@@ -7,8 +7,11 @@ A run writes one JSON object mapping each record name to the sha256 of the
 record's canonical serialisation.  Run it in two checkouts on one machine
 (gscsim is imported from the ``src/`` next to this directory) and
 ``--compare`` lists the records whose digests differ, or that only one side
-has, and exits 1 if there are any.  Digests are not pinned anywhere: numpy
-and BLAS builds may differ in the last bits.
+has, and exits 1 if there are any.  A run uses one BLAS thread
+(``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` are
+set to 1 whatever the environment holds), so the thread count of the machine
+or the shell changes no digest.  Digests are not pinned anywhere: numpy and
+BLAS builds may differ in the last bits.
 
 The inputs are the benchmark's own, from ``bench/inputs.py``.  Records:
 
@@ -78,6 +81,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
+
+if __name__ == "__main__":
+    # One BLAS thread, whatever the environment says: the 1200-sector
+    # reliance solves round differently at other thread counts.  Set before
+    # numpy loads BLAS; an import (as the tests make) changes nothing.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
 
 import numpy as np  # noqa: E402
 
