@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import get_type_hints
 
@@ -68,23 +69,28 @@ def _whole(x, name: str, minimum: int | None = None, maximum: int | None = None,
            array: bool = False):
     """``x`` as an int, or with ``array`` an ``intp`` array if array-like,
     each at least ``minimum`` and at most ``maximum`` where given.  NaN, inf,
-    fractions, booleans and, without ``array``, sequences raise; ints are
-    kept exact."""
+    fractions, booleans and, without ``array``, sequences raise; integers,
+    integer arrays included, are kept exact."""
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         out = int(x)
     else:
         try:
-            arr = _real_array(x, name)
+            arr = np.asarray(x)
+            if arr.dtype.kind not in "iu":      # integer dtypes skip float64
+                arr = _real_array(arr, name)
+                arr = arr if (np.isfinite(arr) & (arr == np.floor(arr))).all() else None
         except (TypeError, ValueError):     # boolean, not numeric, or ragged
             arr = None
-        if arr is None or not (np.isfinite(arr) & (arr == np.floor(arr))).all():
+        if arr is None:
             raise ValueError(f"{name} must be a whole number, got {x}")
         if arr.ndim == 0:
             out = int(arr)
-        elif array:
-            out = arr.astype(np.intp)
-        else:
+        elif not array:
             raise ValueError(f"{name} must be a single value, got {x}")
+        elif arr.dtype.kind == "u" and arr.size and arr.max() > (top := np.iinfo(np.intp).max):
+            raise ValueError(f"{name} must be at most {top}")     # an intp cast would wrap
+        else:
+            out = arr.astype(np.intp)
     # np.any costs microseconds on a Python bool, and a shock location is
     # checked three times per scored sourcing candidate.
     outside = bool if isinstance(out, int) else np.any
@@ -93,6 +99,34 @@ def _whole(x, name: str, minimum: int | None = None, maximum: int | None = None,
     if maximum is not None and outside(out > maximum):
         raise ValueError(f"{name} must be at most {maximum}")
     return out
+
+
+@functools.cache
+def _interval(spec: str) -> tuple:
+    """Bounds of ``spec`` and the test of each: "(0, 1]" gives (0.0, 1.0, lt, le)."""
+    low, high = (float(bound) for bound in spec[1:-1].split(","))
+    return (low, high, operator.le if spec[0] == "[" else operator.lt,
+            operator.le if spec[-1] == "]" else operator.lt)
+
+
+def _within(x, name: str, spec: str, array: bool = False):
+    """``x`` as a float, or with ``array`` a float array, in the interval ``spec``
+    written as it reads (``"(0, 1]"``, ``"[1, inf)"``, ``"[-inf, inf]"``).  NaN
+    and booleans raise.  One message, ``{name} must lie in {spec}, got {value}``,
+    where an array's value is its first entry out of range."""
+    low, high, lower, upper = _interval(spec)
+    if not array:
+        value = _real(x, name)
+        if lower(low, value) and upper(value, high):    # NaN fails both
+            return value
+    else:
+        arr = _real_array(x, name)
+        # Two passes, min and max, however long the draws; both carry NaN.
+        if not arr.size or (lower(low, np.minimum.reduce(arr, axis=None))
+                            and upper(np.maximum.reduce(arr, axis=None), high)):
+            return arr
+        value = float(arr[~(lower(low, arr) & upper(arr, high))][0])
+    raise ValueError(f"{name} must lie in {spec}, got {value}")
 
 
 def _checked_path(path, params: EconomyParams) -> np.ndarray:
@@ -201,15 +235,12 @@ class EconomyParams(_JsonConfig):
             raise ValueError("need at least one location and one tier")
         self.T = _positive_array(self.T, (J, N), "T")
         self.L = _positive_array(self.L, (J,), "L")
-        self.tau = _positive_array(self.tau, (J, J), "tau")
-        if np.any(self.tau < 1.0):
-            raise ValueError("iceberg costs tau must be >= 1")
+        self.tau = _within(_positive_array(self.tau, (J, J), "tau"), "tau", "[1, inf)", array=True)
         if not np.allclose(np.diag(self.tau), 1.0):
             raise ValueError("tau must have a unit diagonal")
-        self.alpha = _positive_array(self.alpha, (N,), "alpha")
+        self.alpha = _within(_positive_array(self.alpha, (N,), "alpha"), "alpha", "(0, 1]",
+                             array=True)
         self.beta = _positive_array(self.beta, (N,), "beta")
-        if np.any(self.alpha > 1.0):
-            raise ValueError("labour shares alpha must lie in (0, 1]")
         weight = float(np.sum(self.alpha * self.beta))
         if abs(weight - 1.0) > 1e-9:
             raise ValueError(
@@ -218,9 +249,7 @@ class EconomyParams(_JsonConfig):
             )
         self.theta, self.sigma = _real(self.theta, "theta"), _real(self.sigma, "sigma")
         kappa(self.theta, self.sigma)       # the price index must exist
-        self.gamma = _real(self.gamma, "gamma")
-        if not 0.0 < self.gamma <= 1.0:     # NaN fails it too
-            raise ValueError("gamma must lie in (0, 1]")
+        self.gamma = _within(self.gamma, "gamma", "(0, 1]")
 
     @property
     def n_locations(self) -> int:
@@ -245,11 +274,8 @@ class EconomyParams(_JsonConfig):
         spends share ``alpha2`` on labour and ``1 - alpha2`` on the upstream
         input, so beta = (1 - alpha2, 1).
         """
-        alpha2 = _real(alpha2, "alpha2")
-        if not 0.0 < alpha2 < 1.0:
-            raise ValueError("alpha2 must lie strictly between 0 and 1")
-        T = np.column_stack([T1, T2])
-        return cls(T=T, L=L, tau=tau,
+        alpha2 = _within(alpha2, "alpha2", "(0, 1)")
+        return cls(T=np.column_stack([T1, T2]), L=L, tau=tau,
                    alpha=np.array([1.0, alpha2]),
                    beta=np.array([1.0 - alpha2, 1.0]),
                    theta=theta, sigma=sigma, gamma=gamma)
@@ -260,13 +286,8 @@ def kappa(theta: float, sigma: float) -> float:
 
     kappa = Gamma((theta + 1 - sigma) / theta) ** (1 / (1 - sigma)), which
     exists for finite theta > 0 and sigma > 1 with sigma - 1 < theta; any
-    other theta or sigma raises.  Written so that NaN fails each check.
-    """
-    theta, sigma = _real(theta, "theta"), _real(sigma, "sigma")
-    if not 0.0 < theta < np.inf:
-        raise ValueError("theta must be positive and finite")
-    if not 1.0 < sigma < np.inf:
-        raise ValueError("sigma must exceed 1 and be finite")
+    other theta or sigma raises."""
+    theta, sigma = _within(theta, "theta", "(0, inf)"), _within(sigma, "sigma", "(1, inf)")
     if sigma - 1.0 >= theta:
         raise ValueError(f"price index requires sigma - 1 < theta, "
                          f"got sigma={sigma}, theta={theta}")
@@ -500,9 +521,7 @@ def local_chain_real_wage(j: int, params: EconomyParams, pi_jj: float) -> float:
     observable share.  With composite costs it returns c_j / P_j.
     """
     j = _whole(j, "j", 0, params.n_locations - 1)
-    pi_jj = _real(pi_jj, "pi_jj")
-    if not 0.0 < pi_jj <= 1.0:
-        raise ValueError("pi_jj must lie in (0, 1]")
+    pi_jj = _within(pi_jj, "pi_jj", "(0, 1]")
     k = kappa(params.theta, params.sigma)
     tech = float(np.prod(params.T[j] ** (params.alpha * params.beta)))
     tau_jj = params.tau[j, j] ** float(np.sum(params.beta))
@@ -523,9 +542,7 @@ def chain_productivity_cdf(z: float, path, params: EconomyParams) -> float:
 
         F(z) = exp(-z**(-theta) * prod_n T[l_n, n]**(alpha_n beta_n)).
     """
-    z = _real(z, "z")
-    if math.isnan(z):
-        raise ValueError("z must be a number, got nan")
+    z = _within(z, "z", "[-inf, inf]")
     loc = chain_productivity_location(path, params)
     if z <= 0.0:
         return 0.0

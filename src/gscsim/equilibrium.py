@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import EconomyParams, _Chain, _positive_array, _real, _whole
+from .chains import EconomyParams, _Chain, _positive_array, _whole, _within
 
 logger = logging.getLogger(__name__)
 
@@ -56,12 +56,9 @@ class SolverConfig:
     initial_wages: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("tolerance", "damping", "world_income"):
-            setattr(self, name, _real(getattr(self, name), name))
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
-        if not (0.0 < self.tolerance < np.inf and 0.0 < self.world_income < np.inf):
-            raise ValueError("tolerance and world_income must be finite and positive")
+        for name, spec in (("tolerance", "(0, inf)"), ("damping", "(0, 1]"),
+                           ("world_income", "(0, inf)")):
+            setattr(self, name, _within(getattr(self, name), name, spec))
         self.max_iterations = _whole(self.max_iterations, "max_iterations", 0)
 
 

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chains import _JsonConfig, _real, _real_array, _whole
+from .chains import _JsonConfig, _real_array, _whole, _within
 
 NORMAL = 0
 SHOCK = 1
@@ -38,10 +38,7 @@ class ShockParams(_JsonConfig):
 
     def __post_init__(self):
         for name in ("eta", "lam", "zeta"):
-            v = _real(getattr(self, name), name)
-            setattr(self, name, v)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+            setattr(self, name, _within(getattr(self, name), name, "[0, 1]"))
 
 
 @dataclass
@@ -65,14 +62,6 @@ class RegimeState:
                    periods_in_state=np.zeros(n_locations, dtype=np.intp))
 
 
-def _uniforms(rand, name: str) -> np.ndarray:
-    """``rand`` as float uniform draws, each in [0, 1); booleans raise."""
-    u = _real_array(rand, name)
-    if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
-        raise ValueError("uniform draws must lie in [0, 1)")
-    return u
-
-
 def step_regime(state: RegimeState, params: ShockParams, rand) -> RegimeState:
     """Advance every location one period using uniform draws in [0, 1).
 
@@ -81,7 +70,7 @@ def step_regime(state: RegimeState, params: ShockParams, rand) -> RegimeState:
     Normal locations flip on rand < eta, shocked ones recover on
     rand < lam.
     """
-    u = np.broadcast_to(_uniforms(rand, "rand"), state.state.shape)
+    u = np.broadcast_to(_within(rand, "rand", "[0, 1)", array=True), state.state.shape)
     is_shock = state.state == SHOCK
     flip = np.where(is_shock, u < params.lam, u < params.eta)
     new_state = np.where(flip, 1 - state.state, state.state)
@@ -103,7 +92,7 @@ def simulate_regime(params: ShockParams, draws, initial: int = NORMAL) -> np.nda
     the regime after each draw.
     """
     initial = _whole(initial, "initial", NORMAL, SHOCK)
-    u = _uniforms(draws, "draws")
+    u = _within(draws, "draws", "[0, 1)", array=True)
     if u.ndim != 1:
         raise ValueError("draws must be a 1-d sequence of uniforms")
     hit = u < params.eta
@@ -147,7 +136,7 @@ def draw_shock(params: ShockParams, rand: float) -> ShockDraw:
     Splits [0, 1) into [0, 1-eta) -> none, then a zeta : 1-zeta split of
     the remaining mass between East and South.
     """
-    u = _uniforms(_real(rand, "rand"), "rand")
+    u = _within(rand, "rand", "[0, 1)")
     return BRANCHES[int(_draw_branches(params, u))]
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import EconomyParams, _JsonConfig, _positive_array, _real, _real_array, _whole
+from .chains import EconomyParams, _JsonConfig, _positive_array, _real_array, _whole, _within
 from .equilibrium import SolverConfig, solve_equilibrium
 from .shocks import BRANCHES, ShockDraw, ShockParams, _branch_odds, _knock_out
 
@@ -46,9 +46,7 @@ class UtilitySpec(_JsonConfig):
     kind = "utility"
 
     def __post_init__(self):
-        self.rho = _real(self.rho, "rho")
-        if not 0.0 <= self.rho < math.inf:
-            raise ValueError(f"rho must be finite and nonnegative, got {self.rho}")
+        self.rho = _within(self.rho, "rho", "[0, inf)")
 
     def of(self, value: float) -> float:
         return crra_utility(value, self.rho)
@@ -75,9 +73,9 @@ class BeliefSet(_JsonConfig):
     kind = "belief"
 
     def __post_init__(self):
-        self.zeta_lo = _real(self.zeta_lo, "zeta_lo")
-        self.zeta_hi = _real(self.zeta_hi, "zeta_hi")
-        if not 0.0 <= self.zeta_lo <= self.zeta_hi <= 1.0:
+        self.zeta_lo = _within(self.zeta_lo, "zeta_lo", "[0, 1]")
+        self.zeta_hi = _within(self.zeta_hi, "zeta_hi", "[0, 1]")
+        if self.zeta_lo > self.zeta_hi:
             raise ValueError("beliefs must satisfy 0 <= zeta_lo <= zeta_hi <= 1")
 
     @classmethod
@@ -99,11 +97,9 @@ class SourcingAllocation:
     M: np.ndarray
 
     def __post_init__(self):
-        self.phi = _real_array(self.phi, "phi")
+        self.phi = _within(self.phi, "phi", "[0, 1]", array=True)
         if self.phi.ndim != 2:
             raise ValueError("phi must have shape (locations, tiers)")
-        if np.any(self.phi < 0.0) or np.any(self.phi > 1.0):
-            raise ValueError("sourcing fractions must lie in [0, 1]")
         col = self.phi.sum(axis=0)
         if not np.allclose(col, 1.0, atol=1e-9):
             raise ValueError("sourcing fractions must sum to 1 at every tier")

@@ -391,10 +391,10 @@ def test_parameter_validation():
 def test_parameter_validation_rejects_non_finite_theta_and_sigma():
     # NaN fails no "<=" comparison, so a NaN sigma used to pass validation.
     base = symmetric_two_tier().to_dict()
-    for key, value, message in (("theta", math.nan, "theta must be positive"),
-                                ("theta", math.inf, "theta must be positive"),
-                                ("sigma", math.nan, "sigma must exceed 1"),
-                                ("sigma", math.inf, "sigma must exceed 1")):
+    for key, value, message in (("theta", math.nan, r"theta must lie in \(0, inf\), got nan"),
+                                ("theta", math.inf, r"theta must lie in \(0, inf\), got inf"),
+                                ("sigma", math.nan, r"sigma must lie in \(1, inf\), got nan"),
+                                ("sigma", math.inf, r"sigma must lie in \(1, inf\), got inf")):
         with pytest.raises(ValueError, match=message):
             EconomyParams.from_dict({**base, key: value})
         kwargs = {"theta": 4.0, "sigma": 2.0, key: value}

@@ -184,7 +184,7 @@ def test_simulate_rejects_bad_utility_section(tmp_path, capsys):
                          scenario_dict(decision_mode="planner", utility={"rho": rho}))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"),
                      "--matrix"]) == 2
-        assert "utility: rho must be finite" in capsys.readouterr().err
+        assert f"utility: rho must lie in [0, inf), got {rho}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     # rho has a default, 2.0, like every optional field
     cfg = write_json(tmp_path / "norho.json", scenario_dict(utility={}))
@@ -238,15 +238,15 @@ def test_equilibrium_rejects_non_finite_tolerance(tmp_path, capsys):
         rc = main(["equilibrium", "--params", cfg, "--out", str(tmp_path / "out"),
                    "--tolerance", tol])
         assert rc == 2, tol
-        assert "tolerance and world_income must be finite and positive" in \
+        assert f"tolerance must lie in (0, inf), got {float(tol)}" in \
             capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
 def test_equilibrium_rejects_nan_elasticities(tmp_path, capsys):
     # A JSON NaN sigma used to exit 0 with "converged in 0 iterations".
-    for key, message in (("sigma", "sigma must exceed 1"),
-                         ("theta", "theta must be positive")):
+    for key, message in (("sigma", "sigma must lie in (1, inf), got nan"),
+                         ("theta", "theta must lie in (0, inf), got nan")):
         cfg = tmp_path / f"{key}.json"
         cfg.write_text(json.dumps({**symmetric_two_tier().to_dict(), key: float("nan")}))
         assert "NaN" in cfg.read_text()

@@ -1,11 +1,14 @@
 """The byte-identity corpus of tools/identity.py: its smoke subset digests
-the same records the same way twice, its failing CLI runs leave no output,
-and --compare names what differs."""
+the same records the same way twice, and the same with --src naming the
+same sources, its failing CLI runs leave no output, and --compare names
+what differs."""
 
 import importlib.util
 import json
 import os
 import runpy
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,6 +31,41 @@ def test_smoke_corpus_repeats(tmp_path, monkeypatch):
     assert {name.split("/")[0] for name in first} == {"config", "cli", "phi", "error"}
     assert tool.collect(smoke=True) == first
     assert Path.cwd() == tmp_path and not any(tmp_path.iterdir())
+
+
+def test_src_option_digests_the_sources_it_names(tmp_path):
+    # A copy of src/ elsewhere gives the smoke digests of this checkout,
+    # although PYTHONPATH names this checkout's src/ too; a directory
+    # without gscsim is refused rather than digesting another tree.
+    src = tmp_path / "copy" / "src"
+    shutil.copytree(TOOL.parents[1] / "src" / "gscsim", src / "gscsim",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = {**os.environ, "PYTHONPATH": str(TOOL.parents[1] / "src")}
+
+    def run(src_dir, out):
+        return subprocess.run([sys.executable, str(TOOL), "--smoke", "--src", str(src_dir),
+                               "--out", out], cwd=tmp_path, env=env, capture_output=True,
+                              text=True)
+
+    done = run(src, "copy.json")
+    assert done.returncode == 0, done.stderr
+    assert json.loads((tmp_path / "copy.json").read_text()) == load_tool().collect(smoke=True)
+    (tmp_path / "empty").mkdir()
+    refused = run(tmp_path / "empty", "empty.json")
+    assert refused.returncode == 2 and "not from --src" in refused.stderr
+    assert not (tmp_path / "empty.json").exists()
+
+
+def test_range_records_cover_the_readme_table():
+    tool = load_tool()
+    rows = tool.RANGE_ROW.findall((tool.ROOT / "README.md").read_text())
+    cases = tool.range_cases(tool.inputs.scenario_configs(0, smoke=True)[0][1])
+    assert {name.split("/")[1] for name, _ in cases} == {f"{row[0]}.{row[1]}" for row in rows}
+    # each field has two bounds, and each bound one value past it
+    assert len(cases) == 2 * len(rows) == len({name for name, _ in cases})
+    for name, call in cases:
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_compare_lists_every_differing_record(tmp_path, capsys):

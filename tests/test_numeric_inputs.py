@@ -6,9 +6,12 @@ count arguments of the public sourcing functions.  Integer fields also get
 a fraction, which must not be truncated into a different experiment.
 """
 
+import functools
 import json
 import math
 import re
+from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +42,7 @@ from gscsim import (
     draw_shock,
     individual_sourcing,
     intermediate_flow_shares,
+    kappa,
     local_chain_real_wage,
     monte_carlo_survival,
     path_share,
@@ -51,10 +55,11 @@ from gscsim import (
     solve_equilibrium,
     step_regime,
 )
-from gscsim.chains import _positive_array
+from gscsim.chains import _positive_array, _whole
 from gscsim.cli import main
 
 from conftest import oracle_economy, symmetric_two_tier
+from test_identity import load_tool
 
 BAD = (math.nan, math.inf, -math.inf, 0.0, -1.0)
 FRACTION = 2.5
@@ -291,13 +296,13 @@ def _guard_rows():
     yield ("EconomyParams.T.empty", lambda: EconomyParams(**{**ECONOMY, "T": np.ones((0, 2))}),
            ValueError, "need at least one location and one tier")
     yield ("EconomyParams.alpha", lambda: EconomyParams(**{**ECONOMY, "alpha": [1.5, 0.5]}),
-           ValueError, "labour shares alpha must lie in (0, 1]")
+           ValueError, "alpha must lie in (0, 1], got 1.5")
     for v in (0.0, 1.0):
         yield (f"EconomyParams.two_tier.alpha2={v}",
                lambda v=v: EconomyParams.two_tier(T1=[1.0, 1.0], T2=[1.0, 1.0], L=[1.0, 1.0],
                                                   tau=np.ones((2, 2)), alpha2=v,
                                                   theta=4.0, sigma=2.0),
-               ValueError, "alpha2 must lie strictly between 0 and 1")
+               ValueError, f"alpha2 must lie in (0, 1), got {v}")
     yield ("chain_cost_scale.path.length", lambda: chain_cost_scale([0], 0, params, unit),
            ValueError, "path must list one location per tier, got (1,)")
     yield ("intermediate_flow_shares.one_tier",
@@ -437,6 +442,171 @@ def test_whole_number_ceilings_share_one_message(field, low, high, call):
     for above in (high + 1, float(high + 1), high + 7):
         with pytest.raises(ValueError, match=f"^{field} must be at most {high}$"):
             call(above)
+
+
+def test_integer_input_stays_exact_past_2_53(monkeypatch):
+    # Integer arrays used to pass through float64: 2**60 + 1 became 2**60,
+    # and a uint64 past the intp maximum wrapped to a negative count.
+    big = 2**60 + 1
+    assert _whole(np.array([big]), "M", 1, array=True).tolist() == [big]
+    assert _whole([big], "M", 1, array=True).tolist() == [big]
+    assert _whole(np.array(big), "x") == big
+    assert _whole(np.array([3], dtype=np.uint64), "M", 1, array=True).dtype == np.intp
+    top, huge = np.iinfo(np.intp).max, 2**63 + 5
+    for field, call in (
+            ("M", lambda: SourcingAllocation(phi=[[0.5], [0.5]],
+                                             M=np.array([huge], dtype=np.uint64))),
+            ("periods_in_state", lambda: RegimeState([0], np.array([huge], dtype=np.uint64))),
+            ("path", lambda: chain_productivity_location(np.array([0, huge], dtype=np.uint64),
+                                                         symmetric_two_tier()))):
+        with pytest.raises(ValueError, match=f"^{field} must be at most {top}$"):
+            call()
+    seeds, default_rng = [], np.random.default_rng
+
+    def spy(seed):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    cfg = ScenarioConfig.from_dict({**SCENARIO, "grid_resolution": 11})
+    monte_carlo_survival(cfg, 10, np.array(big))
+    assert seeds == [big] and type(seeds[0]) is int
+
+
+def _interval_values(spec: str) -> tuple[list, list]:
+    """(accepted, refused) values of an interval written as ``_within`` reads
+    it: each closed bound is accepted; each open bound, the float one step
+    past each finite bound, and NaN are refused."""
+    low, high = (float(bound) for bound in spec[1:-1].split(","))
+    accepted, refused = [], [math.nan]
+    for bound, closed, outward in ((low, spec[0] == "[", -math.inf),
+                                   (high, spec[-1] == "]", math.inf)):
+        (accepted if closed else refused).append(bound)
+        if math.isfinite(bound):
+            refused.append(float(np.nextafter(bound, outward)))
+    return accepted, refused
+
+
+# Arrays that meet the positive-array rule before their interval, so that
+# NaN, infinities and values <= 0 keep that rule's message.
+POSITIVE_ARRAYS = ("T", "L", "tau", "alpha", "beta")
+
+
+def _refusal(field: str, spec: str, value: float) -> str:
+    if field in POSITIVE_ARRAYS and not 0.0 < value < math.inf:
+        return f"^{field} must be strictly positive and finite with shape "
+    return f"^{re.escape(f'{field} must lie in {spec}, got {value}')}$"
+
+
+def _check_interval(field: str, spec: str, call) -> None:
+    accepted, refused = _interval_values(spec)
+    for value in accepted:
+        call(value)
+    for value in refused:
+        with pytest.raises(ValueError, match=_refusal(field, spec, value)):
+            call(value)
+
+
+# The index of each economy array that a row sets; an off-diagonal tau entry,
+# and alpha's first entry, whose value 1 keeps sum(alpha * beta) = 1.
+ECONOMY_ENTRY = {"T": (0, 1), "L": 1, "tau": (0, 1), "alpha": 0, "beta": 0}
+
+
+def _interval_rows():
+    """(field, spec, call) of every real input with a range; ``call(v)``
+    passes ``v`` as that input, or as one entry of it."""
+    params, shock = symmetric_two_tier(), ShockParams(**SHOCK)
+    for key, spec in (("tau", "[1, inf)"), ("alpha", "(0, 1]"), ("theta", "(0, inf)"),
+                      ("sigma", "(1, inf)"), ("gamma", "(0, 1]")):
+        index = ECONOMY_ENTRY.get(key)
+        yield key, spec, lambda v, k=key, i=index: EconomyParams(**_set(ECONOMY, k, i, v))
+        yield key, spec, lambda v, k=key, i=index: EconomyParams.from_dict(_set(ECONOMY, k, i, v))
+    yield "alpha2", "(0, 1)", lambda v: EconomyParams.two_tier(
+        T1=[1.0, 1.0], T2=[1.0, 1.0], L=[1.0, 1.0], tau=np.ones((2, 2)), alpha2=v,
+        theta=4.0, sigma=2.0)
+    yield "theta", "(0, inf)", lambda v: kappa(v, 2.0)
+    yield "sigma", "(1, inf)", lambda v: kappa(4.0, v)
+    yield "pi_jj", "(0, 1]", lambda v: local_chain_real_wage(0, params, v)
+    yield "z", "[-inf, inf]", lambda v: chain_productivity_cdf(v, [0, 1], params)
+    for key, spec in (("tolerance", "(0, inf)"), ("damping", "(0, 1]"),
+                      ("world_income", "(0, inf)")):
+        yield key, spec, lambda v, k=key: SolverConfig(**{k: v})
+    for cls, base, spec in ((ShockParams, SHOCK, "[0, 1]"), (UtilitySpec, {"rho": 2.0}, "[0, inf)"),
+                            (BeliefSet, {"zeta_lo": 0.0, "zeta_hi": 1.0}, "[0, 1]")):
+        for key in base:
+            yield key, spec, lambda v, c=cls, b=base, k=key: c(**{**b, k: v})
+            yield key, spec, lambda v, c=cls, b=base, k=key: c.from_dict({**b, k: v})
+    yield "phi", "[0, 1]", lambda v: SourcingAllocation(phi=[[v, 0.5], [1.0 - v, 0.5]], M=[3, 3])
+    yield "draws", "[0, 1)", lambda v: simulate_regime(shock, [0.1, v, 0.9])
+    yield "rand", "[0, 1)", lambda v: step_regime(RegimeState.all_normal(2), shock, [v, 0.1])
+    yield "rand", "[0, 1)", lambda v: draw_shock(shock, v)
+
+
+INTERVAL_ROWS = list(_interval_rows())
+
+
+@pytest.mark.parametrize("field,spec,call", INTERVAL_ROWS,
+                         ids=[f"{row[0]}-{k}" for k, row in enumerate(INTERVAL_ROWS)])
+def test_real_intervals_share_one_message(field, spec, call):
+    # Each closed bound passes; each open bound, one step past each finite
+    # bound and NaN are refused with one message naming the interval.
+    _check_interval(field, spec, call)
+
+
+# (section, field, numbers, range, default) of each row of the README's
+# config ranges, read as the identity tool reads them for its range records.
+README_ROWS = load_tool().RANGE_ROW.findall(
+    (Path(__file__).resolve().parent.parent / "README.md").read_text())
+SECTIONS = {"economy": EconomyParams, "shock": ShockParams, "utility": UtilitySpec,
+            "beliefs": BeliefSet, "scenario": ScenarioConfig, "solver": SolverConfig}
+
+
+def _section_call(section: str, key: str, value):
+    """The config of ``section`` built from its JSON form with ``key`` (or
+    one entry of it) set to ``value``; the solver takes keywords."""
+    if section == "economy":
+        return EconomyParams.from_dict(_set(ECONOMY, key, ECONOMY_ENTRY.get(key), value))
+    if section == "solver":
+        return SolverConfig(**{key: value})
+    base = {"shock": SHOCK, "utility": {}, "beliefs": {"zeta_lo": 0.0, "zeta_hi": 1.0},
+            "scenario": {**SCENARIO, "shock_period": 1}}[section]
+    return SECTIONS[section].from_dict({**base, key: value})
+
+
+def test_readme_range_table_has_one_row_per_bounded_field():
+    # Every field with a bound, and nothing else; fields without one, such as
+    # the scenario's modes and the solver's initial wages, have no row.
+    unbounded = {("scenario", name) for name in ("economy", "shock", "decision_mode", "info_env",
+                                                 "realization", "utility", "beliefs")}
+    unbounded.add(("solver", "initial_wages"))
+    rows = [(section, key) for section, key, *_ in README_ROWS]
+    assert len(rows) == len(set(rows))
+    assert set(rows) == {(section, f.name) for section, cls in SECTIONS.items()
+                         for f in fields(cls)} - unbounded
+
+
+@pytest.mark.parametrize("section,key,numbers,spec,default", README_ROWS,
+                         ids=[f"{row[0]}.{row[1]}" for row in README_ROWS])
+def test_readme_config_ranges_hold(section, key, numbers, spec, default):
+    declared = {f.name: f.default for f in fields(SECTIONS[section])}[key]
+    assert default == ("required" if declared is MISSING else f"`{declared}`")
+    call = functools.partial(_section_call, section, key)
+    if numbers == "real":
+        _check_interval(key, spec, call)
+        return
+    low, high = spec[1:-1].replace("horizon", str(SCENARIO["horizon"])).split(", ")
+    low = int(low)
+    call(low)
+    with pytest.raises(ValueError, match=f"^{key} must be at least {low}$"):
+        call(low - 1)
+    if high == "inf":
+        with pytest.raises(ValueError, match=f"^{key} must be a whole number, got inf$"):
+            call(math.inf)
+    else:
+        high = int(high)
+        call(high)
+        with pytest.raises(ValueError, match=f"^{key} must be at most {high}$"):
+            call(high + 1)
 
 
 def _single_value_rows():

@@ -365,5 +365,5 @@ def test_config_utility_section_errors():
     bad["utility"] = {}
     assert ScenarioConfig.from_dict(bad).utility == UtilitySpec(rho=2.0)
     bad["utility"] = {"rho": float("nan")}
-    with pytest.raises(ValueError, match="^utility: rho must be finite"):
+    with pytest.raises(ValueError, match=r"^utility: rho must lie in \[0, inf\), got nan$"):
         ScenarioConfig.from_dict(bad)

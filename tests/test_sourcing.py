@@ -108,7 +108,7 @@ def test_crra_utility():
 def test_utility_rejects_non_finite_rho():
     # A NaN rho used to pass, and the planner then put every supplier in East.
     for rho in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="rho must be finite"):
+        with pytest.raises(ValueError, match=rf"rho must lie in \[0, inf\), got {rho}"):
             UtilitySpec(rho=rho)
 
 

@@ -1,13 +1,17 @@
 """Byte-identity corpus: one digest per record of gscsim's output on fixed inputs.
 
-    python3 tools/identity.py --out identity.json [--smoke]
+    python3 tools/identity.py --out identity.json [--smoke] [--src DIR]
     python3 tools/identity.py --compare parent.json change.json
 
 A run writes one JSON object mapping each record name to the sha256 of the
-record's canonical serialisation.  Run it in two checkouts on one machine
-(gscsim is imported from the ``src/`` next to this directory) and
-``--compare`` lists the records whose digests differ, or that only one side
-has, and exits 1 if there are any.  A run uses one BLAS thread
+record's canonical serialisation.  gscsim is imported from the ``src/`` next
+to this directory, or with ``--src DIR`` from ``DIR``, so one copy of the
+tool digests any revision's sources on the same inputs and records: for
+example ``git archive REV src | tar -x -C /tmp/rev`` and ``--src
+/tmp/rev/src``.  A run that imports gscsim from anywhere but ``DIR`` exits
+2.  Run it on two source trees on one machine and ``--compare`` lists the
+records whose digests differ, or that only one side has, and exits 1 if
+there are any.  A run uses one BLAS thread
 (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` are
 set to 1 whatever the environment holds), so the thread count of the machine
 or the shell changes no digest.  Digests are not pinned anywhere: numpy and
@@ -25,7 +29,9 @@ The inputs are the benchmark's own, from ``bench/inputs.py``.  Records:
 * ``phi/...``: the allocation bytes of ``choose_allocation`` under both
   information environments and of both public planners, per scenario config;
 * ``error/...``: the error text, or the JSON form, of each config that
-  :func:`_malformed` lists;
+  :func:`_malformed` lists, and under ``error/range/...`` of each bounded
+  field of the README's config-ranges table set one step past each bound
+  (:func:`range_cases`);
 * ``cli-fail/...``: the CLI runs of :func:`failed_runs`, each exiting 2, 3
   or 4 into an ``--out`` that did not exist, with the files the run left
   there and whether it created ``--out``;
@@ -72,6 +78,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -79,8 +86,7 @@ from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-if str(ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(ROOT / "src"))
+SRC = ROOT / "src"
 
 if __name__ == "__main__":
     # One BLAS thread, whatever the environment says: the 1200-sector
@@ -88,15 +94,24 @@ if __name__ == "__main__":
     # numpy loads BLAS; an import (as the tests make) changes nothing.
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
+    # --src is read before anything imports gscsim.
+    early = argparse.ArgumentParser(add_help=False)
+    early.add_argument("--src", type=Path)
+    SRC = (early.parse_known_args()[0].src or SRC).resolve()
+if sys.path[:1] != [str(SRC)]:
+    sys.path.insert(0, str(SRC))
 
 import numpy as np  # noqa: E402
 
 from gscsim import (  # noqa: E402
+    BeliefSet,
     EconomyParams,
     EquilibriumConvergenceError,
     ScenarioConfig,
+    SolverConfig,
     SourcingAllocation,
     ShockParams,
+    UtilitySpec,
     WorldIOTable,
     allocation_value,
     ambiguity_objective,
@@ -170,6 +185,61 @@ def _malformed(scenario: dict) -> list[tuple[str, type, object]]:
         ("economy/no-theta-sigma", EconomyParams, _without(economy, "theta", "sigma")),
         ("economy/L-booleans", EconomyParams, {**economy, "L": [True, True]}),
     ]
+
+
+# The README table of config ranges, one row per bounded field: section,
+# field, "real" or "whole", the range as "(0, 1]" or "[1, horizon]", and the
+# default; tests/test_numeric_inputs.py checks the table against the code.
+RANGE_ROW = re.compile(r"^\| `(\w+)\.(\w+)` \| (real|whole) \| `([^`]+)` \| ([^|]+?) \|$",
+                       re.MULTILINE)
+# The entry of each economy array that a range record sets.
+ECONOMY_ENTRY = {"T": (0, 0), "L": 0, "tau": (0, 1), "alpha": 0, "beta": 0}
+
+
+def _outside(spec: str, numbers: str) -> list:
+    """The value one step past each bound of ``spec``: an open bound itself,
+    a closed finite one moved out by one float, or by one if ``whole``."""
+    low, high = (float(bound) for bound in spec[1:-1].split(","))
+    values = []
+    for bound, closed, sign in ((low, spec[0] == "[", -1), (high, spec[-1] == "]", 1)):
+        if not closed:
+            values.append(bound)
+        elif math.isfinite(bound):
+            values.append(int(bound) + sign if numbers == "whole"
+                          else float(np.nextafter(bound, sign * math.inf)))
+    return values
+
+
+def _economy_with(economy: dict, key: str, value) -> EconomyParams:
+    """``EconomyParams`` of ``economy`` with ``key``, or for an array its
+    ``ECONOMY_ENTRY``, set to ``value``."""
+    d = {**economy, key: value}
+    if key in ECONOMY_ENTRY:
+        arr = np.array(economy[key], dtype=float)
+        arr[ECONOMY_ENTRY[key]] = value
+        d[key] = arr.tolist()
+    return EconomyParams.from_dict(d)
+
+
+def range_cases(scenario: dict) -> list[tuple[str, object]]:
+    """(record name, call) of each row of the README's config ranges, set
+    one step past each bound in the ``scenario`` config or its section; the
+    solver is built from keywords, every other config from its JSON form."""
+    configs = {"shock": (ShockParams, scenario["shock"]),
+               "utility": (UtilitySpec, scenario["utility"]),
+               "beliefs": (BeliefSet, scenario["beliefs"]), "scenario": (ScenarioConfig, scenario)}
+    cases = []
+    for section, key, numbers, spec, _ in RANGE_ROW.findall((ROOT / "README.md").read_text()):
+        for value in _outside(spec.replace("horizon", str(scenario["horizon"])), numbers):
+            if section == "economy":
+                call = functools.partial(_economy_with, scenario["economy"], key, value)
+            elif section == "solver":
+                call = functools.partial(SolverConfig, **{key: value})
+            else:
+                cls, base = configs[section]
+                call = functools.partial(cls.from_dict, {**base, key: value})
+            cases.append((f"range/{section}.{key}/{value!r}", call))
+    return cases
 
 
 def _digest(obj) -> str:
@@ -536,9 +606,12 @@ def _scenario_run_records(out: dict, seeds=SCENARIO_SEEDS, smoke: bool = False) 
 
 def _error_records(out: dict) -> None:
     scenario = inputs.scenario_configs(0, smoke=True)[0][1]
-    for name, cls, value in _malformed(scenario):
+    cases = [(name, functools.partial(cls.from_dict, value))
+             for name, cls, value in _malformed(scenario)] + range_cases(scenario)
+    for name, call in cases:
         try:
-            outcome = "ok " + json.dumps(cls.from_dict(value).to_dict())
+            config = call()
+            outcome = "ok " + json.dumps(getattr(config, "to_dict", config.__repr__)())
         except (ValueError, TypeError, KeyError) as err:
             outcome = f"{type(err).__name__}: {err}"
         out[f"error/{name}"] = _digest(outcome)
@@ -587,7 +660,12 @@ def main(argv=None) -> int:
     group.add_argument("--compare", nargs=2, metavar=("A", "B"),
                        help="list the records that differ between two digest files")
     parser.add_argument("--smoke", action="store_true", help="seed 0 at smoke sizes only")
+    parser.add_argument("--src", type=Path,
+                        help="import gscsim from this directory, not from the src/ next to the tool")
     args = parser.parse_args(argv)
+    if args.src and Path(chains.__file__).resolve().parents[1] != args.src.resolve():
+        parser.error(f"gscsim was imported from {Path(chains.__file__).parents[1]}, "
+                     f"not from --src {args.src}")
     if args.compare:
         a, b = (json.loads(Path(p).read_text()) for p in args.compare)
         differ = compare(a, b)
