@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import reprlib
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import get_type_hints
 
@@ -41,100 +42,103 @@ _FLOAT = np.dtype(float)
 
 
 def _real_array(x, name: str) -> np.ndarray:
-    """``x`` as a float array; booleans raise, as in :func:`_real`."""
-    arr = np.asarray(x)
-    if arr.dtype == bool:
-        raise ValueError(f"{name} must be a number, got {x!r}")
-    return arr.astype(float, copy=False)
+    """``x`` as a float array; booleans, text and ragged lists raise, as in :func:`_real`."""
+    try:
+        arr = np.asarray(x)
+        if arr.dtype != bool:
+            return arr.astype(float, copy=False)
+    except (TypeError, ValueError):     # not numeric, or ragged
+        pass
+    raise ValueError(f"{name} must be a number, got {reprlib.repr(x)}")     # abridged
 
 
-def _positive_array(x, shape, name: str) -> np.ndarray:
-    """``x`` as a float array of ``shape``, strictly positive and finite.
-    A float64 ndarray, such as the solver's costs on every pass, is checked
-    as it is, not converted.  Booleans raise, as in :func:`_whole`."""
-    arr = x
-    if not (type(x) is np.ndarray and x.dtype is _FLOAT):
-        try:
-            arr = _real_array(x, name)
-        except (TypeError, ValueError):     # boolean, not numeric, or ragged
-            arr = None
-    # Every checked shape has an element; min and max reject NaN too.
-    if arr is None or arr.shape != shape or not (np.minimum.reduce(arr, axis=None) > 0.0
-                                                 and np.maximum.reduce(arr, axis=None) < np.inf):
-        raise ValueError(f"{name} must be strictly positive and finite with shape {shape}")
-    return arr
-
-
-def _whole(x, name: str, minimum: int | None = None, maximum: int | None = None,
-           array: bool = False):
-    """``x`` as an int, or with ``array`` an ``intp`` array if array-like,
-    each at least ``minimum`` and at most ``maximum`` where given.  NaN, inf,
-    fractions, booleans and, without ``array``, sequences raise; integers,
-    integer arrays included, are kept exact."""
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
-        out = int(x)
-    else:
-        try:
-            arr = np.asarray(x)
-            if arr.dtype.kind not in "iu":      # integer dtypes skip float64
-                arr = _real_array(arr, name)
-                arr = arr if (np.isfinite(arr) & (arr == np.floor(arr))).all() else None
-        except (TypeError, ValueError):     # boolean, not numeric, or ragged
-            arr = None
-        if arr is None:
-            raise ValueError(f"{name} must be a whole number, got {x}")
-        if arr.ndim == 0:
-            out = int(arr)
-        elif not array:
-            raise ValueError(f"{name} must be a single value, got {x}")
-        elif arr.dtype.kind == "u" and arr.size and arr.max() > (top := np.iinfo(np.intp).max):
-            raise ValueError(f"{name} must be at most {top}")     # an intp cast would wrap
-        else:
-            out = arr.astype(np.intp)
-    # np.any costs microseconds on a Python bool, and a shock location is
-    # checked three times per scored sourcing candidate.
-    outside = bool if isinstance(out, int) else np.any
-    if minimum is not None and outside(out < minimum):
-        raise ValueError(f"{name} must be at least {minimum}")
-    if maximum is not None and outside(out > maximum):
-        raise ValueError(f"{name} must be at most {maximum}")
-    return out
-
-
-@functools.cache
+@functools.lru_cache(maxsize=256)     # a spec may carry a horizon or a location count
 def _interval(spec: str) -> tuple:
-    """Bounds of ``spec`` and the test of each: "(0, 1]" gives (0.0, 1.0, lt, le)."""
-    low, high = (float(bound) for bound in spec[1:-1].split(","))
+    """Bounds of ``spec`` and the test of each: "(0, 1]" gives (0, 1, lt, le).
+    A whole bound reads as an int, so that it compares exactly."""
+    low, high = (int(bound) if bound.strip().isdigit() else float(bound)
+                 for bound in spec[1:-1].split(","))
     return (low, high, operator.le if spec[0] == "[" else operator.lt,
             operator.le if spec[-1] == "]" else operator.lt)
 
 
-def _within(x, name: str, spec: str, array: bool = False):
-    """``x`` as a float, or with ``array`` a float array, in the interval ``spec``
-    written as it reads (``"(0, 1]"``, ``"[1, inf)"``, ``"[-inf, inf]"``).  NaN
-    and booleans raise.  One message, ``{name} must lie in {spec}, got {value}``,
-    where an array's value is its first entry out of range."""
+def _shaped(arr: np.ndarray, shape, name: str) -> np.ndarray:
+    """``arr`` if its shape is ``shape``; one message otherwise.  A shape of
+    names, such as ``("locations", "tiers")``, fixes only the dimensions."""
+    if arr.shape != shape and (arr.ndim != len(shape) or not isinstance(shape[0], str)):
+        wanted = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
+        raise ValueError(f"{name} must have shape ({wanted}), got {arr.shape}")
+    return arr
+
+
+def _inside(out, name: str, spec: str, number):
+    """``out``, a number or an array, if it lies in the interval ``spec``;
+    otherwise the one message, ``{name} must lie in {spec}, got {value}``,
+    with an array's first entry out of range as the value, read by
+    ``number``.  Arrays take two passes, min and max, however long; both
+    carry NaN, and NaN fails every test."""
     low, high, lower, upper = _interval(spec)
-    if not array:
-        value = _real(x, name)
-        if lower(low, value) and upper(value, high):    # NaN fails both
-            return value
+    if type(out) is not np.ndarray:
+        if lower(low, out) and upper(out, high):
+            return out
+    elif not out.size or (lower(low, np.minimum.reduce(out, axis=None))
+                          and upper(np.maximum.reduce(out, axis=None), high)):
+        return out
     else:
-        arr = _real_array(x, name)
-        # Two passes, min and max, however long the draws; both carry NaN.
-        if not arr.size or (lower(low, np.minimum.reduce(arr, axis=None))
-                            and upper(np.maximum.reduce(arr, axis=None), high)):
-            return arr
-        value = float(arr[~(lower(low, arr) & upper(arr, high))][0])
-    raise ValueError(f"{name} must lie in {spec}, got {value}")
+        out = out[~(lower(low, out) & upper(out, high))][0]
+    raise ValueError(f"{name} must lie in {spec}, got {number(out)}")
+
+
+def _within(x, name: str, spec: str, array=False):
+    """``x`` as a float in the interval ``spec``, written as it reads
+    (``"(0, 1]"``, ``"[1, inf)"``, ``"[-inf, inf]"``).  With ``array`` it is a
+    float array: of any shape if ``array`` is True, else of the shape
+    ``array``, such as ``(J, J)`` or ``("locations", "tiers")``.  A float64
+    ndarray, such as the solver's costs on every pass, is checked as it is,
+    not converted.  NaN, booleans, text and ragged lists raise."""
+    if array is False:
+        return _inside(_real(x, name), name, spec, float)
+    arr = x if type(x) is np.ndarray and x.dtype is _FLOAT else _real_array(x, name)
+    if array is not True and arr.shape != array:    # a call saved on every solver pass
+        _shaped(arr, array, name)
+    return _inside(arr, name, spec, float)
+
+
+def _whole(x, name: str, spec: str, array=False):
+    """``x`` as an int in the interval ``spec`` (``"[1, inf)"``,
+    ``f"[0, {J - 1}]"``), or with ``array`` an ``intp`` array shaped as in
+    :func:`_within`, with the same message out of range.  NaN, inf,
+    fractions, booleans and, without ``array``, sequences raise.  Integers,
+    integer arrays and the bounds are compared exactly, never through
+    float64; an array entry past the ``intp`` range is refused, not cast."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        return _inside(int(x), name, spec, int)
+    try:
+        arr = np.asarray(x)
+        if arr.dtype.kind not in "iu":      # integer dtypes skip float64
+            arr = _real_array(arr, name)
+            arr = arr if (np.isfinite(arr) & (arr == np.floor(arr))).all() else None
+    except (TypeError, ValueError):     # boolean, not numeric, or ragged
+        arr = None
+    if arr is None:
+        raise ValueError(f"{name} must be a whole number, got {x}")
+    if arr.ndim == 0:
+        return _inside(int(arr), name, spec, int)
+    if array is False:
+        raise ValueError(f"{name} must be a single value, got {x}")
+    if array is not True:
+        _shaped(arr, array, name)
+    arr = _inside(arr, name, spec, int)
+    # Compared as Python numbers: in float64 the top rounds up to 2.0**63.
+    if arr.dtype != np.intp and arr.size and (
+            np.maximum.reduce(arr, axis=None).item() > (top := np.iinfo(np.intp).max)):
+        raise ValueError(f"{name} must be at most {top}")     # an intp cast would wrap
+    return arr.astype(np.intp)
 
 
 def _checked_path(path, params: EconomyParams) -> np.ndarray:
     """``path`` as location indices, one per tier, each a known location."""
-    path = _whole(path, "path", 0, params.n_locations - 1, array=True)
-    if np.shape(path) != (params.n_tiers,):
-        raise ValueError(f"path must list one location per tier, got {np.shape(path)}")
-    return path
+    return _whole(path, "path", f"[0, {params.n_locations - 1}]", array=(params.n_tiers,))
 
 
 def _real(x, name: str) -> float:
@@ -227,20 +231,16 @@ class EconomyParams(_JsonConfig):
     kind = "economy"
 
     def __post_init__(self):
-        try:
-            J, N = np.shape(self.T)
-        except ValueError:                  # not 2-d, or ragged
-            raise ValueError("T must be a 2-d array of shape (locations, tiers)") from None
+        self.T = _within(self.T, "T", "(0, inf)", array=("locations", "tiers"))
+        J, N = self.T.shape
         if J < 1 or N < 1:
             raise ValueError("need at least one location and one tier")
-        self.T = _positive_array(self.T, (J, N), "T")
-        self.L = _positive_array(self.L, (J,), "L")
-        self.tau = _within(_positive_array(self.tau, (J, J), "tau"), "tau", "[1, inf)", array=True)
+        self.L = _within(self.L, "L", "(0, inf)", array=(J,))
+        self.tau = _within(self.tau, "tau", "[1, inf)", array=(J, J))
         if not np.allclose(np.diag(self.tau), 1.0):
             raise ValueError("tau must have a unit diagonal")
-        self.alpha = _within(_positive_array(self.alpha, (N,), "alpha"), "alpha", "(0, 1]",
-                             array=True)
-        self.beta = _positive_array(self.beta, (N,), "beta")
+        self.alpha = _within(self.alpha, "alpha", "(0, 1]", array=(N,))
+        self.beta = _within(self.beta, "beta", "(0, inf)", array=(N,))
         weight = float(np.sum(self.alpha * self.beta))
         if abs(weight - 1.0) > 1e-9:
             raise ValueError(
@@ -353,7 +353,7 @@ class _Chain:
         """Tier factors, (N, J, J): ``facs[n][a, b]`` multiplies a chain with
         tier n in a and tier n+1 in b, and ``facs[-1][a, j]`` includes the
         final shipment to j."""
-        costs = _positive_array(costs, self.shape, "costs")
+        costs = _within(costs, "costs", "(0, inf)", array=self.shape)
         return self.tech * costs[:, None] ** self.exponent * self.hop
 
     def forward(self, costs):
@@ -433,14 +433,14 @@ def chain_cost_scale(path, dest: int, params: EconomyParams, costs) -> float:
 def _chain_scale(facs: np.ndarray, path, dest: int, params: EconomyParams) -> float:
     """:func:`chain_cost_scale` from the tier factors; checks path, then dest."""
     path = _checked_path(path, params)
-    dest = _whole(dest, "dest", 0, params.n_locations - 1)
+    dest = _whole(dest, "dest", f"[0, {params.n_locations - 1}]")
     return float(_path_product(facs, path[None])[0, dest])
 
 
 def path_share(path, dest: int, params: EconomyParams, costs) -> float:
     """Probability that destination ``dest`` sources along ``path``."""
     facs, _, S = _Chain(params).forward(costs)
-    return _chain_scale(facs, path, dest, params) / float(S[dest])
+    return _chain_scale(facs, path, dest, params) / float(S[int(dest)])     # dest checked
 
 
 def path_share_matrix(params: EconomyParams, costs) -> tuple[np.ndarray, np.ndarray]:
@@ -456,7 +456,7 @@ def price_indices(params: EconomyParams, costs) -> np.ndarray:
 
 
 def price_index(dest: int, params: EconomyParams, costs) -> float:
-    dest = _whole(dest, "dest", 0, params.n_locations - 1)
+    dest = _whole(dest, "dest", f"[0, {params.n_locations - 1}]")
     return float(price_indices(params, costs)[dest])
 
 
@@ -497,7 +497,7 @@ def intermediate_flow_shares(params: EconomyParams, costs,
     if expenditure_weights is None:
         w = np.full(J, 1.0 / J)
     else:
-        w = _positive_array(expenditure_weights, (J,), "expenditure_weights")
+        w = _within(expenditure_weights, "expenditure_weights", "(0, inf)", array=(J,))
         w = w / w.sum()
     chain = _Chain(params)
     facs, fwd, S = chain.forward(costs)
@@ -520,7 +520,7 @@ def local_chain_real_wage(j: int, params: EconomyParams, pi_jj: float) -> float:
     an identity that lets the gains from fragmentation be read off a single
     observable share.  With composite costs it returns c_j / P_j.
     """
-    j = _whole(j, "j", 0, params.n_locations - 1)
+    j = _whole(j, "j", f"[0, {params.n_locations - 1}]")
     pi_jj = _within(pi_jj, "pi_jj", "(0, 1]")
     k = kappa(params.theta, params.sigma)
     tech = float(np.prod(params.T[j] ** (params.alpha * params.beta)))

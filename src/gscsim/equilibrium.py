@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import EconomyParams, _Chain, _positive_array, _whole, _within
+from .chains import EconomyParams, _Chain, _whole, _within
 
 logger = logging.getLogger(__name__)
 
@@ -59,7 +59,7 @@ class SolverConfig:
         for name, spec in (("tolerance", "(0, inf)"), ("damping", "(0, 1]"),
                            ("world_income", "(0, inf)")):
             setattr(self, name, _within(getattr(self, name), name, spec))
-        self.max_iterations = _whole(self.max_iterations, "max_iterations", 0)
+        self.max_iterations = _whole(self.max_iterations, "max_iterations", "[0, inf)")
 
 
 @dataclass
@@ -109,10 +109,10 @@ def solve_costs(wages, params: EconomyParams,
     c -> w**gamma * P(c)**(1-gamma), a log-space contraction with modulus
     1 - gamma.  Returns (costs, prices).
     """
-    max_iterations = _whole(max_iterations, "max_iterations", 1)
+    max_iterations = _whole(max_iterations, "max_iterations", "[1, inf)")
     chain = _Chain(params)
     # Checked before w**gamma and log(w): bad wages are bad costs.
-    w = _positive_array(wages, chain.shape, "costs")
+    w = _within(wages, "costs", "(0, inf)", array=chain.shape)
     costs = _composite_costs(w, chain, tolerance, max_iterations)
     return costs, chain.prices(chain.forward(costs)[-1])
 
@@ -135,7 +135,7 @@ def labor_market_residuals(wages, params: EconomyParams) -> np.ndarray:
     and composite costs computed consistently from the wages.  The entries
     sum to zero for any strictly positive wage vector.
     """
-    w = _positive_array(wages, (params.n_locations,), "wages")
+    w = _within(wages, "wages", "(0, inf)", array=(params.n_locations,))
     return _residual_pass(w, _Chain(params))[0]
 
 
@@ -152,7 +152,7 @@ def solve_equilibrium(params: EconomyParams,
     J = params.n_locations
     w = np.full(J, 1.0, dtype=float)
     if cfg.initial_wages is not None:
-        w = _positive_array(cfg.initial_wages, (J,), "initial_wages").copy()
+        w = _within(cfg.initial_wages, "initial_wages", "(0, inf)", array=(J,)).copy()
     w *= cfg.world_income / float(w @ params.L)
 
     chain = _Chain(params)

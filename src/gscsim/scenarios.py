@@ -75,13 +75,12 @@ class ScenarioConfig(_JsonConfig):
         if self.realization not in REALIZATIONS:
             raise ValueError(f"realization must be one of {REALIZATIONS}, "
                              f"got {self.realization!r}")
-        self.horizon = _whole(self.horizon, "horizon", 1)
-        for name, minimum, maximum in (("shock_period", 1, self.horizon),
-                                       ("suppliers_per_tier", 1, None),
-                                       ("grid_resolution", 2, None),
-                                       ("destination", 0, self.economy.n_locations - 1),
-                                       ("seed", 0, None)):
-            setattr(self, name, _whole(getattr(self, name), name, minimum, maximum))
+        self.horizon = _whole(self.horizon, "horizon", "[1, inf)")
+        for name, spec in (("shock_period", f"[1, {self.horizon}]"),
+                           ("suppliers_per_tier", "[1, inf)"), ("grid_resolution", "[2, inf)"),
+                           ("destination", f"[0, {self.economy.n_locations - 1}]"),
+                           ("seed", "[0, inf)")):
+            setattr(self, name, _whole(getattr(self, name), name, spec))
 
 
 @dataclass
@@ -200,8 +199,8 @@ def monte_carlo_survival(config: ScenarioConfig, n_runs: int,
     alive in every period.
     ``stderr`` is the binomial standard error of the survival rate.
     """
-    n_runs = _whole(n_runs, "n_runs", 1)
-    seed = _whole(seed, "seed", 0)
+    n_runs = _whole(n_runs, "n_runs", "[1, inf)")
+    seed = _whole(seed, "seed", "[0, inf)")
     runs = _realization_runs(config)
     alive = np.array([ts.chain_alive.all() for ts in runs], dtype=float)
     welfare = np.array([ts.welfare.mean() for ts in runs])

@@ -16,10 +16,11 @@ from typing import Optional
 
 import numpy as np
 
-from .chains import _JsonConfig, _real_array, _whole, _within
+from .chains import _JsonConfig, _shaped, _whole, _within
 
 NORMAL = 0
 SHOCK = 1
+_FLAGS = f"[{NORMAL}, {SHOCK}]"
 
 # Location conventions of the two-region experiments.
 EAST = 0
@@ -49,10 +50,10 @@ class RegimeState:
     periods_in_state: np.ndarray
 
     def __post_init__(self):
-        self.state = np.asarray(_whole(self.state, "state", NORMAL, SHOCK, array=True),
-                                dtype=np.intp)
+        self.state = np.asarray(_whole(self.state, "state", _FLAGS, array=True), dtype=np.intp)
         self.periods_in_state = np.asarray(
-            _whole(self.periods_in_state, "periods_in_state", 0, array=True), dtype=np.intp)
+            _whole(self.periods_in_state, "periods_in_state", "[0, inf)", array=True),
+            dtype=np.intp)
         if self.state.shape != self.periods_in_state.shape:
             raise ValueError("state and periods_in_state must align")
 
@@ -70,7 +71,8 @@ def step_regime(state: RegimeState, params: ShockParams, rand) -> RegimeState:
     Normal locations flip on rand < eta, shocked ones recover on
     rand < lam.
     """
-    u = np.broadcast_to(_within(rand, "rand", "[0, 1)", array=True), state.state.shape)
+    u = _within(rand, "rand", "[0, 1)", array=True)
+    u = np.broadcast_to(_shaped(u, state.state.shape, "rand") if u.ndim else u, state.state.shape)
     is_shock = state.state == SHOCK
     flip = np.where(is_shock, u < params.lam, u < params.eta)
     new_state = np.where(flip, 1 - state.state, state.state)
@@ -91,10 +93,8 @@ def simulate_regime(params: ShockParams, draws, initial: int = NORMAL) -> np.nda
     key (or ``initial`` before any) XOR the parity is the regime.  Returns
     the regime after each draw.
     """
-    initial = _whole(initial, "initial", NORMAL, SHOCK)
-    u = _within(draws, "draws", "[0, 1)", array=True)
-    if u.ndim != 1:
-        raise ValueError("draws must be a 1-d sequence of uniforms")
+    initial = _whole(initial, "initial", _FLAGS)
+    u = _within(draws, "draws", "[0, 1)", array=("n",))
     hit = u < params.eta
     recover = u < params.lam
     parity = np.logical_xor.accumulate(hit & recover)
@@ -163,13 +163,13 @@ def _knock_out(rows: np.ndarray, draw: ShockDraw) -> np.ndarray:
     """A copy of the per-location ``rows`` with the hit location's row zeroed."""
     out = rows.copy()
     if draw.location is not None:
-        out[_whole(draw.location, "shock location", 0, len(out) - 1)] = 0
+        out[_whole(draw.location, "shock location", f"[0, {len(out) - 1}]")] = 0
     return out
 
 
 def apply_shock(labor, draw: ShockDraw) -> np.ndarray:
     """Labour endowments after the draw: the hit location loses everything."""
-    return _knock_out(_real_array(labor, "labor"), draw)
+    return _knock_out(_within(labor, "labor", "[0, inf)", array=("locations",)), draw)
 
 
 def stationary_share(params: ShockParams) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import EconomyParams, _JsonConfig, _positive_array, _real_array, _whole, _within
+from .chains import EconomyParams, _JsonConfig, _whole, _within
 from .equilibrium import SolverConfig, solve_equilibrium
 from .shocks import BRANCHES, ShockDraw, ShockParams, _branch_odds, _knock_out
 
@@ -97,23 +97,22 @@ class SourcingAllocation:
     M: np.ndarray
 
     def __post_init__(self):
-        self.phi = _within(self.phi, "phi", "[0, 1]", array=True)
-        if self.phi.ndim != 2:
-            raise ValueError("phi must have shape (locations, tiers)")
+        self.phi = _within(self.phi, "phi", "[0, 1]", array=("locations", "tiers"))
+        if not self.phi.shape[1]:
+            raise ValueError("an allocation needs at least one tier")
         col = self.phi.sum(axis=0)
         if not np.allclose(col, 1.0, atol=1e-9):
             raise ValueError("sourcing fractions must sum to 1 at every tier")
-        self.M = _whole(self.M, "M", 1, array=True)
-        if np.shape(self.M) != (self.phi.shape[1],):
-            raise ValueError("M must give one supplier count per tier")
+        self.M = _whole(self.M, "M", "[1, inf)", array=(self.phi.shape[1],))
 
     @classmethod
     def uniform_tiers(cls, weights, suppliers_per_tier: int, n_tiers: int) -> "SourcingAllocation":
         """Same location split at every tier, M suppliers each."""
-        w = _real_array(weights, "weights")
-        phi = np.repeat(w[:, None], n_tiers, axis=1)
-        M = _whole(suppliers_per_tier, "suppliers_per_tier", 1)
-        return cls(phi=phi, M=np.full(n_tiers, M, dtype=np.intp))
+        w = _within(weights, "weights", "[0, 1]", array=("locations",))
+        n_tiers = _whole(n_tiers, "n_tiers", "[1, inf)")
+        M = _whole(suppliers_per_tier, "suppliers_per_tier", "[1, inf)")
+        return cls(phi=np.repeat(w[:, None], n_tiers, axis=1),
+                   M=np.full(n_tiers, M, dtype=np.intp))
 
     @property
     def n_tiers(self) -> int:
@@ -194,7 +193,7 @@ def _check_locations(params: EconomyParams, alloc: SourcingAllocation) -> None:
 
 def _checked_costs(params: EconomyParams, costs,
                    alloc: SourcingAllocation | None = None) -> np.ndarray:
-    costs = _positive_array(costs, (params.n_locations,), "costs")
+    costs = _within(costs, "costs", "(0, inf)", array=(params.n_locations,))
     if alloc is not None:
         _check_locations(params, alloc)
     return costs
@@ -274,7 +273,7 @@ def individual_sourcing(params: EconomyParams, shock_params: ShockParams,
     are split equally.  Locations beyond the East/South pair are never hit
     by the one-shot draw, so only cost ranks them.
     """
-    M = _whole(suppliers_per_tier, "suppliers_per_tier", 1)
+    M = _whole(suppliers_per_tier, "suppliers_per_tier", "[1, inf)")
     c = _default_costs(params, costs)
     J = params.n_locations
     hit = np.zeros(J)
@@ -325,8 +324,8 @@ def planner_ambiguity_sourcing(params: EconomyParams, shock_params: ShockParams,
     """
     if params.n_locations != 2:
         raise ValueError("the planner grid search handles exactly two locations")
-    xs = np.linspace(0.0, 1.0, _whole(grid_resolution, "grid_resolution", 2))
-    M = _whole(suppliers_per_tier, "suppliers_per_tier", 1)
+    xs = np.linspace(0.0, 1.0, _whole(grid_resolution, "grid_resolution", "[2, inf)"))
+    M = _whole(suppliers_per_tier, "suppliers_per_tier", "[1, inf)")
     costs = _default_costs(params, costs)
     rho = (utility if utility is not None else UtilitySpec(rho=1.0)).rho
     counts = _apportion(np.stack([1.0 - xs, xs], axis=1), M)

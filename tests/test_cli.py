@@ -147,7 +147,7 @@ def test_simulate_refuses_a_negative_seed(tmp_path, capsys):
     cfg = write_json(tmp_path / "cfg.json", scenario_dict())
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
-    assert "seed must be at least 0" in capsys.readouterr().err
+    assert "seed must lie in [0, inf), got -1" in capsys.readouterr().err
     assert not out.exists()
 
 

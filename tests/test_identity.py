@@ -151,7 +151,7 @@ def test_chain_records_repeat():
     assert {key.split("/", 3)[3] for key in first if "/costs/" in key} == forms
     name, economy, costs = tool.chain_economies(1)[0]
     J = economy.n_locations
-    message = f"ValueError: costs must be strictly positive and finite with shape ({J},)"
+    message = f"ValueError: costs must have shape ({J},), got ({J + 1},)"
     assert tool._outcome(lambda: tool.chains.price_indices(economy, [1.0] * (J + 1))) == message
 
 

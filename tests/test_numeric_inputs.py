@@ -10,8 +10,10 @@ import functools
 import json
 import math
 import re
+import warnings
 from dataclasses import MISSING, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -43,19 +45,21 @@ from gscsim import (
     individual_sourcing,
     intermediate_flow_shares,
     kappa,
+    labor_market_residuals,
     local_chain_real_wage,
     monte_carlo_survival,
     path_share,
     planner_ambiguity_sourcing,
     planner_risk_sourcing,
     price_index,
+    price_indices,
     risk_objective,
     simulate_regime,
     solve_costs,
     solve_equilibrium,
     step_regime,
 )
-from gscsim.chains import _positive_array, _whole
+from gscsim.chains import _whole, _within
 from gscsim.cli import main
 
 from conftest import oracle_economy, symmetric_two_tier
@@ -304,7 +308,7 @@ def _guard_rows():
                                                   theta=4.0, sigma=2.0),
                ValueError, f"alpha2 must lie in (0, 1), got {v}")
     yield ("chain_cost_scale.path.length", lambda: chain_cost_scale([0], 0, params, unit),
-           ValueError, "path must list one location per tier, got (1,)")
+           ValueError, "path must have shape (2,), got (1,)")
     yield ("intermediate_flow_shares.one_tier",
            lambda: intermediate_flow_shares(oracle_economy(), np.ones(3)),
            ValueError, "intermediate flows need at least two tiers")
@@ -314,12 +318,27 @@ def _guard_rows():
     yield ("RegimeState.shapes", lambda: RegimeState([0, 1], [0]),
            ValueError, "state and periods_in_state must align")
     yield ("simulate_regime.draws.2d", lambda: simulate_regime(shock, [[0.1, 0.9]]),
-           ValueError, "draws must be a 1-d sequence of uniforms")
+           ValueError, "draws must have shape (n,), got (1, 2)")
     yield ("SourcingAllocation.phi.1d", lambda: SourcingAllocation(phi=[0.5, 0.5], M=[10]),
-           ValueError, "phi must have shape (locations, tiers)")
+           ValueError, "phi must have shape (locations, tiers), got (2,)")
     yield ("SourcingAllocation.M.length",
            lambda: SourcingAllocation(phi=[[0.5], [0.5]], M=[10, 10]),
-           ValueError, "M must give one supplier count per tier")
+           ValueError, "M must have shape (1,), got (2,)")
+    # An allocation with no tiers used to be accepted, and survived an East hit.
+    yield ("SourcingAllocation.no_tiers", lambda: SourcingAllocation(phi=np.zeros((2, 0)), M=[]),
+           ValueError, "an allocation needs at least one tier")
+    # uniform_tiers used to build that allocation from n_tiers = 0, and let
+    # numpy refuse 2.5 and -1 in its own words.
+    for v, message in ((0, "lie in [1, inf), got 0"), (-1, "lie in [1, inf), got -1"),
+                       (2.5, "be a whole number, got 2.5")):
+        yield (f"SourcingAllocation.uniform_tiers.n_tiers={v}",
+               lambda v=v: SourcingAllocation.uniform_tiers([0.5, 0.5], 3, v),
+               ValueError, f"n_tiers must {message}")
+    # apply_shock used to return [0, nan] here, and took a 2-d array.
+    yield ("apply_shock.labor", lambda: apply_shock([-1.0, math.nan], ShockDraw(0)),
+           ValueError, "labor must lie in [0, inf), got -1.0")
+    yield ("apply_shock.labor.2d", lambda: apply_shock([[1.0, 1.0]], ShockDraw(0)),
+           ValueError, "labor must have shape (locations,), got (1, 2)")
     yield ("WorldIOTable.Z", lambda: _io_table(Z=np.zeros((3, 3))),
            TableFormatError, "Z must be 2x2, got (3, 3)")
     yield ("WorldIOTable.F", lambda: _io_table(F=[[50.0], [10.0]]),
@@ -367,100 +386,30 @@ def test_whole_floats_and_large_seeds_are_kept():
     assert SourcingAllocation(phi=[[0.5], [0.5]], M=[4.0]).M.dtype == np.intp
 
 
-def _floor_rows():
-    """(field, floor, call) of every count with a floor; ``call(v)`` passes
-    ``v`` as that count."""
-    params, shock, unit = symmetric_two_tier(), ShockParams(**SHOCK), np.ones(2)
-    cfg = ScenarioConfig.from_dict({**SCENARIO, "grid_resolution": 11})
-    for key, floor in (("horizon", 1), ("suppliers_per_tier", 1), ("grid_resolution", 2)):
-        yield key, floor, lambda v, k=key: ScenarioConfig.from_dict(
-            {**SCENARIO, "shock_period": 1, k: v})
-    yield "grid_resolution", 2, lambda v: planner_risk_sourcing(
-        params, shock, UtilitySpec(2.0), grid_resolution=v, costs=unit)
-    yield "suppliers_per_tier", 1, lambda v: planner_ambiguity_sourcing(
-        params, shock, BeliefSet(**BELIEFS), grid_resolution=11, suppliers_per_tier=v,
-        costs=unit)
-    yield "suppliers_per_tier", 1, lambda v: individual_sourcing(
-        params, shock, suppliers_per_tier=v, costs=unit)
-    yield "suppliers_per_tier", 1, lambda v: SourcingAllocation.uniform_tiers(unit / 2, v, 2)
-    yield "M", 1, lambda v: SourcingAllocation(phi=[[0.5, 0.5], [0.5, 0.5]], M=[v, 3])
-    yield "max_iterations", 0, lambda v: SolverConfig(max_iterations=v)
-    yield "max_iterations", 1, lambda v: solve_costs(unit, params, max_iterations=v)
-    yield "n_runs", 1, lambda v: monte_carlo_survival(cfg, n_runs=v, seed=0)
-    yield "seed", 0, lambda v: monte_carlo_survival(cfg, n_runs=10, seed=v)
-    yield "seed", 0, lambda v: ScenarioConfig.from_dict({**SCENARIO, "seed": v})
-    yield "periods_in_state", 0, lambda v: RegimeState([0, 1], [v, 0])
-
-
-FLOOR_ROWS = list(_floor_rows())
-
-
-@pytest.mark.parametrize("field,floor,call", FLOOR_ROWS,
-                         ids=[f"{field}-{k}" for k, (field, _, _) in enumerate(FLOOR_ROWS)])
-def test_whole_number_floors_share_one_message(field, floor, call):
-    # The floor itself passes, as an int or a whole float; one below it, or
-    # far below it, is refused with one message naming the count.
-    call(floor)
-    call(float(floor))
-    for below in (floor - 1, float(floor - 1), floor - 7):
-        with pytest.raises(ValueError, match=f"^{field} must be at least {floor}$"):
-            call(below)
-
-
-def _bounded_rows():
-    """(field, minimum, maximum, call) of every index with both bounds;
-    ``call(v)`` passes ``v`` as that index."""
-    params, unit = symmetric_two_tier(), np.ones(2)
-    alloc = SourcingAllocation(phi=[[1.0, 1.0], [0.0, 0.0]], M=[3, 3])
-    shock = ShockParams(0.3, 0.5, 0.5)
-    yield "dest", 0, 1, lambda v: chain_cost_scale([0, 1], v, params, unit)
-    yield "dest", 0, 1, lambda v: price_index(v, params, unit)
-    yield "j", 0, 1, lambda v: local_chain_real_wage(v, params, 0.5)
-    yield "destination", 0, 1, lambda v: ScenarioConfig.from_dict({**SCENARIO, "destination": v})
-    yield "shock location", 0, 1, lambda v: apply_shock([1.0, 1.0], ShockDraw(v))
-    yield "shock location", 0, 1, lambda v: chain_survives(alloc, ShockDraw(v))
-    yield "path", 0, 1, lambda v: chain_cost_scale([0, v], 0, params, unit)
-    yield "state", 0, 1, lambda v: RegimeState([0, v], [0, 0])
-    yield "initial", 0, 1, lambda v: simulate_regime(shock, [0.9], initial=v)
-    yield "shock_period", 1, SCENARIO["horizon"], lambda v: ScenarioConfig.from_dict(
-        {**SCENARIO, "shock_period": v})
-
-
-BOUNDED_ROWS = list(_bounded_rows())
-
-
-@pytest.mark.parametrize("field,low,high,call", BOUNDED_ROWS,
-                         ids=[f"{row[0]}-{k}" for k, row in enumerate(BOUNDED_ROWS)])
-def test_whole_number_ceilings_share_one_message(field, low, high, call):
-    # Both bounds pass, as an int or a whole float; one past either bound,
-    # or far past it, is refused with the one message for that bound.
-    for v in (low, float(low), high, float(high)):
-        call(v)
-    for below in (low - 1, float(low - 1), low - 7):
-        with pytest.raises(ValueError, match=f"^{field} must be at least {low}$"):
-            call(below)
-    for above in (high + 1, float(high + 1), high + 7):
-        with pytest.raises(ValueError, match=f"^{field} must be at most {high}$"):
-            call(above)
-
-
 def test_integer_input_stays_exact_past_2_53(monkeypatch):
     # Integer arrays used to pass through float64: 2**60 + 1 became 2**60,
     # and a uint64 past the intp maximum wrapped to a negative count.
     big = 2**60 + 1
-    assert _whole(np.array([big]), "M", 1, array=True).tolist() == [big]
-    assert _whole([big], "M", 1, array=True).tolist() == [big]
-    assert _whole(np.array(big), "x") == big
-    assert _whole(np.array([3], dtype=np.uint64), "M", 1, array=True).dtype == np.intp
+    assert _whole(np.array([big]), "M", "[1, inf)", array=True).tolist() == [big]
+    assert _whole([big], "M", "[1, inf)", array=True).tolist() == [big]
+    assert _whole(np.array(big), "x", "[-inf, inf]") == big
+    assert _whole(np.array([3], dtype=np.uint64), "M", "[1, inf)", array=True).dtype == np.intp
+    # Bounds compare as Python ints too: one past a bound of 2**60 + 1 is refused.
+    cfg = ScenarioConfig.from_dict({**SCENARIO, "horizon": big, "shock_period": big})
+    assert cfg.horizon == cfg.shock_period == big
+    message = f"shock_period must lie in [1, {big}], got {big + 1}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ScenarioConfig.from_dict({**SCENARIO, "horizon": big, "shock_period": big + 1})
     top, huge = np.iinfo(np.intp).max, 2**63 + 5
     for field, call in (
             ("M", lambda: SourcingAllocation(phi=[[0.5], [0.5]],
                                              M=np.array([huge], dtype=np.uint64))),
-            ("periods_in_state", lambda: RegimeState([0], np.array([huge], dtype=np.uint64))),
-            ("path", lambda: chain_productivity_location(np.array([0, huge], dtype=np.uint64),
-                                                         symmetric_two_tier()))):
+            ("periods_in_state", lambda: RegimeState([0], np.array([huge], dtype=np.uint64)))):
         with pytest.raises(ValueError, match=f"^{field} must be at most {top}$"):
             call()
+    # A path's own bound comes first.
+    with pytest.raises(ValueError, match=f"^path must lie in \\[0, 1\\], got {huge}$"):
+        chain_productivity_location(np.array([0, huge], dtype=np.uint64), symmetric_two_tier())
     seeds, default_rng = [], np.random.default_rng
 
     def spy(seed):
@@ -473,84 +422,252 @@ def test_integer_input_stays_exact_past_2_53(monkeypatch):
     assert seeds == [big] and type(seeds[0]) is int
 
 
-def _interval_values(spec: str) -> tuple[list, list]:
-    """(accepted, refused) values of an interval written as ``_within`` reads
-    it: each closed bound is accepted; each open bound, the float one step
-    past each finite bound, and NaN are refused."""
+@pytest.mark.parametrize("M", ([1e30], [2**70], [2.0**63], np.array([2.0**63])), ids=repr)
+def test_whole_arrays_refuse_entries_past_intp(M):
+    # A float or object array used to be cast to intp unchecked: under -W
+    # error the cast raised a RuntimeWarning, and without it the count
+    # wrapped to a negative number that then read as too small.
+    top = np.iinfo(np.intp).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^M must be at most {top}$"):
+            SourcingAllocation(phi=[[0.5], [0.5]], M=M)
+
+
+def _range_values(spec: str, whole: bool) -> tuple[list, list]:
+    """(accepted, refused) values of the interval ``spec``: each closed bound
+    is accepted, and for whole numbers its float too; each open bound and
+    NaN are refused, and past each finite bound the next float, or for
+    whole numbers one and seven further, as an int and as a float."""
     low, high = (float(bound) for bound in spec[1:-1].split(","))
     accepted, refused = [], [math.nan]
-    for bound, closed, outward in ((low, spec[0] == "[", -math.inf),
-                                   (high, spec[-1] == "]", math.inf)):
-        (accepted if closed else refused).append(bound)
-        if math.isfinite(bound):
-            refused.append(float(np.nextafter(bound, outward)))
+    for bound, closed, outward in ((low, spec[0] == "[", -1), (high, spec[-1] == "]", 1)):
+        if closed:
+            accepted += [int(bound), bound] if whole else [bound]
+        else:
+            refused.append(bound)
+        if math.isfinite(bound) and whole:
+            refused += [int(bound) + outward, bound + outward, int(bound) + 7 * outward]
+        elif math.isfinite(bound):
+            refused.append(float(np.nextafter(bound, outward * math.inf)))
     return accepted, refused
 
 
-# Arrays that meet the positive-array rule before their interval, so that
-# NaN, infinities and values <= 0 keep that rule's message.
-POSITIVE_ARRAYS = ("T", "L", "tau", "alpha", "beta")
+class Input(NamedTuple):
+    """A numeric input: its name, its range as the message writes it, and
+    ``call(v)``, which passes ``v`` as the input or as one entry of it.  An
+    array input also gives ``put(a)``, which passes ``a`` as the whole
+    array, a valid ``good`` value, and its shape as the message writes it
+    (None where any shape is taken)."""
+    field: str
+    spec: str
+    call: Callable
+    whole: bool = False
+    put: Callable | None = None
+    good: list | None = None
+    shape: str | None = None
 
 
-def _refusal(field: str, spec: str, value: float) -> str:
-    if field in POSITIVE_ARRAYS and not 0.0 < value < math.inf:
-        return f"^{field} must be strictly positive and finite with shape "
-    return f"^{re.escape(f'{field} must lie in {spec}, got {value}')}$"
+def _array(field, spec, put, good, index, shape, whole=False) -> Input:
+    """The input ``put`` takes, with ``call(v)`` setting entry ``index`` of ``good``."""
+    def call(v):
+        value = np.array(good, dtype=object)
+        value[index] = v
+        return put(value.tolist())
+    return Input(field, spec, call, whole, put, good, shape)
 
 
-def _check_interval(field: str, spec: str, call) -> None:
-    accepted, refused = _interval_values(spec)
+def _refusal(row: Input, value) -> str:
+    """The message refusing ``value``: a whole input first needs a whole number."""
+    if row.whole and not math.isfinite(value):
+        return f"^{row.field} must be a whole number, got "
+    number = int(value) if row.whole else float(value)
+    return f"^{re.escape(f'{row.field} must lie in {row.spec}, got {number}')}$"
+
+
+def _check_input(row: Input) -> None:
+    accepted, refused = _range_values(row.spec, row.whole)
     for value in accepted:
-        call(value)
+        row.call(value)
     for value in refused:
-        with pytest.raises(ValueError, match=_refusal(field, spec, value)):
-            call(value)
+        with pytest.raises(ValueError, match=_refusal(row, value)):
+            row.call(value)
+    if row.put is None:
+        return
+    if row.shape is not None:
+        wrong = np.shape([row.good])
+        message = f"{row.field} must have shape {row.shape}, got {wrong}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            row.put([row.good])
+    text = np.array(row.good, dtype=object)
+    text.flat[0] = "abc"
+    for value in (text.tolist(), [row.good, [np.ravel(row.good)[0]]]):
+        with pytest.raises(ValueError, match=f"^{row.field} must be a (whole )?number, got "):
+            row.put(value)
 
 
 # The index of each economy array that a row sets; an off-diagonal tau entry,
 # and alpha's first entry, whose value 1 keeps sum(alpha * beta) = 1.
 ECONOMY_ENTRY = {"T": (0, 1), "L": 1, "tau": (0, 1), "alpha": 0, "beta": 0}
+ECONOMY_SHAPE = {"T": "(locations, tiers)", "L": "(2,)", "tau": "(2, 2)", "alpha": "(2,)",
+                 "beta": "(2,)"}
 
 
-def _interval_rows():
-    """(field, spec, call) of every real input with a range; ``call(v)``
-    passes ``v`` as that input, or as one entry of it."""
-    params, shock = symmetric_two_tier(), ShockParams(**SHOCK)
-    for key, spec in (("tau", "[1, inf)"), ("alpha", "(0, 1]"), ("theta", "(0, inf)"),
+def _economy_inputs():
+    for key, spec in (("T", "(0, inf)"), ("L", "(0, inf)"), ("tau", "[1, inf)"),
+                      ("alpha", "(0, 1]"), ("beta", "(0, inf)"), ("theta", "(0, inf)"),
                       ("sigma", "(1, inf)"), ("gamma", "(0, 1]")):
-        index = ECONOMY_ENTRY.get(key)
-        yield key, spec, lambda v, k=key, i=index: EconomyParams(**_set(ECONOMY, k, i, v))
-        yield key, spec, lambda v, k=key, i=index: EconomyParams.from_dict(_set(ECONOMY, k, i, v))
-    yield "alpha2", "(0, 1)", lambda v: EconomyParams.two_tier(
+        for build in (lambda d: EconomyParams(**d), EconomyParams.from_dict):
+            if key in ECONOMY_ENTRY:
+                yield _array(key, spec, lambda a, k=key, b=build: b({**ECONOMY, k: a}),
+                             ECONOMY[key], ECONOMY_ENTRY[key], ECONOMY_SHAPE[key])
+            else:
+                yield Input(key, spec, lambda v, k=key, b=build: b({**ECONOMY, k: v}))
+    yield Input("alpha2", "(0, 1)", lambda v: EconomyParams.two_tier(
         T1=[1.0, 1.0], T2=[1.0, 1.0], L=[1.0, 1.0], tau=np.ones((2, 2)), alpha2=v,
-        theta=4.0, sigma=2.0)
-    yield "theta", "(0, inf)", lambda v: kappa(v, 2.0)
-    yield "sigma", "(1, inf)", lambda v: kappa(4.0, v)
-    yield "pi_jj", "(0, 1]", lambda v: local_chain_real_wage(0, params, v)
-    yield "z", "[-inf, inf]", lambda v: chain_productivity_cdf(v, [0, 1], params)
+        theta=4.0, sigma=2.0))
+    yield Input("theta", "(0, inf)", lambda v: kappa(v, 2.0))
+    yield Input("sigma", "(1, inf)", lambda v: kappa(4.0, v))
+
+
+def _chain_inputs():
+    params, unit = symmetric_two_tier(), np.ones(2)
+    yield Input("pi_jj", "(0, 1]", lambda v: local_chain_real_wage(0, params, v))
+    yield Input("z", "[-inf, inf]", lambda v: chain_productivity_cdf(v, [0, 1], params))
+    for name, call in (("dest", lambda d: chain_cost_scale([0, 1], d, params, unit)),
+                       ("dest", lambda d: path_share([0, 1], d, params, unit)),
+                       ("dest", lambda d: price_index(d, params, unit)),
+                       ("j", lambda j: local_chain_real_wage(j, params, 0.5))):
+        yield Input(name, "[0, 1]", call, whole=True)
+    for put in (lambda p: chain_cost_scale(p, 0, params, unit),
+                lambda p: path_share(p, 0, params, unit),
+                lambda p: chain_productivity_location(p, params),
+                lambda p: chain_productivity_cdf(1.5, p, params),
+                lambda p: chain_productivity_theta_sensitivity(1.5, p, params)):
+        yield _array("path", "[0, 1]", put, [0, 1], 1, "(2,)", whole=True)
+    for name, put in (("costs", lambda c: price_indices(params, c)),
+                      ("costs", lambda c: solve_costs(c, params)),
+                      ("wages", lambda w: labor_market_residuals(w, params)),
+                      ("initial_wages", lambda w: solve_equilibrium(
+                          params, SolverConfig(initial_wages=w))),
+                      ("expenditure_weights",
+                       lambda w: intermediate_flow_shares(params, unit, w))):
+        yield _array(name, "(0, inf)", put, [1.0, 1.0], 1, "(2,)")
+
+
+def _solver_inputs():
     for key, spec in (("tolerance", "(0, inf)"), ("damping", "(0, 1]"),
                       ("world_income", "(0, inf)")):
-        yield key, spec, lambda v, k=key: SolverConfig(**{k: v})
+        yield Input(key, spec, lambda v, k=key: SolverConfig(**{k: v}))
+    yield Input("max_iterations", "[0, inf)", lambda v: SolverConfig(max_iterations=v), whole=True)
+    yield Input("max_iterations", "[1, inf)",
+                lambda v: solve_costs(np.ones(2), symmetric_two_tier(), max_iterations=v),
+                whole=True)
+
+
+def _odds_inputs():
     for cls, base, spec in ((ShockParams, SHOCK, "[0, 1]"), (UtilitySpec, {"rho": 2.0}, "[0, inf)"),
                             (BeliefSet, {"zeta_lo": 0.0, "zeta_hi": 1.0}, "[0, 1]")):
         for key in base:
-            yield key, spec, lambda v, c=cls, b=base, k=key: c(**{**b, k: v})
-            yield key, spec, lambda v, c=cls, b=base, k=key: c.from_dict({**b, k: v})
-    yield "phi", "[0, 1]", lambda v: SourcingAllocation(phi=[[v, 0.5], [1.0 - v, 0.5]], M=[3, 3])
-    yield "draws", "[0, 1)", lambda v: simulate_regime(shock, [0.1, v, 0.9])
-    yield "rand", "[0, 1)", lambda v: step_regime(RegimeState.all_normal(2), shock, [v, 0.1])
-    yield "rand", "[0, 1)", lambda v: draw_shock(shock, v)
+            yield Input(key, spec, lambda v, c=cls, b=base, k=key: c(**{**b, k: v}))
+            yield Input(key, spec, lambda v, c=cls, b=base, k=key: c.from_dict({**b, k: v}))
 
 
-INTERVAL_ROWS = list(_interval_rows())
+def _sourcing_inputs():
+    params, shock, unit = symmetric_two_tier(), ShockParams(**SHOCK), np.ones(2)
+    beliefs, utility = BeliefSet(**BELIEFS), UtilitySpec(rho=2.0)
+    alloc = SourcingAllocation.uniform_tiers([0.5, 0.5], 10, 2)
+    yield Input("phi", "[0, 1]", lambda v: SourcingAllocation(phi=[[v, 0.5], [1.0 - v, 0.5]],
+                                                               M=[3, 3]),
+                put=lambda p: SourcingAllocation(phi=p, M=[3, 3]),
+                good=[[0.5, 0.5], [0.5, 0.5]], shape="(locations, tiers)")
+    yield _array("M", "[1, inf)", lambda m: SourcingAllocation(phi=[[0.5, 0.5], [0.5, 0.5]], M=m),
+                 [10, 10], 0, "(2,)", whole=True)
+    yield Input("weights", "[0, 1]",
+                lambda v: SourcingAllocation.uniform_tiers([v, 1.0 - v], 3, 2),
+                put=lambda w: SourcingAllocation.uniform_tiers(w, 3, 2),
+                good=[0.5, 0.5], shape="(locations,)")
+    yield Input("suppliers_per_tier", "[1, inf)",
+                lambda v: SourcingAllocation.uniform_tiers(unit / 2, v, 2), whole=True)
+    yield Input("n_tiers", "[1, inf)",
+                lambda v: SourcingAllocation.uniform_tiers(unit / 2, 3, v), whole=True)
+    calls = {
+        "allocation_value": lambda c: allocation_value(alloc, ShockDraw(None), params, c),
+        "risk_objective": lambda c: risk_objective(alloc, params, shock, utility, c),
+        "ambiguity_objective": lambda c: ambiguity_objective(alloc, params, shock,
+                                                             beliefs, utility, c),
+        "individual_sourcing": lambda c: individual_sourcing(params, shock, costs=c),
+        "planner_risk_sourcing": lambda c: planner_risk_sourcing(
+            params, shock, utility, grid_resolution=11, costs=c),
+        "planner_ambiguity_sourcing": lambda c: planner_ambiguity_sourcing(
+            params, shock, beliefs, grid_resolution=11, costs=c),
+    }
+    for put in calls.values():
+        yield _array("costs", "(0, inf)", put, [1.0, 1.0], 1, "(2,)")
+    for call in (lambda v: individual_sourcing(params, shock, suppliers_per_tier=v, costs=unit),
+                 lambda v: planner_risk_sourcing(params, shock, utility, grid_resolution=11,
+                                                 suppliers_per_tier=v, costs=unit),
+                 lambda v: planner_ambiguity_sourcing(params, shock, beliefs, grid_resolution=11,
+                                                      suppliers_per_tier=v, costs=unit)):
+        yield Input("suppliers_per_tier", "[1, inf)", call, whole=True)
+    yield Input("grid_resolution", "[2, inf)", lambda v: planner_risk_sourcing(
+        params, shock, utility, grid_resolution=v, costs=unit), whole=True)
 
 
-@pytest.mark.parametrize("field,spec,call", INTERVAL_ROWS,
-                         ids=[f"{row[0]}-{k}" for k, row in enumerate(INTERVAL_ROWS)])
-def test_real_intervals_share_one_message(field, spec, call):
+def _scenario_inputs():
+    # shock_period 1 lets the horizon reach its own floor.
+    base = {**SCENARIO, "shock_period": 1}
+    for key, spec in (("horizon", "[1, inf)"), ("suppliers_per_tier", "[1, inf)"),
+                      ("grid_resolution", "[2, inf)"), ("destination", "[0, 1]"),
+                      ("seed", "[0, inf)")):
+        yield Input(key, spec, lambda v, k=key: ScenarioConfig.from_dict({**base, k: v}),
+                    whole=True)
+        yield Input(key, spec, lambda v, k=key: ScenarioConfig(
+            economy=EconomyParams.from_dict(ECONOMY), shock=ShockParams(**SHOCK),
+            **{**{k2: base[k2] for k2 in SCENARIO_INTS}, k: v}), whole=True)
+    yield Input("shock_period", f"[1, {SCENARIO['horizon']}]",
+                lambda v: ScenarioConfig.from_dict({**SCENARIO, "shock_period": v}), whole=True)
+    cfg = ScenarioConfig.from_dict({**SCENARIO, "grid_resolution": 11})
+    yield Input("n_runs", "[1, inf)", lambda v: monte_carlo_survival(cfg, n_runs=v, seed=0),
+                whole=True)
+    yield Input("seed", "[0, inf)", lambda v: monte_carlo_survival(cfg, n_runs=10, seed=v),
+                whole=True)
+
+
+def _shock_inputs():
+    params, unit = symmetric_two_tier(), np.ones(2)
+    shock = ShockParams(0.3, 0.5, 0.5)
+    alloc = SourcingAllocation(phi=[[1.0, 1.0], [0.0, 0.0]], M=[3, 3])
+    for call in (lambda d: apply_shock([1.0, 1.0], ShockDraw(d)),
+                 lambda d: chain_survives(alloc, ShockDraw(d)),
+                 lambda d: allocation_value(alloc, ShockDraw(d), params, unit)):
+        yield Input("shock location", "[0, 1]", call, whole=True)
+    yield _array("labor", "[0, inf)", lambda a: apply_shock(a, ShockDraw(0)), [1.0, 1.0], 1,
+                 "(locations,)")
+    yield _array("state", "[0, 1]", lambda s: RegimeState(s, [0, 0]), [0, 1], 1, None, whole=True)
+    yield _array("periods_in_state", "[0, inf)", lambda p: RegimeState([0, 1], p), [0, 4], 0,
+                 None, whole=True)
+    yield Input("initial", "[0, 1]", lambda v: simulate_regime(shock, [0.9], initial=v),
+                whole=True)
+    yield _array("draws", "[0, 1)", lambda u: simulate_regime(shock, u), [0.1, 0.5, 0.9], 1,
+                 "(n,)")
+    yield _array("rand", "[0, 1)", lambda u: step_regime(RegimeState.all_normal(2), shock, u),
+                 [0.1, 0.1], 0, "(2,)")
+    yield Input("rand", "[0, 1)", lambda v: draw_shock(shock, v))
+
+
+INPUT_ROWS = [*_economy_inputs(), *_chain_inputs(), *_solver_inputs(), *_odds_inputs(),
+              *_sourcing_inputs(), *_scenario_inputs(), *_shock_inputs()]
+
+
+@pytest.mark.parametrize("row", INPUT_ROWS,
+                         ids=[f"{row.field}-{k}" for k, row in enumerate(INPUT_ROWS)])
+def test_numeric_inputs_share_one_range_rule(row):
     # Each closed bound passes; each open bound, one step past each finite
-    # bound and NaN are refused with one message naming the interval.
-    _check_interval(field, spec, call)
+    # bound and NaN are refused with one message naming the range, real or
+    # whole, scalar or array.  An array of the wrong shape, of text or
+    # ragged is refused with a message naming the field.
+    _check_input(row)
 
 
 # (section, field, numbers, range, default) of each row of the README's
@@ -591,22 +708,8 @@ def test_readme_config_ranges_hold(section, key, numbers, spec, default):
     declared = {f.name: f.default for f in fields(SECTIONS[section])}[key]
     assert default == ("required" if declared is MISSING else f"`{declared}`")
     call = functools.partial(_section_call, section, key)
-    if numbers == "real":
-        _check_interval(key, spec, call)
-        return
-    low, high = spec[1:-1].replace("horizon", str(SCENARIO["horizon"])).split(", ")
-    low = int(low)
-    call(low)
-    with pytest.raises(ValueError, match=f"^{key} must be at least {low}$"):
-        call(low - 1)
-    if high == "inf":
-        with pytest.raises(ValueError, match=f"^{key} must be a whole number, got inf$"):
-            call(math.inf)
-    else:
-        high = int(high)
-        call(high)
-        with pytest.raises(ValueError, match=f"^{key} must be at most {high}$"):
-            call(high + 1)
+    spec = spec.replace("horizon", str(SCENARIO["horizon"]))
+    _check_input(Input(key, spec, call, whole=numbers == "whole"))
 
 
 def _single_value_rows():
@@ -645,7 +748,7 @@ def test_location_indices_name_their_field_and_whole_floats_convert():
     unit = np.ones(2)
     with pytest.raises(ValueError, match="^path must be a whole number"):
         chain_productivity_location([0.5, 0], params)
-    with pytest.raises(ValueError, match="^path must be at least 0$"):
+    with pytest.raises(ValueError, match=r"^path must lie in \[0, 1\], got -1$"):
         chain_cost_scale([-1, 0], 0, params, unit)
     with pytest.raises(ValueError, match="^dest must be a whole number"):
         chain_cost_scale([0, 1], 0.5, params, unit)
@@ -670,15 +773,15 @@ def test_out_of_range_locations_share_one_message():
              ("destination", lambda i: ScenarioConfig.from_dict({**SCENARIO, "destination": i})),
              ("shock location", lambda i: apply_shock([1.0, 1.0], ShockDraw(i))))
     for name, call in calls:
-        for i, bound in ((-1, "at least 0"), (2, "at most 1")):
-            with pytest.raises(ValueError, match=f"^{name} must be {bound}$"):
+        for i in (-1, 2):
+            with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 1\], got {i}$"):
                 call(i)
 
 
 def test_shock_locations_and_regimes_name_their_field():
     alloc = SourcingAllocation(phi=[[1.0, 1.0], [0.0, 0.0]], M=[3, 3])
-    for v, bound in ((-1, "at least 0"), (2, "at most 1")):
-        with pytest.raises(ValueError, match=f"^shock location must be {bound}$"):
+    for v in (-1, 2):
+        with pytest.raises(ValueError, match=rf"^shock location must lie in \[0, 1\], got {v}$"):
             chain_survives(alloc, ShockDraw(v))
     with pytest.raises(ValueError, match="^shock location must be a whole number"):
         allocation_value(alloc, ShockDraw(0.5), symmetric_two_tier(), np.ones(2))
@@ -689,7 +792,7 @@ def test_shock_locations_and_regimes_name_their_field():
         RegimeState([0.5, 1.7], [0, 0])
     with pytest.raises(ValueError, match="^periods_in_state must be a whole number"):
         RegimeState([0, 1], [3, 2.9])
-    with pytest.raises(ValueError, match="^periods_in_state must be at least 0$"):
+    with pytest.raises(ValueError, match=r"^periods_in_state must lie in \[0, inf\), got -3$"):
         RegimeState([0, 1], [-3, 2])
     state = RegimeState([0.0, 1.0], [4.0, 0.0])
     assert state.state.dtype == state.periods_in_state.dtype == np.intp
@@ -701,9 +804,10 @@ def test_simulate_regime_initial_names_its_field():
     for v in (0.5, math.nan):
         with pytest.raises(ValueError, match="^initial must be a whole number, got "):
             simulate_regime(shock, [0.9], initial=v)
-    for v, message in ((2, "at most 1"), (-1, "at least 0"), (2.0, "at most 1"),
-                       ([0, 1], r"a single value, got \[0, 1\]")):
-        with pytest.raises(ValueError, match=f"^initial must be {message}$"):
+    for v, message in ((2, r"lie in \[0, 1\], got 2"), (-1, r"lie in \[0, 1\], got -1"),
+                       (2.0, r"lie in \[0, 1\], got 2"),
+                       ([0, 1], r"be a single value, got \[0, 1\]")):
+        with pytest.raises(ValueError, match=f"^initial must {message}$"):
             simulate_regime(shock, [0.9], initial=v)
     for v in (1, 1.0, np.int64(1)):
         assert simulate_regime(shock, [0.9, 0.1], initial=v).tolist() == [1, 0]
@@ -731,6 +835,25 @@ def test_non_numeric_vector_names_its_field(key, value):
     # T's shape sets J and N, so T is checked for two dimensions first.
     with pytest.raises(ValueError, match=f"^{key} must be "):
         EconomyParams.from_dict({**ECONOMY, key: value})
+
+
+@pytest.mark.parametrize("key", ("Z", "F", "v", "x"))
+@pytest.mark.parametrize("value", (["a", "b"], [[1.0, 2.0], [3.0]]), ids=repr)
+def test_non_numeric_table_array_names_its_field(key, value):
+    # numpy's own "could not convert string to float" and "setting an array
+    # element with a sequence" used to escape here.
+    with pytest.raises(ValueError, match=f"^{key} must be a number, got "):
+        _io_table(**{key: value})
+
+
+def test_non_numeric_array_message_is_abridged():
+    # The message quotes an abridged value, not every entry of a large table.
+    Z = np.zeros((300, 300)).tolist()
+    Z[5][7] = "a"
+    with pytest.raises(ValueError, match=r"^Z must be a number, got \[\[0\.0, ") as err:
+        WorldIOTable(countries=[f"C{i}" for i in range(300)], sectors=["M"], Z=Z,
+                     F=np.zeros((300, 300)), v=np.zeros(300), x=np.zeros(300))
+    assert len(str(err.value)) < 300
 
 
 @pytest.mark.parametrize("key", SCENARIO_INTS)
@@ -763,15 +886,15 @@ def test_non_numeric_scalar_names_its_field(field, build, value):
 
 
 def test_tier_constructors_name_non_numeric_technology():
-    with pytest.raises(ValueError, match="^T must be strictly positive"):
+    with pytest.raises(ValueError, match="^T must be a number, got "):
         EconomyParams.one_tier(["a", "b"], [1.0, 1.0], np.ones((2, 2)), 4.0, 3.0)
-    with pytest.raises(ValueError, match="^T must be strictly positive"):
+    with pytest.raises(ValueError, match="^T must be a number, got "):
         EconomyParams.two_tier(["a", "b"], [1.0, 1.0], [1.0, 1.0], np.ones((2, 2)), 0.5, 4.0, 3.0)
 
 
 def test_non_numeric_costs_name_their_field():
     params = symmetric_two_tier()
-    with pytest.raises(ValueError, match="^costs must be strictly positive"):
+    with pytest.raises(ValueError, match=r"^costs must be a number, got \['a', 'b'\]$"):
         planner_risk_sourcing(params, ShockParams(**SHOCK), UtilitySpec(rho=2.0),
                               grid_resolution=11, costs=["a", "b"])
     with pytest.raises(ValueError, match="^suppliers_per_tier must be a whole number"):
@@ -792,7 +915,7 @@ def test_cli_names_non_numeric_field(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["equilibrium", "--params", str(econ), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "L must be strictly positive and finite" in err
+    assert "L must be a number, got ['a', 'b']" in err
     assert "could not convert" not in err
     assert not out.exists()
     econ.write_text(json.dumps({**ECONOMY, "theta": "abc"}))
@@ -887,14 +1010,14 @@ def test_cli_rejects_boolean_horizon(tmp_path, capsys):
 def test_boolean_vector_names_its_field(tmp_path, capsys, key):
     # All true reads as all ones, a valid T, L and tau of this economy.
     value = np.ones(np.shape(ECONOMY[key]), dtype=bool).tolist()
-    with pytest.raises(ValueError, match=f"^{key} must be strictly positive and finite"):
+    with pytest.raises(ValueError, match=f"^{key} must be a number, got "):
         EconomyParams.from_dict({**ECONOMY, key: value})
     econ = tmp_path / "econ.json"
     econ.write_text(json.dumps({**ECONOMY, key: value}))
     assert "true" in econ.read_text()
     out = tmp_path / "out"
     assert main(["equilibrium", "--params", str(econ), "--out", str(out)]) == 2
-    assert f"{key} must be strictly positive and finite" in capsys.readouterr().err
+    assert f"{key} must be a number, got {value}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -908,49 +1031,57 @@ def test_boolean_vector_names_its_field(tmp_path, capsys, key):
                                               UtilitySpec(rho=2.0), grid_resolution=11,
                                               costs=v)),
 ], ids=("initial_wages", "allocation_value.costs", "planner_risk_sourcing.costs"))
-def test_boolean_positive_array_names_its_field(field, call, value):
-    with pytest.raises(ValueError, match=f"^{field} must be strictly positive and finite"):
+def test_boolean_real_array_names_its_field(field, call, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a number, got "):
         call(value)
 
 
 # ---------------------------------------------------------------------------
-# the positive-array rule: a float64 array is checked as it is, anything
-# else is converted to float64 first, and both meet one value test
+# the interval rule on arrays: a float64 array is checked as it is, anything
+# else is converted to float64 first, and both meet one shape and value test
 
-def test_positive_array_returns_float64_input_itself():
+def test_within_returns_float64_input_itself():
     arr = np.array([[0.5, 2.0], [1.0, 3.0]])
-    assert _positive_array(arr, (2, 2), "x") is arr
+    assert _within(arr, "x", "(0, inf)", array=(2, 2)) is arr
     strided = arr[:, 1]
     assert not strided.flags.c_contiguous
-    assert _positive_array(strided, (2,), "x") is strided
+    assert _within(strided, "x", "(0, inf)", array=(2,)) is strided
 
 
 @pytest.mark.parametrize("value", (np.array([0.5, 3.0], dtype=np.float32), np.array([1, 3]),
                                    [0.5, 3.0], [1, 3]), ids=repr)
-def test_positive_array_converts_other_input_to_float64(value):
-    arr = _positive_array(value, (2,), "x")
+def test_within_converts_other_input_to_float64(value):
+    arr = _within(value, "x", "(0, inf)", array=(2,))
     assert type(arr) is np.ndarray and arr.dtype == np.float64
     assert arr.tobytes() == np.array([float(v) for v in value]).tobytes()
 
 
-@pytest.mark.parametrize("shape,value", [
-    ((2,), [1.0, math.nan]), ((2,), [math.inf, 1.0]), ((2,), [-math.inf, 1.0]),
-    ((2,), [0.0, 1.0]), ((2,), [1.0, -0.5]), ((2,), [1.0, 2.0, 3.0]), ((2,), [[1.0, 2.0]]),
-    ((2,), []), ((2,), 1.0), ((2, 2), [[1.0, 2.0], [math.nan, 1.0]]),
-    ((2, 2), [[1.0, 2.0], [3.0, 0.0]]),
+@pytest.mark.parametrize("shape,value,message", [
+    ((2,), [1.0, math.nan], "lie in (0, inf), got nan"),
+    ((2,), [math.inf, 1.0], "lie in (0, inf), got inf"),
+    ((2,), [-math.inf, 1.0], "lie in (0, inf), got -inf"),
+    ((2,), [0.0, 1.0], "lie in (0, inf), got 0.0"),
+    ((2,), [1.0, -0.5], "lie in (0, inf), got -0.5"),
+    ((2,), [1.0, 2.0, 3.0], "have shape (2,), got (3,)"),
+    ((2,), [[1.0, 2.0]], "have shape (2,), got (1, 2)"),
+    ((2,), [], "have shape (2,), got (0,)"),
+    ((2,), 1.0, "have shape (2,), got ()"),
+    ((2, 2), [[1.0, 2.0], [math.nan, 1.0]], "lie in (0, inf), got nan"),
+    ((2, 2), [[1.0, 2.0], [3.0, 0.0]], "lie in (0, inf), got 0.0"),
 ], ids=repr)
 @pytest.mark.parametrize("form", (list, np.array, lambda v: np.array(v, dtype=np.float32)),
                          ids=("list", "float64", "float32"))
-def test_positive_array_refusals_keep_their_message(shape, value, form):
-    message = re.escape(f"costs must be strictly positive and finite with shape {shape}")
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        _positive_array(form(value) if np.ndim(value) else value, shape, "costs")
+def test_within_array_refusals_name_the_shape_or_the_value(shape, value, message, form):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'costs must {message}')}$"):
+        _within(form(value) if np.ndim(value) else value, "costs", "(0, inf)", array=shape)
 
 
-@pytest.mark.parametrize("value", ([True, True], np.array([True, True]),
-                                   np.array([math.nan, 1.0, 2.0, 1.0])[::2],
-                                   np.array([1.0, 2.0, 0.0, 2.0])[::2]), ids=repr)
-def test_positive_array_refuses_booleans_and_strided_faults(value):
-    with pytest.raises(ValueError,
-                       match=r"^costs must be strictly positive and finite with shape \(2,\)$"):
+@pytest.mark.parametrize("value,message", [
+    ([True, True], r"be a number, got \[True, True\]"),
+    (np.array([True, True]), r"be a number, got array\(\[ True,  True\]\)"),
+    (np.array([math.nan, 1.0, 2.0, 1.0])[::2], r"lie in \(0, inf\), got nan"),
+    (np.array([1.0, 2.0, 0.0, 2.0])[::2], r"lie in \(0, inf\), got 0.0"),
+], ids=repr)
+def test_costs_refuse_booleans_and_strided_faults(value, message):
+    with pytest.raises(ValueError, match=f"^costs must {message}$"):
         price_index(0, symmetric_two_tier(), value)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -130,8 +131,9 @@ def test_run_scenario_validates_allocation_and_costs():
     three = SourcingAllocation.uniform_tiers([0.2, 0.3, 0.5], 10, 2)
     with pytest.raises(ValueError, match="disagree on the number of locations"):
         run_scenario(cfg, solution=solution, allocation=three)
-    for costs in (-solution.costs, solution.costs[:1]):
-        with pytest.raises(ValueError, match="costs must be strictly positive"):
+    for costs, message in ((-solution.costs, "costs must lie in (0, inf), got "),
+                           (solution.costs[:1], "costs must have shape (2,), got (1,)")):
+        with pytest.raises(ValueError, match=re.escape(message)):
             run_scenario(cfg, solution=replace(solution, costs=costs))
 
 
@@ -240,9 +242,9 @@ def test_monte_carlo_deterministic_in_seed():
 
 
 @pytest.mark.parametrize("kw,message", [
-    ({"n_runs": 0}, "^n_runs must be at least 1$"),
+    ({"n_runs": 0}, "^n_runs must lie in \\[1, inf\\), got 0$"),
     ({"seed": True}, "^seed must be a whole number, got True$"),
-    ({"seed": -1}, "^seed must be at least 0$"),
+    ({"seed": -1}, "^seed must lie in \\[0, inf\\), got -1$"),
     ({"seed": 2.5}, "^seed must be a whole number, got 2.5$"),
     ({"seed": None}, "^seed must be a whole number, got None$"),
 ], ids=("runs-0", "seed-true", "seed-negative", "seed-fraction", "seed-none"))

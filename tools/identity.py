@@ -464,7 +464,7 @@ def _chain_records(out: dict, n_economies: int = N_CHAIN_ECONOMIES) -> None:
             "chain_productivity_theta_sensitivity":
                 lambda: chains.chain_productivity_theta_sensitivity(z, path, p),
         }
-        # The costs in every form the positive-array rule converts or refuses.
+        # The costs in every form the interval rule converts or refuses.
         forms = {
             "float32": costs.astype(np.float32),
             "list": costs.tolist(),
