@@ -63,20 +63,21 @@ def _interval(spec: str) -> tuple:
 
 
 def _shaped(arr: np.ndarray, shape, name: str) -> np.ndarray:
-    """``arr`` if its shape is ``shape``; one message otherwise.  A shape of
-    names, such as ``("locations", "tiers")``, fixes only the dimensions."""
-    if arr.shape != shape and (arr.ndim != len(shape) or not isinstance(shape[0], str)):
-        wanted = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
-        raise ValueError(f"{name} must have shape ({wanted}), got {arr.shape}")
-    return arr
+    """``arr`` if it has the shape ``shape``, in which a named entry, such as
+    ``"locations"``, takes any size and True stands for any shape; one
+    message otherwise."""
+    if shape is True or arr.shape == shape or (arr.ndim == len(shape) and all(
+            isinstance(want, str) or want == got for want, got in zip(shape, arr.shape))):
+        return arr
+    wanted = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
+    raise ValueError(f"{name} must have shape ({wanted}), got {arr.shape}")
 
 
-def _inside(out, name: str, spec: str, number):
+def _inside(out, name: str, spec: str):
     """``out``, a number or an array, if it lies in the interval ``spec``;
-    otherwise the one message, ``{name} must lie in {spec}, got {value}``,
-    with an array's first entry out of range as the value, read by
-    ``number``.  Arrays take two passes, min and max, however long; both
-    carry NaN, and NaN fails every test."""
+    otherwise ``{name} must lie in {spec}, got {value}``, an array's first
+    entry out of range.  Arrays take two passes, min and max, which carry
+    NaN, and NaN fails every test."""
     low, high, lower, upper = _interval(spec)
     if type(out) is not np.ndarray:
         if lower(low, out) and upper(out, high):
@@ -86,52 +87,49 @@ def _inside(out, name: str, spec: str, number):
         return out
     else:
         out = out[~(lower(low, out) & upper(out, high))][0]
-    raise ValueError(f"{name} must lie in {spec}, got {number(out)}")
+    raise ValueError(f"{name} must lie in {spec}, got {out}")
 
 
 def _within(x, name: str, spec: str, array=False):
     """``x`` as a float in the interval ``spec``, written as it reads
-    (``"(0, 1]"``, ``"[1, inf)"``, ``"[-inf, inf]"``).  With ``array`` it is a
-    float array: of any shape if ``array`` is True, else of the shape
-    ``array``, such as ``(J, J)`` or ``("locations", "tiers")``.  A float64
-    ndarray, such as the solver's costs on every pass, is checked as it is,
-    not converted.  NaN, booleans, text and ragged lists raise."""
+    (``"(0, 1]"``, ``"[1, inf)"``, ``"[-inf, inf]"``), or, unless ``array``
+    is False, a float array of the shape ``array`` (see :func:`_shaped`),
+    such as ``(J, J)`` or ``("locations", "tiers")``.  A float64 ndarray,
+    such as the solver's costs on every pass, is checked as it is, not
+    converted.  NaN, booleans, text and ragged lists raise."""
     if array is False:
-        return _inside(_real(x, name), name, spec, float)
+        return _inside(_real(x, name), name, spec)
     arr = x if type(x) is np.ndarray and x.dtype is _FLOAT else _real_array(x, name)
-    if array is not True and arr.shape != array:    # a call saved on every solver pass
+    if arr.shape != array:      # a call saved on every solver pass
         _shaped(arr, array, name)
-    return _inside(arr, name, spec, float)
+    return _inside(arr, name, spec)
 
 
 def _whole(x, name: str, spec: str, array=False):
     """``x`` as an int in the interval ``spec`` (``"[1, inf)"``,
-    ``f"[0, {J - 1}]"``), or with ``array`` an ``intp`` array shaped as in
-    :func:`_within`, with the same message out of range.  NaN, inf,
-    fractions, booleans and, without ``array``, sequences raise.  Integers,
-    integer arrays and the bounds are compared exactly, never through
-    float64; an array entry past the ``intp`` range is refused, not cast."""
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
-        return _inside(int(x), name, spec, int)
+    ``f"[0, {J - 1}]"``), or, unless ``array`` is False, an ``intp`` array
+    shaped as in :func:`_within`.  NaN, inf, fractions, booleans and,
+    without ``array``, sequences raise.  Values and bounds compare exactly,
+    never through float64; an entry past ``intp`` is refused, not cast."""
+    if array is False and isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        return _inside(int(x), name, spec)
     try:
         arr = np.asarray(x)
         if arr.dtype.kind not in "iu":      # integer dtypes skip float64
             arr = _real_array(arr, name)
-            arr = arr if (np.isfinite(arr) & (arr == np.floor(arr))).all() else None
+            whole = (np.isfinite(arr) & (arr == np.floor(arr))).all()
+            arr = np.frompyfunc(int, 1, 1)(arr) if whole else None     # exact Python ints
     except (TypeError, ValueError):     # boolean, not numeric, or ragged
         arr = None
     if arr is None:
         raise ValueError(f"{name} must be a whole number, got {x}")
-    if arr.ndim == 0:
-        return _inside(int(arr), name, spec, int)
     if array is False:
-        raise ValueError(f"{name} must be a single value, got {x}")
-    if array is not True:
-        _shaped(arr, array, name)
-    arr = _inside(arr, name, spec, int)
-    # Compared as Python numbers: in float64 the top rounds up to 2.0**63.
+        if np.ndim(arr):
+            raise ValueError(f"{name} must be a single value, got {x}")
+        return _inside(int(arr), name, spec)
+    arr = _inside(_shaped(np.asarray(arr), array, name), name, spec)
     if arr.dtype != np.intp and arr.size and (
-            np.maximum.reduce(arr, axis=None).item() > (top := np.iinfo(np.intp).max)):
+            int(np.maximum.reduce(arr, axis=None)) > (top := np.iinfo(np.intp).max)):
         raise ValueError(f"{name} must be at most {top}")     # an intp cast would wrap
     return arr.astype(np.intp)
 
@@ -430,17 +428,19 @@ def chain_cost_scale(path, dest: int, params: EconomyParams, costs) -> float:
     return _chain_scale(_Chain(params).factors(costs), path, dest, params)
 
 
-def _chain_scale(facs: np.ndarray, path, dest: int, params: EconomyParams) -> float:
-    """:func:`chain_cost_scale` from the tier factors; checks path, then dest."""
+def _chain_scale(facs, path, dest: int, params: EconomyParams, totals=None) -> float:
+    """:func:`chain_cost_scale` from the tier factors, over ``totals[dest]``
+    if given; checks path, then dest."""
     path = _checked_path(path, params)
     dest = _whole(dest, "dest", f"[0, {params.n_locations - 1}]")
-    return float(_path_product(facs, path[None])[0, dest])
+    scale = float(_path_product(facs, path[None])[0, dest])
+    return scale if totals is None else scale / float(totals[dest])
 
 
 def path_share(path, dest: int, params: EconomyParams, costs) -> float:
     """Probability that destination ``dest`` sources along ``path``."""
     facs, _, S = _Chain(params).forward(costs)
-    return _chain_scale(facs, path, dest, params) / float(S[int(dest)])     # dest checked
+    return _chain_scale(facs, path, dest, params, S)
 
 
 def path_share_matrix(params: EconomyParams, costs) -> tuple[np.ndarray, np.ndarray]:

@@ -458,7 +458,8 @@ class Input(NamedTuple):
     ``call(v)``, which passes ``v`` as the input or as one entry of it.  An
     array input also gives ``put(a)``, which passes ``a`` as the whole
     array, a valid ``good`` value, and its shape as the message writes it
-    (None where any shape is taken)."""
+    (None where any shape is taken); ``scalar`` marks an array input that
+    also takes one number for every entry."""
     field: str
     spec: str
     call: Callable
@@ -466,15 +467,16 @@ class Input(NamedTuple):
     put: Callable | None = None
     good: list | None = None
     shape: str | None = None
+    scalar: bool = False
 
 
-def _array(field, spec, put, good, index, shape, whole=False) -> Input:
+def _array(field, spec, put, good, index, shape, whole=False, scalar=False) -> Input:
     """The input ``put`` takes, with ``call(v)`` setting entry ``index`` of ``good``."""
     def call(v):
         value = np.array(good, dtype=object)
         value[index] = v
         return put(value.tolist())
-    return Input(field, spec, call, whole, put, good, shape)
+    return Input(field, spec, call, whole, put, good, shape, scalar)
 
 
 def _refusal(row: Input, value) -> str:
@@ -494,11 +496,15 @@ def _check_input(row: Input) -> None:
             row.call(value)
     if row.put is None:
         return
+    lone = np.ravel(row.good)[0].item()
+    if row.scalar:
+        row.put(lone)
     if row.shape is not None:
-        wrong = np.shape([row.good])
-        message = f"{row.field} must have shape {row.shape}, got {wrong}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            row.put([row.good])
+        # One dimension too many, and a lone number where an array belongs.
+        for wrong in [[row.good]] + [lone] * (not row.scalar):
+            message = f"{row.field} must have shape {row.shape}, got {np.shape(wrong)}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                row.put(wrong)
     text = np.array(row.good, dtype=object)
     text.flat[0] = "abc"
     for value in (text.tolist(), [row.good, [np.ravel(row.good)[0]]]):
@@ -652,7 +658,7 @@ def _shock_inputs():
     yield _array("draws", "[0, 1)", lambda u: simulate_regime(shock, u), [0.1, 0.5, 0.9], 1,
                  "(n,)")
     yield _array("rand", "[0, 1)", lambda u: step_regime(RegimeState.all_normal(2), shock, u),
-                 [0.1, 0.1], 0, "(2,)")
+                 [0.1, 0.1], 0, "(2,)", scalar=True)
     yield Input("rand", "[0, 1)", lambda v: draw_shock(shock, v))
 
 
