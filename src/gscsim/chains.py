@@ -94,15 +94,12 @@ def _within(x, name: str, spec: str, array=False):
     """``x`` as a float in the interval ``spec``, written as it reads
     (``"(0, 1]"``, ``"[1, inf)"``, ``"[-inf, inf]"``), or, unless ``array``
     is False, a float array of the shape ``array`` (see :func:`_shaped`),
-    such as ``(J, J)`` or ``("locations", "tiers")``.  A float64 ndarray,
-    such as the solver's costs on every pass, is checked as it is, not
-    converted.  NaN, booleans, text and ragged lists raise."""
+    such as ``(J, J)`` or ``("locations", "tiers")``; a float64 ndarray
+    comes back as it is.  NaN, booleans, text and ragged lists raise."""
     if array is False:
         return _inside(_real(x, name), name, spec)
     arr = x if type(x) is np.ndarray and x.dtype is _FLOAT else _real_array(x, name)
-    if arr.shape != array:      # a call saved on every solver pass
-        _shaped(arr, array, name)
-    return _inside(arr, name, spec)
+    return _inside(_shaped(arr, array, name), name, spec)
 
 
 def _whole(x, name: str, spec: str, array=False):
@@ -137,6 +134,11 @@ def _whole(x, name: str, spec: str, array=False):
 def _checked_path(path, params: EconomyParams) -> np.ndarray:
     """``path`` as location indices, one per tier, each a known location."""
     return _whole(path, "path", f"[0, {params.n_locations - 1}]", array=(params.n_tiers,))
+
+
+def _checked_costs(params: EconomyParams, costs) -> np.ndarray:
+    """``costs`` checked once, where a public function takes them."""
+    return _within(costs, "costs", "(0, inf)", array=(params.n_locations,))
 
 
 def _real(x, name: str) -> float:
@@ -260,7 +262,7 @@ class EconomyParams(_JsonConfig):
     @classmethod
     def one_tier(cls, T, L, tau, theta, sigma, gamma=1.0) -> "EconomyParams":
         """Single-tier economy: plain sourcing with alpha = beta = 1."""
-        T = np.reshape(T, (-1, 1))
+        T = _shaped(np.asarray(T), ("locations",), "T")[:, None]
         return cls(T=T, L=L, tau=tau, alpha=np.ones(1), beta=np.ones(1),
                    theta=theta, sigma=sigma, gamma=gamma)
 
@@ -323,7 +325,7 @@ class _Chain:
     forward-backward pass of Rabiner 1989).  Only the costs change from one
     pass to the next: :meth:`forward` yields the chain totals ``S[j]``, which
     is all that prices need, and :meth:`backward` adds what participation
-    and flow shares need.  Every pass checks its costs.
+    and flow shares need.  Public functions check costs on entry; no pass does.
 
     Each pass does the same floating-point operations, in the same order,
     as the plain recursion: no product is regrouped and no matmul is
@@ -335,7 +337,6 @@ class _Chain:
 
     def __init__(self, params: EconomyParams):
         self.params = params
-        self.shape = (params.n_locations,)
         self.ab = params.alpha * params.beta
         self.tech = (params.T ** self.ab).T[:, :, None]                  # (N, J, 1)
         self.exponent = (-params.theta * self.ab)[:, None, None]
@@ -350,8 +351,7 @@ class _Chain:
     def factors(self, costs) -> np.ndarray:
         """Tier factors, (N, J, J): ``facs[n][a, b]`` multiplies a chain with
         tier n in a and tier n+1 in b, and ``facs[-1][a, j]`` includes the
-        final shipment to j."""
-        costs = _within(costs, "costs", "(0, inf)", array=self.shape)
+        final shipment to j.  ``costs`` come checked, as float64."""
         return self.tech * costs[:, None] ** self.exponent * self.hop
 
     def forward(self, costs):
@@ -398,7 +398,7 @@ def path_scale_matrix(params: EconomyParams, costs) -> tuple[np.ndarray, np.ndar
         ``scales[p, j]`` is the cost scale of chain ``paths[p]`` serving
         destination j; trade shares are scales normalised per column.
     """
-    facs = _Chain(params).factors(costs)
+    facs = _Chain(params).factors(_checked_costs(params, costs))
     paths = enumerate_paths(params.n_locations, params.n_tiers)
     return paths, _path_product(facs, paths)
 
@@ -425,7 +425,7 @@ def chain_cost_scale(path, dest: int, params: EconomyParams, costs) -> float:
     destination.  It is decreasing in every cost and every trade friction
     along the chain.
     """
-    return _chain_scale(_Chain(params).factors(costs), path, dest, params)
+    return _chain_scale(_Chain(params).factors(_checked_costs(params, costs)), path, dest, params)
 
 
 def _chain_scale(facs, path, dest: int, params: EconomyParams, totals=None) -> float:
@@ -439,7 +439,7 @@ def _chain_scale(facs, path, dest: int, params: EconomyParams, totals=None) -> f
 
 def path_share(path, dest: int, params: EconomyParams, costs) -> float:
     """Probability that destination ``dest`` sources along ``path``."""
-    facs, _, S = _Chain(params).forward(costs)
+    facs, _, S = _Chain(params).forward(_checked_costs(params, costs))
     return _chain_scale(facs, path, dest, params, S)
 
 
@@ -452,7 +452,7 @@ def path_share_matrix(params: EconomyParams, costs) -> tuple[np.ndarray, np.ndar
 def price_indices(params: EconomyParams, costs) -> np.ndarray:
     """CES price index of the final good in every destination."""
     chain = _Chain(params)
-    return chain.prices(chain.forward(costs)[-1])
+    return chain.prices(chain.forward(_checked_costs(params, costs))[-1])
 
 
 def price_index(dest: int, params: EconomyParams, costs) -> float:
@@ -477,7 +477,7 @@ def tier_participation(params: EconomyParams, costs) -> np.ndarray:
     each (tier, dest) slice sums to 1 over locations.
     """
     chain = _Chain(params)
-    facs, fwd, S = chain.forward(costs)
+    facs, fwd, S = chain.forward(_checked_costs(params, costs))
     return chain.participation(fwd, chain.backward(facs), S)
 
 
@@ -500,7 +500,7 @@ def intermediate_flow_shares(params: EconomyParams, costs,
         w = _within(expenditure_weights, "expenditure_weights", "(0, inf)", array=(J,))
         w = w / w.sum()
     chain = _Chain(params)
-    facs, fwd, S = chain.forward(costs)
+    facs, fwd, S = chain.forward(_checked_costs(params, costs))
     bwd = chain.backward(facs)
     flows = sum(params.beta[n] * fwd[n][:, None] * facs[n] * (bwd[n + 1] @ (w / S))
                 for n in range(params.n_tiers - 1))

@@ -16,7 +16,8 @@ once per solve.  Each sweep makes one full forward-backward chain pass at
 the composite costs for the residual; prices come from the last pass's
 chain totals when the solve returns.  With gamma < 1 composite costs feed
 back through the price index, so each sweep first runs an inner cost/price
-fixed point on forward passes alone.
+fixed point on forward passes alone.  Inputs are checked on entry, and one
+``np.errstate`` per call makes a float fault in any pass a failed solve.
 
 Sweeps are kept cheap by cutting numpy calls, never by changing arithmetic:
 every floating-point operation and its order match the plain loop written
@@ -28,12 +29,13 @@ updates repeat the operations they replace (``target *= step`` is
 
 from __future__ import annotations
 
+import contextlib
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import EconomyParams, _Chain, _whole, _within
+from .chains import EconomyParams, _Chain, _checked_costs, _whole, _within
 
 logger = logging.getLogger(__name__)
 
@@ -45,6 +47,17 @@ class EquilibriumConvergenceError(RuntimeError):
         super().__init__(message)
         self.residual_norm = residual_norm
         self.iterations = iterations
+
+
+@contextlib.contextmanager
+def _trapped(progress=lambda: (np.inf, 0)):
+    """An overflow, a division by zero or a NaN in the block, raised as the
+    solve that failed at ``(residual norm, sweep) = progress()``."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except FloatingPointError as err:
+        raise EquilibriumConvergenceError(f"{err} at sweep {progress()[1]}", *progress()) from None
 
 
 @dataclass
@@ -81,12 +94,11 @@ class EquilibriumSolution:
 
 def _composite_costs(w: np.ndarray, chain: _Chain,
                      tolerance: float = 1e-14, max_iterations: int = 500) -> np.ndarray:
-    """Composite costs at wages ``w``; prices come from forward passes only."""
+    """Composite costs at wages ``w``, ``w`` itself at gamma = 1; forward passes only."""
     gamma = chain.params.gamma
     if gamma == 1.0:
-        return w.copy()
-    c = w.copy()
-    log_c = np.log(c)
+        return w
+    c, log_c = w, np.log(w)
     # composite_cost(w, P, gamma) with its loop-invariant half hoisted
     w_gamma, p_share = w ** gamma, 1.0 - gamma
     for _ in range(max_iterations):
@@ -110,11 +122,12 @@ def solve_costs(wages, params: EconomyParams,
     1 - gamma.  Returns (costs, prices).
     """
     max_iterations = _whole(max_iterations, "max_iterations", "[1, inf)")
-    chain = _Chain(params)
     # Checked before w**gamma and log(w): bad wages are bad costs.
-    w = _within(wages, "costs", "(0, inf)", array=chain.shape)
-    costs = _composite_costs(w, chain, tolerance, max_iterations)
-    return costs, chain.prices(chain.forward(costs)[-1])
+    w = _checked_costs(params, wages)
+    with _trapped():
+        chain = _Chain(params)
+        costs = _composite_costs(w, chain, tolerance, max_iterations)
+        return costs.copy(), chain.prices(chain.forward(costs)[-1])
 
 
 def _residual_pass(w: np.ndarray, chain: _Chain):
@@ -136,7 +149,8 @@ def labor_market_residuals(wages, params: EconomyParams) -> np.ndarray:
     sum to zero for any strictly positive wage vector.
     """
     w = _within(wages, "wages", "(0, inf)", array=(params.n_locations,))
-    return _residual_pass(w, _Chain(params))[0]
+    with _trapped():
+        return _residual_pass(w, _Chain(params))[0]
 
 
 def solve_equilibrium(params: EconomyParams,
@@ -146,47 +160,47 @@ def solve_equilibrium(params: EconomyParams,
     Each sweep replaces wages with a convex combination of the implied
     labour earnings per worker and renormalises world income.  Raises
     :class:`EquilibriumConvergenceError` with the last residual norm when
-    the tolerance is not met within the iteration budget.
+    the budget runs out first, or when a sweep leaves the float range.
     """
     cfg = config or SolverConfig()
     J = params.n_locations
     w = np.full(J, 1.0, dtype=float)
     if cfg.initial_wages is not None:
         w = _within(cfg.initial_wages, "initial_wages", "(0, inf)", array=(J,)).copy()
-    w *= cfg.world_income / float(w @ params.L)
-
-    chain = _Chain(params)
-    walras = []
-    residual_norm = np.inf
-    previous_norm = np.inf
-    step = cfg.damping
-    for it in range(cfg.max_iterations + 1):
-        residual, spending, costs, S = _residual_pass(w, chain)
-        walras.append(float(np.add.reduce(residual)))
-        residual_norm = float(np.maximum.reduce(np.abs(residual))) / cfg.world_income
-        if residual_norm < cfg.tolerance:
-            logger.debug("equilibrium converged after %d iterations (residual %.3e)",
-                         it, residual_norm)
-            return EquilibriumSolution(
-                wages=w, prices=chain.prices(S), costs=costs,
-                residual_norm=residual_norm, iterations=it,
-                world_income=cfg.world_income, walras_history=walras)
-        # A fixed step can lock into a two-cycle when theta is large; halve
-        # it whenever the residual stops shrinking.
-        if residual_norm >= previous_norm and step > cfg.damping / 256.0:
-            step *= 0.5
-            logger.debug("residual stalled at %.3e, damping reduced to %.4f",
-                         residual_norm, step)
-        previous_norm = residual_norm
-        # w = (1 - step) * w + step * target, in place; target is the
-        # earnings per worker, (residual + spending) / L
-        target = residual
-        target += spending
-        target /= params.L
-        target *= step
-        w *= 1.0 - step
-        w += target
+    it, residual_norm = 0, np.inf
+    with _trapped(lambda: (residual_norm, it)):
         w *= cfg.world_income / float(w @ params.L)
+        chain = _Chain(params)
+        walras = []
+        previous_norm = np.inf
+        step = cfg.damping
+        for it in range(cfg.max_iterations + 1):
+            residual, spending, costs, S = _residual_pass(w, chain)
+            walras.append(float(np.add.reduce(residual)))
+            residual_norm = float(np.maximum.reduce(np.abs(residual))) / cfg.world_income
+            if residual_norm < cfg.tolerance:
+                logger.debug("equilibrium converged after %d iterations (residual %.3e)",
+                             it, residual_norm)
+                return EquilibriumSolution(
+                    wages=w, prices=chain.prices(S), costs=costs.copy(),
+                    residual_norm=residual_norm, iterations=it,
+                    world_income=cfg.world_income, walras_history=walras)
+            # A fixed step can lock into a two-cycle when theta is large; halve
+            # it whenever the residual stops shrinking.
+            if residual_norm >= previous_norm and step > cfg.damping / 256.0:
+                step *= 0.5
+                logger.debug("residual stalled at %.3e, damping reduced to %.4f",
+                             residual_norm, step)
+            previous_norm = residual_norm
+            # w = (1 - step) * w + step * target, in place; target is the
+            # earnings per worker, (residual + spending) / L
+            target = residual
+            target += spending
+            target /= params.L
+            target *= step
+            w *= 1.0 - step
+            w += target
+            w *= cfg.world_income / float(w @ params.L)
 
     raise EquilibriumConvergenceError(
         f"no convergence after {cfg.max_iterations} iterations "

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chains import EconomyParams, _JsonConfig, _whole
+from .chains import EconomyParams, _JsonConfig, _checked_costs, _whole
 from .equilibrium import EquilibriumSolution, SolverConfig, solve_equilibrium
 from .shocks import BRANCHES, EAST, SOUTH, ShockParams, _draw_branches
 from .sourcing import (
@@ -33,7 +33,6 @@ from .sourcing import (
     UtilitySpec,
     _branch_outcomes,
     _check_locations,
-    _checked_costs,
     individual_sourcing,
     planner_ambiguity_sourcing,
     supplier_counts,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import EconomyParams, _JsonConfig, _whole, _within
+from .chains import EconomyParams, _JsonConfig, _checked_costs, _whole, _within
 from .equilibrium import SolverConfig, solve_equilibrium
 from .shocks import BRANCHES, ShockDraw, ShockParams, _branch_odds, _knock_out
 
@@ -100,8 +100,8 @@ class SourcingAllocation:
         self.phi = _within(self.phi, "phi", "[0, 1]", array=("locations", "tiers"))
         if not self.phi.shape[1]:
             raise ValueError("an allocation needs at least one tier")
-        col = self.phi.sum(axis=0)
-        if not np.allclose(col, 1.0, atol=1e-9):
+        # np.allclose(sums, 1.0, atol=1e-9) with its default rtol, 1e-5, written out
+        if not (abs(self.phi.sum(axis=0) - 1.0) <= 1e-9 + 1e-5).all():
             raise ValueError("sourcing fractions must sum to 1 at every tier")
         self.M = _whole(self.M, "M", "[1, inf)", array=(self.phi.shape[1],))
 
@@ -182,21 +182,14 @@ def allocation_value(alloc: SourcingAllocation, shock: ShockDraw,
 
     Strictly increasing in the number of surviving varieties.
     """
-    costs = _checked_costs(params, costs, alloc)
+    costs = _checked_costs(params, costs)
+    _check_locations(params, alloc)
     return _value_from_counts(_knock_out(supplier_counts(alloc), shock), params, costs)
 
 
 def _check_locations(params: EconomyParams, alloc: SourcingAllocation) -> None:
     if alloc.phi.shape[0] != params.n_locations:
         raise ValueError("allocation and economy disagree on the number of locations")
-
-
-def _checked_costs(params: EconomyParams, costs,
-                   alloc: SourcingAllocation | None = None) -> np.ndarray:
-    costs = _within(costs, "costs", "(0, inf)", array=(params.n_locations,))
-    if alloc is not None:
-        _check_locations(params, alloc)
-    return costs
 
 
 def _branch_outcomes(counts: np.ndarray, params: EconomyParams, costs: np.ndarray):
@@ -252,7 +245,9 @@ def ambiguity_objective(alloc: SourcingAllocation, params: EconomyParams,
                         shock_params: ShockParams, beliefs: BeliefSet,
                         utility: UtilitySpec, costs) -> float:
     """Worst-case expected utility over the belief interval's endpoints."""
-    return _worst_score(supplier_counts(alloc), params, _checked_costs(params, costs, alloc),
+    costs = _checked_costs(params, costs)
+    _check_locations(params, alloc)
+    return _worst_score(supplier_counts(alloc), params, costs,
                         shock_params.eta, beliefs.endpoints, utility.rho)[0]
 
 

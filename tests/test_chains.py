@@ -388,6 +388,14 @@ def test_parameter_validation():
                                theta=4.0, sigma=2.0, gamma=0.0)
 
 
+@pytest.mark.parametrize("J", (4, 2))
+def test_one_tier_refuses_a_two_dimensional_technology(J):
+    # Reshaping first read a (2, 2) T as four locations, or blamed L.
+    with pytest.raises(ValueError, match=r"^T must have shape \(locations,\), got \(2, 2\)$"):
+        EconomyParams.one_tier(T=[[1, 2], [3, 4]], L=[1] * J, tau=np.ones((J, J)),
+                               theta=4, sigma=2)
+
+
 def test_parameter_validation_rejects_non_finite_theta_and_sigma():
     # NaN fails no "<=" comparison, so a NaN sigma used to pass validation.
     base = symmetric_two_tier().to_dict()

@@ -24,7 +24,7 @@ from conftest import (
     ORACLE_SIGMA,
     symmetric_two_tier,
 )
-from test_equilibrium import STIFF09_J2N1, read_oracle_wages
+from test_equilibrium import STIFF09_J2N1, overflowing_economy, read_oracle_wages
 from test_iotables import two_country_table
 from test_numeric_inputs import COST_STALL
 
@@ -230,6 +230,21 @@ def test_equilibrium_failure_exits_4_and_writes_nothing(tmp_path, capsys, params
     assert main(["equilibrium", "--params", cfg, "--out", str(out)]) == 4
     assert re.fullmatch(stderr, capsys.readouterr().err)
     assert not (out / "equilibrium.csv").exists()
+
+
+def test_equilibrium_overflow_exits_4_without_warnings(tmp_path):
+    # A process of its own, with Python's default warning filters: a numpy
+    # RuntimeWarning would print on stderr.
+    cfg = write_json(tmp_path / "econ.json", overflowing_economy().to_dict())
+    out = tmp_path / "out"
+    src = Path(gscsim.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-m", "gscsim.cli", "equilibrium",
+                           "--params", cfg, "--out", str(out)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 4
+    assert re.fullmatch(r"error: overflow encountered in \w+ at sweep 0\n", done.stderr)
+    assert "Warning" not in done.stderr and not out.exists()
 
 
 def test_equilibrium_rejects_non_finite_tolerance(tmp_path, capsys):

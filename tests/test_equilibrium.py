@@ -1,7 +1,9 @@
 import csv
+import importlib.util
 import math
 import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from gscsim.equilibrium import _residual_pass
 from conftest import oracle_economy, random_costs, random_economy, symmetric_two_tier
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+BENCH_INPUTS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
 
 
 def read_oracle_wages():
@@ -518,3 +521,79 @@ def test_solver_costs_skip_the_conversion(monkeypatch):
     assert calls == []
     price_indices(economies[0], [1.0, 2.0, 3.0])
     assert calls == ["costs"]
+
+
+# ---------------------------------------------------------------------------
+# costs checked once, on entry; float faults trapped once per solve
+
+def overflowing_economy(gamma=1.0) -> EconomyParams:
+    """The benchmark's ``random_economy(default_rng(0), 30, 4, 250.0, gamma)``,
+    whose chain sums overflow on the first pass."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", BENCH_INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.random_economy(np.random.default_rng(0), 30, 4, 250.0, gamma)
+
+
+def test_overflowing_solve_raises_convergence_error_naming_the_fault():
+    params = overflowing_economy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EquilibriumConvergenceError,
+                           match=r"^overflow encountered in \w+ at sweep 0$") as err:
+            solve_equilibrium(params)
+    assert (err.value.iterations, err.value.residual_norm) == (0, math.inf)
+
+
+@pytest.mark.parametrize("gamma", (1.0, 0.7))
+def test_public_solver_functions_trap_the_overflow(gamma):
+    params = overflowing_economy(gamma)
+    wages = np.full(params.n_locations, 1.0 / float(params.L.sum()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: solve_costs(wages, params),
+                     lambda: labor_market_residuals(wages, params)):
+            with pytest.raises(EquilibriumConvergenceError, match="^overflow encountered in "):
+                call()
+
+
+def spy_costs_checks(monkeypatch) -> list:
+    """Log the name of every ``chains._within`` call."""
+    names = []
+
+    def spy(x, name, *args, _real=chains._within, **kwargs):
+        names.append(name)
+        return _real(x, name, *args, **kwargs)
+    monkeypatch.setattr(chains, "_within", spy)
+    return names
+
+
+@pytest.mark.parametrize("gamma", (1.0, 0.7))
+def test_solver_passes_check_no_costs(monkeypatch, gamma):
+    params = random_economy(np.random.default_rng(5), J=3, N=3, gamma=gamma)
+    names = spy_costs_checks(monkeypatch)
+    sol = solve_equilibrium(params)
+    assert sol.iterations > 5
+    assert "costs" not in names
+
+
+def test_public_chain_functions_check_costs_once(monkeypatch):
+    params = symmetric_two_tier()
+    costs = np.array([0.8, 1.3])
+    calls = {
+        "path_scale_matrix": lambda: chains.path_scale_matrix(params, costs),
+        "chain_cost_scale": lambda: chains.chain_cost_scale([0, 1], 1, params, costs),
+        "path_share": lambda: chains.path_share([0, 1], 1, params, costs),
+        "path_share_matrix": lambda: chains.path_share_matrix(params, costs),
+        "price_indices": lambda: chains.price_indices(params, costs),
+        "price_index": lambda: chains.price_index(1, params, costs),
+        "final_demand_shares": lambda: chains.final_demand_shares(params, costs),
+        "tier_participation": lambda: chains.tier_participation(params, costs),
+        "intermediate_flow_shares": lambda: chains.intermediate_flow_shares(params, costs),
+        "solve_costs": lambda: solve_costs(costs, params),
+    }
+    names = spy_costs_checks(monkeypatch)
+    for fn, call in calls.items():
+        names.clear()
+        call()
+        assert names.count("costs") == 1, fn

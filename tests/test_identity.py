@@ -28,7 +28,7 @@ def test_smoke_corpus_repeats(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     tool = load_tool()
     first = tool.collect(smoke=True)
-    assert {name.split("/")[0] for name in first} == {"config", "cli", "phi", "error"}
+    assert {name.split("/")[0] for name in first} == {"config", "cli", "phi", "error", "solve"}
     assert tool.collect(smoke=True) == first
     assert Path.cwd() == tmp_path and not any(tmp_path.iterdir())
 

@@ -90,6 +90,27 @@ def test_allocation_validation():
         SourcingAllocation(phi=np.array([[0.5], [0.5]]), M=np.array([0]))
 
 
+@pytest.mark.parametrize("side", (-1.0, 1.0), ids=("below", "above"))
+def test_allocation_column_sums_keep_the_allclose_bound(side):
+    # The last float sum np.allclose(sum, 1.0, atol=1e-9) accepts on each
+    # side of 1, its neighbour inside (accepted) and outside (refused).
+    edge = 1.0 + side * 1.0001e-5       # a start a few floats from the edge
+    while not np.allclose(edge, 1.0, atol=1e-9):
+        edge = np.nextafter(edge, 1.0)
+    while np.allclose(np.nextafter(edge, 2.0 * side), 1.0, atol=1e-9):
+        edge = np.nextafter(edge, 2.0 * side)
+    inside, outside = np.nextafter(edge, 1.0), np.nextafter(edge, 2.0 * side)
+    assert abs(edge - 1.0) <= 1e-9 + 1e-5 < abs(outside - 1.0)
+    for total, accepted in ((inside, True), (edge, True), (outside, False)):
+        phi = np.array([[total - 0.5], [0.5]])
+        assert phi.sum(axis=0)[0] == total
+        if accepted:
+            SourcingAllocation(phi=phi, M=np.array([10]))
+        else:
+            with pytest.raises(ValueError, match="^sourcing fractions must sum to 1 at every tier$"):
+                SourcingAllocation(phi=phi, M=np.array([10]))
+
+
 # ---------------------------------------------------------------------------
 # utility and survival
 

@@ -62,9 +62,11 @@ The inputs are the benchmark's own, from ``bench/inputs.py``.  Records:
   and per seed, the ``simulate_regime`` path from both regimes over the
   first 10**5 draws of the benchmark's regime input.
 
-``--smoke`` keeps seed 0 and the benchmark's smoke sizes, and leaves out the
-``cli-fail``, ``objective``, ``solve``, ``chain``, ``reliance`` and
-``scenario`` records.
+``--smoke`` keeps seed 0 and the benchmark's smoke sizes, keeps of the
+``solve`` records those of the smoke ladder and of the first
+``N_SMOKE_CENSUS_DRAWS`` census draws (about 5 s of solves), and leaves out
+the ``cli-fail``, ``objective``, ``chain``, ``reliance`` and ``scenario``
+records.
 """
 
 from __future__ import annotations
@@ -143,6 +145,7 @@ TABLE_SEED = 0
 N_ALLOCATIONS = 300
 ALLOCATION_SEED = 2024
 N_CENSUS_DRAWS = 240
+N_SMOKE_CENSUS_DRAWS = 90
 N_CHAIN_ECONOMIES = 60
 CHAIN_SEED = 2025
 RELIANCE_SECTORS = ("MFG", "S05", "S29")
@@ -639,9 +642,9 @@ def collect(smoke: bool = False) -> dict[str, str]:
         finally:
             os.chdir(cwd)
     _error_records(out)
+    _solve_records(out, N_SMOKE_CENSUS_DRAWS if smoke else N_CENSUS_DRAWS, smoke)
     if not smoke:
         _objective_records(out)
-        _solve_records(out)
         _chain_records(out)
         _reliance_records(out)
         _scenario_run_records(out)
