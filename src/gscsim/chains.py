@@ -41,12 +41,19 @@ MAX_PATHS = 1_000_000
 _FLOAT = np.dtype(float)
 
 
+def _has_bool(x) -> bool:
+    """Whether ``x`` is or holds a boolean, which numpy reads as 0 or 1 among numbers."""
+    if isinstance(x, np.ndarray):       # only an object array is scanned
+        return x.dtype == bool or (x.dtype == object and any(map(_has_bool, x.flat)))
+    return isinstance(x, (bool, np.bool_)) or (
+        isinstance(x, (list, tuple)) and any(map(_has_bool, x)))
+
+
 def _real_array(x, name: str) -> np.ndarray:
     """``x`` as a float array; booleans, text and ragged lists raise, as in :func:`_real`."""
     try:
-        arr = np.asarray(x)
-        if arr.dtype != bool:
-            return arr.astype(float, copy=False)
+        if not _has_bool(x):
+            return np.asarray(x).astype(float, copy=False)
     except (TypeError, ValueError):     # not numeric, or ragged
         pass
     raise ValueError(f"{name} must be a number, got {reprlib.repr(x)}")     # abridged
@@ -112,8 +119,8 @@ def _whole(x, name: str, spec: str, array=False):
         return _inside(int(x), name, spec)
     try:
         arr = np.asarray(x)
-        if arr.dtype.kind not in "iu":      # integer dtypes skip float64
-            arr = _real_array(arr, name)
+        if arr.dtype.kind not in "iu" or _has_bool(x):    # integers skip float64
+            arr = _real_array(x, name)
             whole = (np.isfinite(arr) & (arr == np.floor(arr))).all()
             arr = np.frompyfunc(int, 1, 1)(arr) if whole else None     # exact Python ints
     except (TypeError, ValueError):     # boolean, not numeric, or ragged
@@ -143,7 +150,7 @@ def _checked_costs(params: EconomyParams, costs) -> np.ndarray:
 
 def _real(x, name: str) -> float:
     try:
-        if np.asarray(x).dtype != bool:     # float(True) would read 1.0
+        if not _has_bool(x):                # float(True) would read 1.0
             return float(x)
     except (TypeError, ValueError):
         pass
@@ -262,7 +269,7 @@ class EconomyParams(_JsonConfig):
     @classmethod
     def one_tier(cls, T, L, tau, theta, sigma, gamma=1.0) -> "EconomyParams":
         """Single-tier economy: plain sourcing with alpha = beta = 1."""
-        T = _shaped(np.asarray(T), ("locations",), "T")[:, None]
+        T = _shaped(_real_array(T, "T"), ("locations",), "T")[:, None]
         return cls(T=T, L=L, tau=tau, alpha=np.ones(1), beta=np.ones(1),
                    theta=theta, sigma=sigma, gamma=gamma)
 
@@ -275,9 +282,8 @@ class EconomyParams(_JsonConfig):
         input, so beta = (1 - alpha2, 1).
         """
         alpha2 = _within(alpha2, "alpha2", "(0, 1)")
-        return cls(T=np.column_stack([T1, T2]), L=L, tau=tau,
-                   alpha=np.array([1.0, alpha2]),
-                   beta=np.array([1.0 - alpha2, 1.0]),
+        return cls(T=np.column_stack([_real_array(T1, "T"), _real_array(T2, "T")]), L=L,
+                   tau=tau, alpha=np.array([1.0, alpha2]), beta=np.array([1.0 - alpha2, 1.0]),
                    theta=theta, sigma=sigma, gamma=gamma)
 
 
@@ -296,8 +302,9 @@ def kappa(theta: float, sigma: float) -> float:
 
 def composite_cost(wages, prices, gamma: float) -> np.ndarray:
     """Cobb-Douglas input cost c = w**gamma * P**(1 - gamma)."""
-    w = np.asarray(wages, dtype=float)
-    P = np.asarray(prices, dtype=float)
+    w = _within(wages, "wages", "(0, inf)", array=True)
+    P = _within(prices, "prices", "(0, inf)", array=True)
+    gamma = _within(gamma, "gamma", "(0, 1]")
     return w ** gamma * P ** (1.0 - gamma)
 
 

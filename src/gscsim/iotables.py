@@ -17,8 +17,8 @@ optionally aggregate every country outside a focus list into a
 rest-of-world column.  An alternative "gross" measure replaces value-added
 weights with total intermediate input content.
 
-Tables are read from CSV with one numpy parse per row, on every usable
-CPU for large tables: forked workers parse later slices of the rows.
+Tables are read from CSV with one numpy parse per row; forked workers parse
+later slices of a large table's rows into one shared buffer.
 """
 
 from __future__ import annotations
@@ -45,10 +45,9 @@ ROW_LABEL = "ROW"
 
 # load_table forks a worker per MIN_SLICE_ROWS rows, up to the usable CPUs
 # less one.  A worker re-reads the lines before its slice, so the parent's
-# slice is PARENT_SLICE_WEIGHT times as long.  Rows come back in chunks.
+# slice is PARENT_SLICE_WEIGHT times as long.
 MIN_SLICE_ROWS = 200
 PARENT_SLICE_WEIGHT = 1.1
-SLICE_CHUNK_ROWS = 64
 
 
 class TableFormatError(ValueError):
@@ -370,73 +369,72 @@ def _fast_cells(line: str):
     return None
 
 
-def _parse_slice(path, start: int, stop, conn):
-    """Worker: :func:`_fast_cells` of lines ``start:stop``, sent in chunks.
-    A read error ends it early; the parent then meets the error itself."""
-    try:
-        with open(path, newline="") as fh:
-            cells = [_fast_cells(line) for line in itertools.islice(fh, start, stop)]
-        for i in range(0, len(cells), SLICE_CHUNK_ROWS):
-            conn.send(cells[i:i + SLICE_CHUNK_ROWS])
-    except (OSError, ValueError):
-        pass
+def _parse_slice(path, start: int, stop: int, rows: np.ndarray):
+    """Worker: each line of ``start:stop`` that :func:`_fast_cells` takes at
+    full width goes into its row of ``rows``, whose last entry, the line's
+    flag, is then set to 1.  Every other line stays unflagged."""
+    with open(path, newline="") as fh:
+        for row, line in zip(rows, itertools.islice(fh, start, stop)):
+            cells = _fast_cells(line)
+            if cells is not None and len(cells) == len(row) - 1:
+                row[:-1] = cells
+                row[-1] = 1.0
 
 
 class _Lines:
-    """The physical lines of a table file; ``result`` is a worker's cells
-    for the line read last, or None where the parent parses it itself."""
+    """The physical lines of a table file; ``result`` is the row of ``rows`` a
+    worker wrote for the line read last, or None where the parent parses it."""
 
     def __init__(self, fh):
-        self.fh, self.count, self.workers = fh, 0, []
-        self.results = itertools.repeat(None)
+        self.fh, self.count, self.result = fh, 0, None
+        self.base, self.rows, self.workers = 0, np.empty((0, 1)), []
 
     def __iter__(self):
         return self
 
     def __next__(self) -> str:
         line = next(self.fh)
-        self.count += 1
-        try:
-            self.result = next(self.results)
-        except (EOFError, OSError):     # a worker stopped short: parse the rest here
-            self.results, self.result = itertools.repeat(None), None
+        while self.workers and self.workers[0][0] <= self.count:   # its slice begins
+            os.waitpid(self.workers.pop(0)[1], 0)
+        row, self.count = self.count - self.base, self.count + 1
+        self.result = (self.rows[row, :-1] if 0 <= row < len(self.rows) and self.rows[row, -1]
+                       else None)
         return line
 
-    def fork(self, path, rows: int):
-        """Hand later slices of the next ``rows`` lines to forked workers, if
-        ``path`` names a regular file they can reopen.  They make no BLAS
-        call, so a fork after BLAS started threads is safe."""
+    def fork(self, path, rows: int, width: int):
+        """Fork workers that write later slices of the next ``rows`` lines to
+        one shared buffer, ``width`` numbers a line, if ``path`` is a regular
+        file they can reopen.  They make no BLAS call, which a fork can hang."""
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
         k = min(cpus, rows // MIN_SLICE_ROWS)
-        if k < 2 or isinstance(path, int) or not os.path.isfile(path):
+        if k < 2 or isinstance(path, int) or not os.path.isfile(path) or not hasattr(os, "fork"):
             return
-        import multiprocessing
-        if ("fork" not in multiprocessing.get_all_start_methods()
-                or multiprocessing.current_process().daemon):
-            return
-        context = multiprocessing.get_context("fork")
+        import mmap
         starts = [self.count + round(rows * (PARENT_SLICE_WEIGHT + j)
                                      / (PARENT_SLICE_WEIGHT + k - 1)) for j in range(k - 1)]
-        streams = [itertools.repeat(None, starts[0] - self.count)]
-        for start, stop in zip(starts, starts[1:] + [None]):
-            conn, send = context.Pipe(duplex=False)
-            worker = context.Process(target=_parse_slice, args=(path, start, stop, send))
+        end, self.base = self.count + rows, starts[0]
+        self.rows = np.frombuffer(mmap.mmap(-1, (end - self.base) * (width + 1) * 8))
+        self.rows = self.rows.reshape(-1, width + 1)
+        for start, stop in zip(starts, starts[1:] + [end]):
             try:
-                worker.start()
-                self.workers.append((worker, conn))
+                pid = os.fork()
             except OSError:             # no process to spare: parse here
-                conn.close()
-            send.close()
-            sent = itertools.chain.from_iterable(iter(conn.recv, None))
-            streams.append(itertools.islice(sent, None if stop is None else stop - start))
-        self.results = itertools.chain(*streams)
+                return
+            if pid == 0:
+                try:
+                    _parse_slice(path, start, stop, self.rows[start - self.base:stop - self.base])
+                finally:
+                    os._exit(0)
+            self.workers.append((start, pid))
 
     def close(self):
-        for worker, conn in self.workers:
-            worker.kill()
-            worker.join()
-            conn.close()
+        """Kill and reap every worker not waited for yet."""
+        if self.workers:
+            import signal
+            for _, pid in self.workers:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _records(lines: _Lines):
@@ -478,8 +476,8 @@ def load_table(path) -> WorldIOTable:
     included) and a nonblank final-demand cell in ``VA`` or ``OUT``.
 
     A regular file of about ``2 * MIN_SLICE_ROWS`` rows or more is parsed on
-    every usable CPU: forked workers only convert later slices of the rows to
-    numbers, every check and message stays here, and none outlives the call.
+    every usable CPU: forked workers, none outliving the call, only write
+    later slices of its rows to a buffer as numbers; every check stays here.
     """
     with open(path, newline="") as fh, closing(_Lines(fh)) as lines:
         header = next((row for row in csv.reader(lines) if _nonblank(row)), None)
@@ -511,8 +509,8 @@ def load_table(path) -> WorldIOTable:
                 f"{path}: final demand columns must cover every country in order")
 
         n = len(flow_labels)
-        lines.fork(path, n + 2 - len(head))
         width = n + len(countries)
+        lines.fork(path, n + 2 - len(head), width)
         row_of = {f"{c}:{s}": k for k, (c, s) in enumerate(expect)}
         data = np.empty((n, width))
         seen = np.zeros(n, dtype=bool)

@@ -66,14 +66,10 @@ class ScenarioConfig(_JsonConfig):
     def __post_init__(self):
         if self.economy.n_locations != 2:
             raise ValueError("scenarios use a two-location East/South economy")
-        if self.decision_mode not in DECISION_MODES:
-            raise ValueError(f"decision_mode must be one of {DECISION_MODES}, "
-                             f"got {self.decision_mode!r}")
-        if self.info_env not in INFO_ENVS:
-            raise ValueError(f"info_env must be one of {INFO_ENVS}, got {self.info_env!r}")
-        if self.realization not in REALIZATIONS:
-            raise ValueError(f"realization must be one of {REALIZATIONS}, "
-                             f"got {self.realization!r}")
+        for name, allowed in (("decision_mode", DECISION_MODES), ("info_env", INFO_ENVS),
+                              ("realization", REALIZATIONS)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         self.horizon = _whole(self.horizon, "horizon", "[1, inf)")
         for name, spec in (("shock_period", f"[1, {self.horizon}]"),
                            ("suppliers_per_tier", "[1, inf)"), ("grid_resolution", "[2, inf)"),

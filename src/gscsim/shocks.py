@@ -50,10 +50,8 @@ class RegimeState:
     periods_in_state: np.ndarray
 
     def __post_init__(self):
-        self.state = np.asarray(_whole(self.state, "state", _FLAGS, array=True), dtype=np.intp)
-        self.periods_in_state = np.asarray(
-            _whole(self.periods_in_state, "periods_in_state", "[0, inf)", array=True),
-            dtype=np.intp)
+        for name, spec in (("state", _FLAGS), ("periods_in_state", "[0, inf)")):
+            setattr(self, name, _whole(getattr(self, name), name, spec, array=True))
         if self.state.shape != self.periods_in_state.shape:
             raise ValueError("state and periods_in_state must align")
 

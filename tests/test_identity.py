@@ -1,7 +1,7 @@
 """The byte-identity corpus of tools/identity.py: its smoke subset digests
-the same records the same way twice, and the same with --src naming the
-same sources, its failing CLI runs leave no output, and --compare names
-what differs."""
+the same records the same way in this process and with --src naming a copy
+of the same sources, its failing CLI runs leave no output, and --compare
+names what differs."""
 
 import importlib.util
 import json
@@ -24,34 +24,56 @@ def load_tool():
     return module
 
 
-def test_smoke_corpus_repeats(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    tool = load_tool()
-    first = tool.collect(smoke=True)
-    assert {name.split("/")[0] for name in first} == {"config", "cli", "phi", "error", "solve"}
-    assert tool.collect(smoke=True) == first
-    assert Path.cwd() == tmp_path and not any(tmp_path.iterdir())
+# The smoke corpus is digested twice, once by each fixture below: in this
+# process, and by the tool run on a copy of src/.
+
+@pytest.fixture(scope="module")
+def smoke_in_process(tmp_path_factory):
+    """The smoke digests collected in this process from a scratch working
+    directory, that directory, and the working directory after the run."""
+    home, scratch = os.getcwd(), tmp_path_factory.mktemp("cwd")
+    os.chdir(scratch)
+    try:
+        return load_tool().collect(smoke=True), scratch, Path.cwd()
+    finally:
+        os.chdir(home)
 
 
-def test_src_option_digests_the_sources_it_names(tmp_path):
+def run_tool(cwd: Path, src_dir: Path, out: str) -> subprocess.CompletedProcess:
+    """``--smoke --src src_dir --out out`` in ``cwd``, with PYTHONPATH naming
+    this checkout's src/."""
+    env = {**os.environ, "PYTHONPATH": str(TOOL.parents[1] / "src")}
+    return subprocess.run([sys.executable, str(TOOL), "--smoke", "--src", str(src_dir),
+                           "--out", out], cwd=cwd, env=env, capture_output=True, text=True)
+
+
+@pytest.fixture(scope="module")
+def smoke_of_copy(tmp_path_factory):
+    """The tool's run on a copy of src/ elsewhere, and the digests it wrote."""
+    home = tmp_path_factory.mktemp("copy")
+    shutil.copytree(TOOL.parents[1] / "src" / "gscsim", home / "src" / "gscsim",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    done = run_tool(home, home / "src", "copy.json")
+    return done, json.loads((home / "copy.json").read_text()) if done.returncode == 0 else None
+
+
+def test_smoke_corpus_repeats(smoke_in_process, smoke_of_copy):
+    first, scratch, after = smoke_in_process
+    assert {name.split("/")[0] for name in first} == {
+        "config", "cli", "phi", "error", "solve", "loader"}
+    assert after == scratch and not any(scratch.iterdir())
+    assert smoke_of_copy[1] == first
+
+
+def test_src_option_digests_the_sources_it_names(tmp_path, smoke_in_process, smoke_of_copy):
     # A copy of src/ elsewhere gives the smoke digests of this checkout,
     # although PYTHONPATH names this checkout's src/ too; a directory
     # without gscsim is refused rather than digesting another tree.
-    src = tmp_path / "copy" / "src"
-    shutil.copytree(TOOL.parents[1] / "src" / "gscsim", src / "gscsim",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    env = {**os.environ, "PYTHONPATH": str(TOOL.parents[1] / "src")}
-
-    def run(src_dir, out):
-        return subprocess.run([sys.executable, str(TOOL), "--smoke", "--src", str(src_dir),
-                               "--out", out], cwd=tmp_path, env=env, capture_output=True,
-                              text=True)
-
-    done = run(src, "copy.json")
+    done, digests = smoke_of_copy
     assert done.returncode == 0, done.stderr
-    assert json.loads((tmp_path / "copy.json").read_text()) == load_tool().collect(smoke=True)
+    assert digests == smoke_in_process[0]
     (tmp_path / "empty").mkdir()
-    refused = run(tmp_path / "empty", "empty.json")
+    refused = run_tool(tmp_path, tmp_path / "empty", "empty.json")
     assert refused.returncode == 2 and "not from --src" in refused.stderr
     assert not (tmp_path / "empty.json").exists()
 
@@ -171,6 +193,19 @@ def test_reliance_records_repeat():
         assert A.sum(axis=0).max() > 1.0 and A.sum(axis=1).max() > 1.0
     refused = tool._reliance_outcome(tool.compute_fir, tool.three_cycles(smoke=True)[2][1], "MFG")
     assert refused.startswith("TableFormatError: input coefficients are not productive")
+
+
+def test_loader_records_cover_every_loader_input(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    tool = load_tool()
+    records = {}
+    tool._loader_records(True, records)
+    tests = tool._load_module("test_iotables", TOOL.parents[1] / "tests" / "test_iotables.py")
+    assert set(records) == {"loader/pair/s0/a", "loader/pair/s0/b"} | {
+        f"loader/input/{name}" for name in tests.loader_inputs(tmp_path)}
+    # a message names the file as the record loaded it, relative to the run
+    assert tool._loader_outcome("empty.csv") == (
+        "TableFormatError: empty.csv: too few rows for an IO table")
 
 
 def test_scenario_run_records_repeat():

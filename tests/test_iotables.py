@@ -1,5 +1,4 @@
 import csv
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -680,6 +679,12 @@ def test_loader_matches_per_cell_reference(tmp_path):
 # ---------------------------------------------------------------------------
 # rows parsed in forked workers
 
+def assert_no_child():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def count_workers(monkeypatch, cpus: int, min_slice: int = 1) -> list:
     """Set the usable CPUs and the slice size; returns a list that gets the
     number of workers each later load starts."""
@@ -725,7 +730,7 @@ def test_parallel_loader_matches_per_cell_reference(tmp_path, monkeypatch, cpus)
         for attr in ("Z", "F", "v", "x"):
             assert getattr(table, attr).tobytes() == getattr(ref, attr).tobytes(), (name, attr)
     assert min(cpus - 1, 6) <= max(started) <= cpus - 1
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 def test_parallel_loader_at_the_default_slice_size(tmp_path, monkeypatch):
@@ -743,16 +748,16 @@ def test_parallel_loader_at_the_default_slice_size(tmp_path, monkeypatch):
         assert getattr(table, attr).tobytes() == getattr(serial, attr).tobytes(), attr
 
 
-def _exit_at_once(path, start, stop, conn):
+def _exit_at_once(path, start, stop, rows):
     os._exit(1)
 
 
-def _send_first_line(path, start, stop, conn, parse_slice=iotables._parse_slice):
-    parse_slice(path, start, start + 1, conn)
+def _fill_first_row(path, start, stop, rows, parse_slice=iotables._parse_slice):
+    parse_slice(path, start, start + 1, rows)
 
 
-@pytest.mark.parametrize("worker", (_exit_at_once, _send_first_line))
-def test_parallel_loader_parses_rows_a_worker_never_sent(tmp_path, monkeypatch, worker):
+@pytest.mark.parametrize("worker", (_exit_at_once, _fill_first_row))
+def test_parallel_loader_parses_rows_a_worker_never_wrote(tmp_path, monkeypatch, worker):
     path = tmp_path / "table.csv"
     write_table(random_balanced_table(np.random.default_rng(8), ["AAA", "BBB", "CCC"],
                                       ["MFG", "SRV", "AGR"]), path)
@@ -763,10 +768,40 @@ def test_parallel_loader_parses_rows_a_worker_never_sent(tmp_path, monkeypatch, 
     assert started == [3]
     for attr in ("Z", "F", "v", "x"):
         assert getattr(table, attr).tobytes() == getattr(serial, attr).tobytes(), attr
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
-def _stall(path, start, stop, conn):
+LATE_SCALE = 1.0 + 1e-9     # well inside the balance tolerance
+
+
+def _scale_late(path, start, stop, rows, parse_slice=iotables._parse_slice):
+    time.sleep(0.5)
+    parse_slice(path, start, stop, rows)
+    rows[:, :-1] *= LATE_SCALE
+
+
+def test_parallel_loader_waits_for_a_slice_before_reading_it(tmp_path, monkeypatch):
+    # Workers that write their rows, scaled, long after the parent's slice
+    # is read: the parent still takes every one of them.
+    path = tmp_path / "table.csv"
+    write_table(random_balanced_table(np.random.default_rng(8), ["AAA", "BBB", "CCC"],
+                                      ["MFG", "SRV", "AGR"]), path)
+    serial = load_table(path)
+    started = count_workers(monkeypatch, 4)
+    monkeypatch.setattr(iotables, "_parse_slice", _scale_late)
+    table = load_table(path)
+    assert started == [3]
+    # 8 lines after the header and the first three rows: the workers' slices
+    # are lines 6-7, 8-9 and 10-11, so the last four flow rows, VA and OUT.
+    late = [k for k in range(9) if table.Z[k].tobytes() != serial.Z[k].tobytes()]
+    assert late == [5, 6, 7, 8]
+    for attr in ("Z", "F"):
+        expect = np.concatenate([getattr(serial, attr)[:5], getattr(serial, attr)[5:] * LATE_SCALE])
+        assert getattr(table, attr).tobytes() == expect.tobytes(), attr
+    assert_no_child()
+
+
+def _stall(path, start, stop, rows):
     time.sleep(60)
 
 
@@ -789,7 +824,30 @@ def test_parallel_loader_leaves_no_worker_after_an_error(tmp_path, monkeypatch, 
             load_table(bad)
         assert time.monotonic() - begun < 30
         assert started[-1] == 3
-        assert multiprocessing.active_children() == []
+        assert_no_child()
+
+
+def test_forked_load_loads_no_process_or_network_module(tmp_path):
+    # In a fresh interpreter with 4 usable CPUs, a 450-row table takes one
+    # worker; the load leaves no child and needs neither multiprocessing
+    # nor the modules it brings.
+    path = tmp_path / "wide.csv"
+    write_table(random_balanced_table(np.random.default_rng(5), [f"C{i}" for i in range(15)],
+                                      [f"S{k}" for k in range(30)]), path)
+    code = ("import os, sys\n"
+            "os.sched_getaffinity = lambda pid: set(range(4))\n"
+            "from gscsim import load_table\n"
+            "assert load_table(sys.argv[1]).Z.shape == (450, 450)\n"
+            "try:\n"
+            "    print('child left', os.waitpid(-1, os.WNOHANG))\n"
+            "except ChildProcessError:\n"
+            "    pass\n"
+            "print(*sorted(m for m in ('mmap', 'multiprocessing', 'socket', 'selectors',\n"
+            "                          'subprocess') if m in sys.modules))\n")
+    src = os.path.dirname(os.path.dirname(iotables.__file__))
+    run = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert run.stdout == "mmap\n"      # mmap: the load forked
 
 
 def test_parallel_loader_reads_a_descriptor_or_a_pipe_alone(tmp_path, monkeypatch):
@@ -822,10 +880,10 @@ def imported_modules():
     return set(run.stdout.split())
 
 
-# multiprocessing loads only when load_table forks; the others are the network
-# stack, which xml.sax.saxutils would pull in.
-@pytest.mark.parametrize("module", ["multiprocessing", "ssl", "socket", "http.client",
-                                    "email", "urllib.request", "xml.sax"])
+# mmap and signal load only when load_table forks; multiprocessing not at all;
+# the others are the network stack, which xml.sax.saxutils would pull in.
+@pytest.mark.parametrize("module", ["mmap", "signal", "multiprocessing", "ssl", "socket",
+                                    "http.client", "email", "urllib.request", "xml.sax"])
 def test_import_leaves_module_unloaded(imported_modules, module):
     assert "gscsim.cli" in imported_modules
     assert module not in imported_modules

@@ -39,6 +39,7 @@ from gscsim import (
     chain_productivity_location,
     chain_productivity_theta_sensitivity,
     chain_survives,
+    composite_cost,
     compute_fmr,
     crra_utility,
     draw_shock,
@@ -559,6 +560,10 @@ def _chain_inputs():
                       ("expenditure_weights",
                        lambda w: intermediate_flow_shares(params, unit, w))):
         yield _array(name, "(0, inf)", put, [1.0, 1.0], 1, "(2,)")
+    for name, put in (("wages", lambda w: composite_cost(w, unit, 0.5)),
+                      ("prices", lambda P: composite_cost(unit, P, 0.5))):
+        yield _array(name, "(0, inf)", put, [1.0, 1.0], 1, None, scalar=True)
+    yield Input("gamma", "(0, 1]", lambda g: composite_cost(unit, unit, g))
 
 
 def _solver_inputs():
@@ -990,7 +995,9 @@ def test_boolean_scalar_names_its_field(field, call, value):
         call(value)
 
 
-@pytest.mark.parametrize("value", ([True, False], np.array([False, True])), ids=repr)
+# [True, 1] and [1.0, True] mix a boolean among numbers, which numpy reads as 1
+@pytest.mark.parametrize("value", ([True, False], np.array([False, True]), [True, 1], [1.0, True]),
+                         ids=repr)
 @pytest.mark.parametrize("field,call", [
     ("path", lambda v: chain_productivity_location(v, symmetric_two_tier())),
     ("M", lambda v: SourcingAllocation(phi=[[0.5, 0.5], [0.5, 0.5]], M=v)),
@@ -1012,10 +1019,16 @@ def test_cli_rejects_boolean_horizon(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mixed", (False, True), ids=("all", "mixed"))
 @pytest.mark.parametrize("key", ("T", "L", "tau"))
-def test_boolean_vector_names_its_field(tmp_path, capsys, key):
-    # All true reads as all ones, a valid T, L and tau of this economy.
+def test_boolean_vector_names_its_field(tmp_path, capsys, key, mixed):
+    # All true reads as all ones, a valid T, L and tau of this economy; so
+    # does a first entry of true among the economy's own numbers.
     value = np.ones(np.shape(ECONOMY[key]), dtype=bool).tolist()
+    if mixed:
+        value = np.array(ECONOMY[key], dtype=object)
+        value.flat[0] = True
+        value = value.tolist()
     with pytest.raises(ValueError, match=f"^{key} must be a number, got "):
         EconomyParams.from_dict({**ECONOMY, key: value})
     econ = tmp_path / "econ.json"
@@ -1027,7 +1040,7 @@ def test_boolean_vector_names_its_field(tmp_path, capsys, key):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ([True, True], np.array([True, True])), ids=repr)
+@pytest.mark.parametrize("value", ([True, True], np.array([True, True]), [True, 1.0]), ids=repr)
 @pytest.mark.parametrize("field,call", [
     ("initial_wages", lambda v: solve_equilibrium(symmetric_two_tier(),
                                                   SolverConfig(initial_wages=v))),
@@ -1036,7 +1049,15 @@ def test_boolean_vector_names_its_field(tmp_path, capsys, key):
     ("costs", lambda v: planner_risk_sourcing(symmetric_two_tier(), ShockParams(**SHOCK),
                                               UtilitySpec(rho=2.0), grid_resolution=11,
                                               costs=v)),
-], ids=("initial_wages", "allocation_value.costs", "planner_risk_sourcing.costs"))
+    ("labor", lambda v: apply_shock(v, ShockDraw(None))),
+    ("T", lambda v: EconomyParams.one_tier(T=v, L=[1.0, 1.0], tau=np.ones((2, 2)),
+                                           theta=4.0, sigma=2.0)),
+    ("T", lambda v: EconomyParams.two_tier(T1=v, T2=[1.0, 1.0], L=[1.0, 1.0],
+                                           tau=np.ones((2, 2)), alpha2=0.5, theta=4.0,
+                                           sigma=2.0)),
+    ("wages", lambda v: composite_cost(v, [1.0, 1.0], 0.5)),
+], ids=("initial_wages", "allocation_value.costs", "planner_risk_sourcing.costs",
+        "apply_shock.labor", "one_tier.T", "two_tier.T", "composite_cost.wages"))
 def test_boolean_real_array_names_its_field(field, call, value):
     with pytest.raises(ValueError, match=f"^{field} must be a number, got "):
         call(value)

@@ -55,6 +55,11 @@ The inputs are the benchmark's own, from ``bench/inputs.py``.  Records:
   three-cycles of :func:`three_cycles`, each as the matrix bytes or the
   error text; and one bad measure, focus or sector at a time on
   ``table_pair(0)``;
+* ``loader/...``: ``load_table`` on the ``table_pair`` tables of seeds 0-3,
+  written by ``write_table_csv`` of ``bench/inputs.py``, and on each text of
+  ``loader_inputs`` in ``tests/test_iotables.py`` (a module that imports
+  pytest), each file named by a relative path, as its labels and array
+  bytes or as the error text;
 * ``scenario/...``: every ``TimeSeries`` column, the allocation and the
   labels of each ``run_matrix`` cell and of ``run_scenario`` under each
   realisation, on the scenario configs of seeds 0-3;
@@ -64,9 +69,9 @@ The inputs are the benchmark's own, from ``bench/inputs.py``.  Records:
 
 ``--smoke`` keeps seed 0 and the benchmark's smoke sizes, keeps of the
 ``solve`` records those of the smoke ladder and of the first
-``N_SMOKE_CENSUS_DRAWS`` census draws (about 5 s of solves), and leaves out
-the ``cli-fail``, ``objective``, ``chain``, ``reliance`` and ``scenario``
-records.
+``N_SMOKE_CENSUS_DRAWS`` census draws (about 5 s of solves), keeps every
+``loader_inputs`` text, and leaves out the ``cli-fail``, ``objective``,
+``chain``, ``reliance`` and ``scenario`` records.
 """
 
 from __future__ import annotations
@@ -121,6 +126,7 @@ from gscsim import (  # noqa: E402
     choose_allocation,
     compute_fir,
     compute_fmr,
+    load_table,
     monte_carlo_survival,
     planner_ambiguity_sourcing,
     planner_risk_sourcing,
@@ -135,9 +141,15 @@ from gscsim.cli import main as cli_main  # noqa: E402
 from gscsim.scenarios import INFO_ENVS, REALIZATIONS  # noqa: E402
 from gscsim.shocks import BRANCHES  # noqa: E402
 
-_spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
-inputs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(inputs)
+
+def _load_module(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+inputs = _load_module("bench_inputs", ROOT / "bench" / "inputs.py")
 
 SCENARIO_SEEDS = (0, 1, 2, 3)
 LADDER_SEEDS = (0, 1)
@@ -312,6 +324,30 @@ def _table_records(smoke: bool, out: dict) -> None:
         ["fir", "--table", "a.csv", *sector, "--focus", ",".join(focus), "--diff", "b.csv"]))
     out[f"cli/fmr-gross/s{TABLE_SEED}"] = _digest(_run_cli(
         ["fmr", "--table", "a.csv", *sector, "--measure", "gross"]))
+
+
+def _loader_outcome(path: str):
+    """The labels and the digest of each array ``load_table`` reads from
+    ``path``, or the error it raises."""
+    try:
+        table = load_table(path)
+    except ValueError as err:               # TableFormatError included
+        return f"{type(err).__name__}: {err}"
+    return [table.countries, table.sectors,
+            *(_digest(getattr(table, attr).tobytes()) for attr in ("Z", "F", "v", "x"))]
+
+
+def _loader_records(smoke: bool, out: dict) -> None:
+    for seed in SCENARIO_SEEDS[:1] if smoke else SCENARIO_SEEDS:
+        table_a, table_b, _ = inputs.table_pair(seed, smoke=smoke)
+        for label, table in (("a", table_a), ("b", table_b)):
+            inputs.write_table_csv(table, "table.csv")
+            out[f"loader/pair/s{seed}/{label}"] = _digest(_loader_outcome("table.csv"))
+    tests = _load_module("test_iotables", ROOT / "tests" / "test_iotables.py")
+    for name, text in tests.loader_inputs(Path(".")).items():
+        with open(f"{name}.csv", "w", newline="") as fh:
+            fh.write(text)
+        out[f"loader/input/{name}"] = _digest(_loader_outcome(f"{name}.csv"))
 
 
 def failed_runs(smoke: bool = False) -> dict[str, dict]:
@@ -636,6 +672,7 @@ def collect(smoke: bool = False) -> dict[str, str]:
             for seed in LADDER_SEEDS[:1] if smoke else LADDER_SEEDS:
                 _ladder_records(seed, smoke, out)
             _table_records(smoke, out)
+            _loader_records(smoke, out)
             if not smoke:
                 out.update({name: _digest(record)
                             for name, record in failed_runs().items()})
