@@ -38,9 +38,6 @@ import numpy as np
 # tiers; refuse silently huge problems instead of sampling.
 MAX_PATHS = 1_000_000
 
-_FLOAT = np.dtype(float)
-
-
 def _has_bool(x) -> bool:
     """Whether ``x`` is or holds a boolean, which numpy reads as 0 or 1 among numbers."""
     if isinstance(x, np.ndarray):       # only an object array is scanned
@@ -105,8 +102,7 @@ def _within(x, name: str, spec: str, array=False):
     comes back as it is.  NaN, booleans, text and ragged lists raise."""
     if array is False:
         return _inside(_real(x, name), name, spec)
-    arr = x if type(x) is np.ndarray and x.dtype is _FLOAT else _real_array(x, name)
-    return _inside(_shaped(arr, array, name), name, spec)
+    return _inside(_shaped(_real_array(x, name), array, name), name, spec)
 
 
 def _whole(x, name: str, spec: str, array=False):

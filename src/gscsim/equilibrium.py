@@ -10,7 +10,9 @@ the right hand side redistributes world income without leaking, so the
 residuals sum to zero at any wage vector (Walras's law).  Wages are only
 determined up to scale and are pinned down by normalising world income.
 
-The solver is a damped fixed point on that map.  Every cost-free chain
+The solver is a damped fixed point on that map, one stream of sweeps
+(``_sweeps``) that ``solve_equilibrium`` reads until it converges and
+``labor_market_residuals`` reads for one sweep.  Every cost-free chain
 constant (technology and hop factors, exponents, the CES constant) is built
 once per solve.  Each sweep makes one full forward-backward chain pass at
 the composite costs for the residual; prices come from the last pass's
@@ -23,8 +25,8 @@ Sweeps are kept cheap by cutting numpy calls, never by changing arithmetic:
 every floating-point operation and its order match the plain loop written
 out, so results are the same bit for bit.  No product is regrouped and no
 einsum or matmul is rewritten, as either changes the last bits.  In-place
-updates repeat the operations they replace (``target *= step`` is
-``step * target``), and the single-tier shortcuts of ``_Chain`` are exact.
+updates repeat the operations they replace (``x *= step`` is ``step * x``),
+and the single-tier shortcuts of ``_Chain`` are exact.
 """
 
 from __future__ import annotations
@@ -41,7 +43,10 @@ logger = logging.getLogger(__name__)
 
 
 class EquilibriumConvergenceError(RuntimeError):
-    """Raised when the damped iteration fails to reach tolerance."""
+    """A failed solve.  A spent budget gives ``iterations``, the budget, and
+    ``residual_norm``, the last norm; a float fault, the sweep it hit and the
+    previous sweep's norm (inf at sweep 0); a stalled inner cost loop, its own
+    budget, 500, and its log-gap, not the outer sweep."""
 
     def __init__(self, message: str, residual_norm: float, iterations: int):
         super().__init__(message)
@@ -50,14 +55,15 @@ class EquilibriumConvergenceError(RuntimeError):
 
 
 @contextlib.contextmanager
-def _trapped(progress=lambda: (np.inf, 0)):
+def _trapped():
     """An overflow, a division by zero or a NaN in the block, raised as the
-    solve that failed at ``(residual norm, sweep) = progress()``."""
+    solve that failed at ``(residual norm, sweep)``, the list it yields."""
+    progress = [np.inf, 0]
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            yield
+            yield progress
     except FloatingPointError as err:
-        raise EquilibriumConvergenceError(f"{err} at sweep {progress()[1]}", *progress()) from None
+        raise EquilibriumConvergenceError(f"{err} at sweep {progress[1]}", *progress) from None
 
 
 @dataclass
@@ -130,27 +136,48 @@ def solve_costs(wages, params: EconomyParams,
         return costs.copy(), chain.prices(chain.forward(costs)[-1])
 
 
-def _residual_pass(w: np.ndarray, chain: _Chain):
-    """Residuals, spending ``w * L``, costs and chain totals at ``w``, one full pass."""
-    costs = _composite_costs(w, chain)
-    facs, fwd, S = chain.forward(costs)
-    spending = w * chain.params.L                      # (J,)
-    part = chain.participation(fwd, chain.backward(facs), S)
-    income = np.einsum("n,nij,j->i", chain.ab, part, spending)
-    income -= spending
-    return income, spending, costs, S
+def _sweeps(chain: _Chain, w: np.ndarray, cfg: SolverConfig, progress: list):
+    """Sweeps from ``w``, updated in place on each resume: yields (sweep, residual,
+    norm, costs, chain totals) and keeps (last norm, sweep) in ``progress``."""
+    L, step = chain.params.L, cfg.damping
+    for it in range(cfg.max_iterations + 1):
+        progress[1] = it
+        costs = _composite_costs(w, chain)
+        facs, fwd, S = chain.forward(costs)
+        spending = w * L                                   # (J,)
+        part = chain.participation(fwd, chain.backward(facs), S)
+        residual = np.einsum("n,nij,j->i", chain.ab, part, spending)
+        residual -= spending
+        residual_norm = float(np.maximum.reduce(np.abs(residual))) / cfg.world_income
+        yield it, residual, residual_norm, costs, S
+        # A fixed step can lock into a two-cycle at large theta; halve it on a stall.
+        if residual_norm >= progress[0] and step > cfg.damping / 256.0:
+            step *= 0.5
+            logger.debug("residual stalled at %.3e, damping reduced to %.4f",
+                         residual_norm, step)
+        progress[0] = residual_norm
+        # w = (1 - step) * w + step * target, in place; the residual becomes
+        # the target, the earnings per worker (residual + spending) / L
+        residual += spending
+        residual /= L
+        residual *= step
+        w *= 1.0 - step
+        w += residual
+        w *= cfg.world_income / float(w @ L)
+    raise EquilibriumConvergenceError(f"no convergence after {it} iterations (residual norm "
+                                      f"{residual_norm:.3e})", residual_norm, it)
 
 
 def labor_market_residuals(wages, params: EconomyParams) -> np.ndarray:
-    """Excess labour earnings at the given wages.
+    """Excess labour earnings at the given wages, the solver's first sweep.
 
     residual_i = (chain labour income accruing to i) - w_i L_i, with prices
     and composite costs computed consistently from the wages.  The entries
     sum to zero for any strictly positive wage vector.
     """
     w = _within(wages, "wages", "(0, inf)", array=(params.n_locations,))
-    with _trapped():
-        return _residual_pass(w, _Chain(params))[0]
+    with _trapped() as progress:
+        return next(_sweeps(_Chain(params), w, SolverConfig(), progress))[1]
 
 
 def solve_equilibrium(params: EconomyParams,
@@ -159,25 +186,18 @@ def solve_equilibrium(params: EconomyParams,
 
     Each sweep replaces wages with a convex combination of the implied
     labour earnings per worker and renormalises world income.  Raises
-    :class:`EquilibriumConvergenceError` with the last residual norm when
-    the budget runs out first, or when a sweep leaves the float range.
+    :class:`EquilibriumConvergenceError` when the budget runs out first, or
+    when a sweep leaves the float range.
     """
     cfg = config or SolverConfig()
     J = params.n_locations
-    w = np.full(J, 1.0, dtype=float)
-    if cfg.initial_wages is not None:
-        w = _within(cfg.initial_wages, "initial_wages", "(0, inf)", array=(J,)).copy()
-    it, residual_norm = 0, np.inf
-    with _trapped(lambda: (residual_norm, it)):
+    w = (np.full(J, 1.0) if cfg.initial_wages is None else
+         _within(cfg.initial_wages, "initial_wages", "(0, inf)", array=(J,)).copy())
+    with _trapped() as progress:
         w *= cfg.world_income / float(w @ params.L)
-        chain = _Chain(params)
-        walras = []
-        previous_norm = np.inf
-        step = cfg.damping
-        for it in range(cfg.max_iterations + 1):
-            residual, spending, costs, S = _residual_pass(w, chain)
+        chain, walras = _Chain(params), []
+        for it, residual, residual_norm, costs, S in _sweeps(chain, w, cfg, progress):
             walras.append(float(np.add.reduce(residual)))
-            residual_norm = float(np.maximum.reduce(np.abs(residual))) / cfg.world_income
             if residual_norm < cfg.tolerance:
                 logger.debug("equilibrium converged after %d iterations (residual %.3e)",
                              it, residual_norm)
@@ -185,24 +205,3 @@ def solve_equilibrium(params: EconomyParams,
                     wages=w, prices=chain.prices(S), costs=costs.copy(),
                     residual_norm=residual_norm, iterations=it,
                     world_income=cfg.world_income, walras_history=walras)
-            # A fixed step can lock into a two-cycle when theta is large; halve
-            # it whenever the residual stops shrinking.
-            if residual_norm >= previous_norm and step > cfg.damping / 256.0:
-                step *= 0.5
-                logger.debug("residual stalled at %.3e, damping reduced to %.4f",
-                             residual_norm, step)
-            previous_norm = residual_norm
-            # w = (1 - step) * w + step * target, in place; target is the
-            # earnings per worker, (residual + spending) / L
-            target = residual
-            target += spending
-            target /= params.L
-            target *= step
-            w *= 1.0 - step
-            w += target
-            w *= cfg.world_income / float(w @ params.L)
-
-    raise EquilibriumConvergenceError(
-        f"no convergence after {cfg.max_iterations} iterations "
-        f"(residual norm {residual_norm:.3e})",
-        residual_norm, cfg.max_iterations)

@@ -21,7 +21,7 @@ from gscsim import (
 )
 from gscsim import chains
 from gscsim.chains import _Chain, kappa
-from gscsim.equilibrium import _residual_pass
+from gscsim.equilibrium import _sweeps
 
 from conftest import oracle_economy, random_costs, random_economy, symmetric_two_tier
 
@@ -400,7 +400,9 @@ def test_forward_prices_match_full_pass():
     np.testing.assert_array_equal(prices, full)
     chain = _Chain(params)
     np.testing.assert_array_equal(prices, chain.prices(chain.forward(costs)[-1]))
-    np.testing.assert_array_equal(prices, chain.prices(_residual_pass(costs, chain)[3]))
+    # the totals of the solver's first sweep, at wages equal to the costs (gamma = 1)
+    first_sweep = next(_sweeps(chain, costs, SolverConfig(), [np.inf, 0]))
+    np.testing.assert_array_equal(prices, chain.prices(first_sweep[4]))
     # the backward half reaches the same totals
     np.testing.assert_allclose(np.ones(11) @ bwd[0], S, rtol=1e-12)
 
@@ -506,8 +508,8 @@ def test_chain_head_row_is_read_only():
 
 
 def test_solver_costs_skip_the_conversion(monkeypatch):
-    # The solver's own costs, float64 arrays, are checked without a
-    # conversion; public inputs such as lists are converted, then checked.
+    # The solver checks no costs at all; public inputs such as lists are
+    # converted, then checked.
     economies = (oracle_economy(), symmetric_two_tier(),
                  random_economy(np.random.default_rng(5), J=3, N=3, gamma=0.6))
     calls = []
@@ -526,13 +528,18 @@ def test_solver_costs_skip_the_conversion(monkeypatch):
 # ---------------------------------------------------------------------------
 # costs checked once, on entry; float faults trapped once per solve
 
-def overflowing_economy(gamma=1.0) -> EconomyParams:
-    """The benchmark's ``random_economy(default_rng(0), 30, 4, 250.0, gamma)``,
-    whose chain sums overflow on the first pass."""
+def bench_inputs():
+    """``bench/inputs.py``, the benchmark's seeded generators."""
     spec = importlib.util.spec_from_file_location("bench_inputs", BENCH_INPUTS)
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
-    return inputs.random_economy(np.random.default_rng(0), 30, 4, 250.0, gamma)
+    return inputs
+
+
+def overflowing_economy(gamma=1.0, seed=0, theta=250.0) -> EconomyParams:
+    """The benchmark's ``random_economy(default_rng(seed), 30, 4, theta, gamma)``;
+    at the defaults its chain sums overflow on the first pass."""
+    return bench_inputs().random_economy(np.random.default_rng(seed), 30, 4, theta, gamma)
 
 
 def test_overflowing_solve_raises_convergence_error_naming_the_fault():
@@ -543,6 +550,62 @@ def test_overflowing_solve_raises_convergence_error_naming_the_fault():
                            match=r"^overflow encountered in \w+ at sweep 0$") as err:
             solve_equilibrium(params)
     assert (err.value.iterations, err.value.residual_norm) == (0, math.inf)
+
+
+@pytest.mark.parametrize("seed", (7, 8))
+def test_overflow_after_sweep_0_reads_the_sweep_and_the_previous_norm(seed):
+    # At theta 160 these draws leave the float range in sweep 4's pass, so
+    # the error carries sweep 4 and the norm that sweep 3 reached, the norm
+    # a solve with a budget of 3 sweeps raises with.
+    params = overflowing_economy(seed=seed, theta=160.0)
+    with pytest.raises(EquilibriumConvergenceError, match="no convergence after 3 ") as spent:
+        solve_equilibrium(params, SolverConfig(max_iterations=3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EquilibriumConvergenceError,
+                           match=r"^overflow encountered in \w+ at sweep 4$") as err:
+            solve_equilibrium(params)
+    assert err.value.iterations == 4
+    assert err.value.residual_norm == spent.value.residual_norm < math.inf
+
+
+def test_residuals_are_the_first_sweep_of_the_solve():
+    # labor_market_residuals and solve_equilibrium read the same sweeps: at
+    # the solver's normalised starting wages, the residuals sum to the first
+    # entry of the Walras trail, bit for bit, and the wages stay as they are.
+    inputs, solved = bench_inputs(), 0
+    for seed in (0, 1):
+        for name, params in inputs.ladder(seed):
+            try:
+                sol = solve_equilibrium(params)
+            except EquilibriumConvergenceError:
+                continue
+            w0 = np.ones(params.n_locations)
+            w0 *= 1.0 / float(w0 @ params.L)            # as the solver normalises
+            before = w0.copy()
+            assert float(np.add.reduce(labor_market_residuals(w0, params))) == \
+                sol.walras_history[0], (seed, name)
+            assert w0.tobytes() == before.tobytes()
+            solved += 1
+    assert solved == 40
+
+
+def test_solver_logs_each_halving_and_the_convergence(caplog):
+    # One DEBUG line per halving of the step and one on convergence, none
+    # when the budget is spent (stiff draws of the benchmark's ladder).
+    caplog.set_level("DEBUG", logger="gscsim.equilibrium")
+    ladder = dict(bench_inputs().ladder(0))
+    sol = solve_equilibrium(ladder["stiff08_j3n1"])
+    assert [r.getMessage() for r in caplog.records] == [
+        "residual stalled at 2.699e-01, damping reduced to 0.2500",
+        "residual stalled at 5.032e-04, damping reduced to 0.1250",
+        f"equilibrium converged after {sol.iterations} iterations "
+        f"(residual {sol.residual_norm:.3e})"]
+    caplog.clear()
+    with pytest.raises(EquilibriumConvergenceError, match="^no convergence after 5000 "):
+        solve_equilibrium(ladder["stiff01_j3n1"])
+    assert [r.getMessage() for r in caplog.records] == [
+        "residual stalled at 2.169e-01, damping reduced to 0.2500"]
 
 
 @pytest.mark.parametrize("gamma", (1.0, 0.7))

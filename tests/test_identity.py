@@ -6,6 +6,7 @@ names what differs."""
 import importlib.util
 import json
 import os
+import re
 import runpy
 import shutil
 import subprocess
@@ -153,12 +154,18 @@ def test_solve_records_repeat():
     tool._solve_records(second, n_draws=6, smoke=True)
     names = [name for name, _ in tool.inputs.ladder(0, smoke=True)]
     assert sorted(first) == sorted([f"solve/ladder/s0/{name}" for name in names]
-                                   + [f"solve/{name}" for name, _ in tool.census_draws(6)])
+                                   + [f"solve/{name}" for name, _ in tool.census_draws(6)]
+                                   + ["solve/overflow/s7", "solve/overflow/s8"])
     assert first == second
     stiff = dict(tool.inputs.ladder(0))["stiff01_j3n1"]
     message, iterations, _ = tool._solve_outcome(stiff)
     assert message.startswith("EquilibriumConvergenceError: no convergence after 5000 ")
     assert iterations == 5000
+    for name, economy in tool.overflow_draws():
+        message, iterations, _ = tool._solve_outcome(economy)
+        assert re.fullmatch(r"EquilibriumConvergenceError: overflow encountered in \w+ at sweep 4",
+                            message), name
+        assert iterations == 4
 
 
 def test_chain_records_repeat():

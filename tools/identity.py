@@ -39,10 +39,11 @@ The inputs are the benchmark's own, from ``bench/inputs.py``.  Records:
   ``allocation_value`` and ``chain_survives`` under each shock branch, of
   random allocations (2 locations, 1-3 tiers, 1-30 suppliers per tier)
   spread over the scenario economies at their equilibrium costs;
-* ``solve/...``: ``solve_equilibrium`` on the ladder economies of seeds 0-1
-  and on the draws of :func:`census_draws`, each as the bytes of wages,
-  prices and costs with ``iterations``, ``walras_history`` and
-  ``residual_norm``, or as the error a failed solve raises with its
+* ``solve/...``: ``solve_equilibrium`` on the ladder economies of seeds 0-1,
+  on the draws of :func:`census_draws` and on the two draws of
+  :func:`overflow_draws`, whose float fault comes after sweep 0, each as the
+  bytes of wages, prices and costs with ``iterations``, ``walras_history``
+  and ``residual_norm``, or as the error a failed solve raises with its
   iteration count and residual norm;
 * ``chain/...``: every public function of ``gscsim.chains`` on the economies
   of :func:`chain_economies` at random costs, each result as its bytes or
@@ -68,8 +69,9 @@ The inputs are the benchmark's own, from ``bench/inputs.py``.  Records:
   first 10**5 draws of the benchmark's regime input.
 
 ``--smoke`` keeps seed 0 and the benchmark's smoke sizes, keeps of the
-``solve`` records those of the smoke ladder and of the first
-``N_SMOKE_CENSUS_DRAWS`` census draws (about 5 s of solves), keeps every
+``solve`` records those of the smoke ladder, of the first
+``N_SMOKE_CENSUS_DRAWS`` census draws and of both overflow draws (about
+5 s of solves), keeps every
 ``loader_inputs`` text, and leaves out the ``cli-fail``, ``objective``,
 ``chain``, ``reliance`` and ``scenario`` records.
 """
@@ -429,6 +431,13 @@ def census_draws(n: int = N_CENSUS_DRAWS) -> list[tuple[str, EconomyParams]]:
     return draws
 
 
+def overflow_draws() -> list[tuple[str, EconomyParams]]:
+    """(name, economy) of ``random_economy(default_rng(s), 30, 4, 160.0, 1.0)``
+    for s = 7 and 8, whose solves overflow in sweep 4's pass."""
+    return [(f"overflow/s{s}", inputs.random_economy(np.random.default_rng(s), 30, 4, 160.0, 1.0))
+            for s in (7, 8)]
+
+
 def _solve_outcome(economy: EconomyParams) -> list:
     """What ``solve_equilibrium`` returns, or the error it raises."""
     try:
@@ -444,7 +453,7 @@ def _solve_records(out: dict, n_draws: int = N_CENSUS_DRAWS, smoke: bool = False
     cases = [(f"ladder/s{seed}/{name}", economy)
              for seed in (LADDER_SEEDS[:1] if smoke else LADDER_SEEDS)
              for name, economy in inputs.ladder(seed, smoke=smoke)]
-    for name, economy in cases + census_draws(n_draws):
+    for name, economy in cases + census_draws(n_draws) + overflow_draws():
         out[f"solve/{name}"] = _digest(_solve_outcome(economy))
 
 
