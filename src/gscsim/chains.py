@@ -51,7 +51,7 @@ def _real_array(x, name: str) -> np.ndarray:
     try:
         if not _has_bool(x):
             return np.asarray(x).astype(float, copy=False)
-    except (TypeError, ValueError):     # not numeric, or ragged
+    except (TypeError, ValueError, OverflowError):     # not numeric, ragged, or past float64
         pass
     raise ValueError(f"{name} must be a number, got {reprlib.repr(x)}")     # abridged
 
@@ -148,7 +148,7 @@ def _real(x, name: str) -> float:
     try:
         if not _has_bool(x):                # float(True) would read 1.0
             return float(x)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):     # not numeric, or an int past float64
         pass
     raise ValueError(f"{name} must be a number, got {x!r}")
 
@@ -526,7 +526,7 @@ def local_chain_real_wage(j: int, params: EconomyParams, pi_jj: float) -> float:
     j = _whole(j, "j", f"[0, {params.n_locations - 1}]")
     pi_jj = _within(pi_jj, "pi_jj", "(0, 1]")
     k = kappa(params.theta, params.sigma)
-    tech = float(np.prod(params.T[j] ** (params.alpha * params.beta)))
+    tech = chain_productivity_location([j] * params.n_tiers, params)
     tau_jj = params.tau[j, j] ** float(np.sum(params.beta))
     return (tech / pi_jj) ** (1.0 / params.theta) / (k * tau_jj)
 

@@ -125,8 +125,10 @@ def solve_costs(wages, params: EconomyParams,
 
     With gamma = 1 costs are the wages themselves.  Otherwise iterate
     c -> w**gamma * P(c)**(1-gamma), a log-space contraction with modulus
-    1 - gamma.  Returns (costs, prices).
+    1 - gamma, until the largest log-gap is below ``tolerance`` (in (0, inf)),
+    for at most ``max_iterations`` (in [1, inf)) passes.  Returns (costs, prices).
     """
+    tolerance = _within(tolerance, "tolerance", "(0, inf)")
     max_iterations = _whole(max_iterations, "max_iterations", "[1, inf)")
     # Checked before w**gamma and log(w): bad wages are bad costs.
     w = _checked_costs(params, wages)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .chains import EconomyParams, _JsonConfig, _checked_costs, _whole
-from .equilibrium import EquilibriumSolution, SolverConfig, solve_equilibrium
+from .equilibrium import EquilibriumSolution, solve_equilibrium
 from .shocks import BRANCHES, EAST, SOUTH, ShockParams, _draw_branches
 from .sourcing import (
     DEFAULT_GRID,
@@ -128,7 +128,7 @@ def _realization_runs(config: ScenarioConfig, solution: EquilibriumSolution | No
     if allocation is not None:          # before the solve it would waste
         _check_locations(config.economy, allocation)
     if solution is None:
-        solution = solve_equilibrium(config.economy, SolverConfig())
+        solution = solve_equilibrium(config.economy)
     if allocation is None:
         allocation = choose_allocation(config, solution)
     costs = _checked_costs(config.economy, solution.costs)
@@ -166,7 +166,7 @@ def run_matrix(config: ScenarioConfig) -> dict:
     shared, and each info environment's allocation is chosen and evaluated
     once, since the scripted realisation never feeds back into the choice.
     """
-    solution = solve_equilibrium(config.economy, SolverConfig())
+    solution = solve_equilibrium(config.economy)
     out = {}
     for env in INFO_ENVS:
         runs = _realization_runs(replace(config, info_env=env), solution)

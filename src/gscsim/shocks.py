@@ -143,18 +143,13 @@ def _branch_odds(eta: float, zeta: float) -> tuple[float, float, float]:
     return (1.0 - eta, eta * zeta, eta * (1.0 - zeta))
 
 
-def _draw_cuts(params: ShockParams) -> np.ndarray:
-    """Cut points of [0, 1) for a world draw, the running sum of the first two
-    odds: none below the first, East below the second, South from the second on."""
-    return np.cumsum(_branch_odds(params.eta, params.zeta)[:2])
-
-
 def _draw_branches(params: ShockParams, u: np.ndarray) -> np.ndarray:
     """Indices into BRANCHES of the uniforms ``u``: the one cut rule, for
-    :func:`draw_shock` and for arrays of draws.  The index is the count of
-    cuts at or below u; the cuts are ordered since eta * zeta >= 0."""
-    cuts = _draw_cuts(params)
-    return np.add(u >= cuts[0], u >= cuts[1], dtype=np.intp)
+    :func:`draw_shock` and for arrays of draws.  The cuts are the running sums
+    of :func:`_branch_odds`, 1 - eta and 1 - eta + eta * zeta, ordered since
+    eta * zeta >= 0; the index is the count of cuts at or below u."""
+    none, east, _ = _branch_odds(params.eta, params.zeta)
+    return np.add(u >= none, u >= none + east, dtype=np.intp)
 
 
 def _knock_out(rows: np.ndarray, draw: ShockDraw) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import EconomyParams, _JsonConfig, _checked_costs, _whole, _within
-from .equilibrium import SolverConfig, solve_equilibrium
+from .equilibrium import solve_equilibrium
 from .shocks import BRANCHES, ShockDraw, ShockParams, _branch_odds, _knock_out
 
 DEFAULT_GRID = 1001
@@ -254,7 +254,7 @@ def ambiguity_objective(alloc: SourcingAllocation, params: EconomyParams,
 def _default_costs(params: EconomyParams, costs) -> np.ndarray:
     if costs is not None:
         return _checked_costs(params, costs)
-    return solve_equilibrium(params, SolverConfig()).costs
+    return solve_equilibrium(params).costs
 
 
 def individual_sourcing(params: EconomyParams, shock_params: ShockParams,

@@ -574,6 +574,9 @@ def _solver_inputs():
     yield Input("max_iterations", "[1, inf)",
                 lambda v: solve_costs(np.ones(2), symmetric_two_tier(), max_iterations=v),
                 whole=True)
+    # At gamma 1 no cost loop runs, so this shows the check runs before any.
+    yield Input("tolerance", "(0, inf)",
+                lambda v: solve_costs(np.ones(2), symmetric_two_tier(), tolerance=v))
 
 
 def _odds_inputs():
@@ -721,6 +724,38 @@ def test_readme_config_ranges_hold(section, key, numbers, spec, default):
     call = functools.partial(_section_call, section, key)
     spec = spec.replace("horizon", str(SCENARIO["horizon"]))
     _check_input(Input(key, spec, call, whole=numbers == "whole"))
+
+
+HUGE = 10**400      # a JSON integer past float64's range
+# The rows a config file sets; the CLI reads no solver section.
+CLI_ROWS = [row[:3] for row in README_ROWS if row[0] != "solver"]
+
+
+@pytest.mark.parametrize("section,key,numbers", CLI_ROWS,
+                         ids=[f"{section}.{key}" for section, key, _ in CLI_ROWS])
+def test_cli_refuses_integers_past_float64(tmp_path, capsys, section, key, numbers):
+    # float() of such an integer raised OverflowError, which escaped main as
+    # a traceback with exit 1.  A whole field takes it as a one-entry list.
+    value = [HUGE] if numbers == "whole" else HUGE
+    if section == "economy" and key in ECONOMY_ENTRY:
+        entries = np.array(ECONOMY[key], dtype=object)
+        entries[ECONOMY_ENTRY[key]] = HUGE
+        value = entries.tolist()
+    scenario = {**SCENARIO, "utility": {"rho": 2.0}, "beliefs": {"zeta_lo": 0.0, "zeta_hi": 1.0}}
+    if section == "scenario":
+        scenario[key] = value
+    else:
+        scenario[section] = {**scenario[section], key: value}
+    runs = [("simulate", "--config", scenario)]
+    if section == "economy":
+        runs.append(("equilibrium", "--params", scenario["economy"]))
+    for command, flag, config in runs:
+        path, out = tmp_path / f"{command}.json", tmp_path / command
+        path.write_text(json.dumps(config))
+        assert main([command, flag, str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{key} must be a " in err and "Traceback" not in err
+        assert not out.exists()
 
 
 def _single_value_rows():

@@ -19,7 +19,7 @@ from gscsim import (
 )
 
 from gscsim import scenarios, sourcing
-from gscsim.shocks import EAST, SOUTH, ShockDraw, _draw_branches, _draw_cuts, draw_shock
+from gscsim.shocks import EAST, SOUTH, ShockDraw, _branch_odds, _draw_branches, draw_shock
 from gscsim.sourcing import (
     SourcingAllocation,
     allocation_value,
@@ -261,7 +261,7 @@ def test_monte_carlo_classifier_matches_draw_shock():
     for eta in (0.0, 1.0, 0.3):
         for zeta in (0.0, 1.0, 0.6):
             shock = ShockParams(eta=eta, lam=1.0, zeta=zeta)
-            cuts = [c for c in _draw_cuts(shock) if c < 1.0]
+            cuts = [c for c in np.cumsum(_branch_odds(eta, zeta)[:2]) if c < 1.0]
             u = np.concatenate([rng.random(500), cuts, np.nextafter(cuts, 0.0),
                                 [0.0, np.nextafter(1.0, 0.0)]])
             got = [labels[b] for b in _draw_branches(shock, u)]

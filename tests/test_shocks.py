@@ -18,7 +18,7 @@ from gscsim import (
     stationary_share,
     step_regime,
 )
-from gscsim.shocks import _draw_branches, _draw_cuts
+from gscsim.shocks import _branch_odds, _draw_branches
 
 
 def occupancy_stderr(params: ShockParams, n: int) -> float:
@@ -179,7 +179,7 @@ def test_draw_shock_partition_boundaries():
 @pytest.mark.parametrize("zeta", [0.0, 1.0, 0.75, 0.3])
 def test_draw_branches_count_cuts_like_searchsorted(eta, zeta):
     params = ShockParams(eta=eta, lam=0.5, zeta=zeta)
-    cuts = _draw_cuts(params)
+    cuts = np.cumsum(_branch_odds(eta, zeta)[:2])
     u = np.concatenate([np.random.default_rng(3).random(1000), cuts,
                         np.nextafter(cuts, 0.0), np.nextafter(cuts, 2.0),
                         [0.0, np.nextafter(1.0, 0.0)]])

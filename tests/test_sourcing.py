@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -26,6 +27,7 @@ from gscsim import (
 )
 
 from gscsim import sourcing
+from gscsim.cli import main
 from gscsim.sourcing import _branch_outcomes, _score
 
 from conftest import random_economy, symmetric_two_tier
@@ -111,6 +113,11 @@ def test_allocation_column_sums_keep_the_allclose_bound(side):
                 SourcingAllocation(phi=phi, M=np.array([10]))
 
 
+def test_allocation_counts_its_tiers():
+    assert SourcingAllocation.uniform_tiers([0.5, 0.5], 3, 4).n_tiers == 4
+    assert SourcingAllocation(phi=[[0.5], [0.5]], M=[3]).n_tiers == 1
+
+
 # ---------------------------------------------------------------------------
 # utility and survival
 
@@ -125,6 +132,26 @@ def test_crra_utility():
         crra_utility(-1.0, 2.0)
     with pytest.raises(ValueError):
         UtilitySpec(rho=-0.5)
+
+
+def test_utility_spec_of_is_crra_utility():
+    for rho in (0.0, 1.0, 2.0):
+        for value in (0.0, 1.5):
+            assert UtilitySpec(rho=rho).of(value) == crra_utility(value, rho)
+
+
+def test_reversed_beliefs_are_refused(tmp_path, capsys):
+    message = "beliefs must satisfy 0 <= zeta_lo <= zeta_hi <= 1"
+    for build in (lambda d: BeliefSet(**d), BeliefSet.from_dict):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build({"zeta_lo": 0.8, "zeta_hi": 0.2})
+    cfg, out = tmp_path / "scenario.json", tmp_path / "out"
+    cfg.write_text(json.dumps({"economy": symmetric_two_tier().to_dict(),
+                               "shock": {"eta": 0.2, "lam": 1.0, "zeta": 0.9},
+                               "beliefs": {"zeta_lo": 0.8, "zeta_hi": 0.2}}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: beliefs: {message}\n"
+    assert not out.exists()
 
 
 def test_utility_rejects_non_finite_rho():
