@@ -38,18 +38,18 @@ import numpy as np
 # tiers; refuse silently huge problems instead of sampling.
 MAX_PATHS = 1_000_000
 
-def _has_bool(x) -> bool:
-    """Whether ``x`` is or holds a boolean, which numpy reads as 0 or 1 among numbers."""
+def _not_number(x) -> bool:
+    """Whether ``x`` is or holds a boolean or text, which numpy reads as a number."""
     if isinstance(x, np.ndarray):       # only an object array is scanned
-        return x.dtype == bool or (x.dtype == object and any(map(_has_bool, x.flat)))
-    return isinstance(x, (bool, np.bool_)) or (
-        isinstance(x, (list, tuple)) and any(map(_has_bool, x)))
+        return x.dtype.kind in "bUS" or (x.dtype == object and any(map(_not_number, x.flat)))
+    return isinstance(x, (bool, np.bool_, str, bytes, bytearray)) or (
+        isinstance(x, (list, tuple)) and any(map(_not_number, x)))
 
 
 def _real_array(x, name: str) -> np.ndarray:
     """``x`` as a float array; booleans, text and ragged lists raise, as in :func:`_real`."""
     try:
-        if not _has_bool(x):
+        if not _not_number(x):
             return np.asarray(x).astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):     # not numeric, ragged, or past float64
         pass
@@ -108,21 +108,22 @@ def _within(x, name: str, spec: str, array=False):
 def _whole(x, name: str, spec: str, array=False):
     """``x`` as an int in the interval ``spec`` (``"[1, inf)"``,
     ``f"[0, {J - 1}]"``), or, unless ``array`` is False, an ``intp`` array
-    shaped as in :func:`_within`.  NaN, inf, fractions, booleans and,
+    shaped as in :func:`_within`.  NaN, inf, fractions, booleans, text and,
     without ``array``, sequences raise.  Values and bounds compare exactly,
     never through float64; an entry past ``intp`` is refused, not cast."""
     if array is False and isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return _inside(int(x), name, spec)
     try:
         arr = np.asarray(x)
-        if arr.dtype.kind not in "iu" or _has_bool(x):    # integers skip float64
+        if arr.dtype.kind not in "iu" or _not_number(x):  # integers skip float64
             arr = _real_array(x, name)
             whole = (np.isfinite(arr) & (arr == np.floor(arr))).all()
             arr = np.frompyfunc(int, 1, 1)(arr) if whole else None     # exact Python ints
     except (TypeError, ValueError):     # boolean, not numeric, or ragged
         arr = None
     if arr is None:
-        raise ValueError(f"{name} must be a whole number, got {x}")
+        raise ValueError(f"{name} must be a whole number, "
+                         f"got {repr(x) if isinstance(x, str) else x}")
     if array is False:
         if np.ndim(arr):
             raise ValueError(f"{name} must be a single value, got {x}")
@@ -146,7 +147,7 @@ def _checked_costs(params: EconomyParams, costs) -> np.ndarray:
 
 def _real(x, name: str) -> float:
     try:
-        if not _has_bool(x):                # float(True) would read 1.0
+        if not _not_number(x):              # float(True) would read 1.0, float("3") 3.0
             return float(x)
     except (TypeError, ValueError, OverflowError):     # not numeric, or an int past float64
         pass

@@ -5,14 +5,14 @@ realisation-by-environment matrix), ``equilibrium`` (solve wages for a
 parameter file), and ``fir`` / ``fmr`` (reliance matrices from a world IO
 table, optionally differenced against a second table).
 
-Every invocation computes all of its results first and then writes its
-artifacts plus a ``manifest.json`` recording the hash of the config's JSON
-form, seed, tool version and the SHA-256 of each output file, so a run can
-be traced back to exactly what produced it, and a run that fails writes no
-file and creates no directory.  Exit codes: 0 success, 2 bad configuration
-or usage, 3 I/O failure, 4 equilibrium non-convergence.  The ``GSC_LOG``
-environment variable sets the level of the ``gscsim`` loggers on every run,
-leaving the root level alone.
+Every invocation computes all of its results and renders each artifact to
+text first, then writes the artifacts plus a ``manifest.json`` recording the
+hash of the config's JSON form, seed, tool version and the SHA-256 and size
+of the bytes written for each file, so a run can be traced back to exactly
+what produced it, and a run that fails writes no file and creates no
+directory.  Exit codes: 0 success, 2 bad configuration or usage, 3 I/O
+failure, 4 equilibrium non-convergence.  ``GSC_LOG`` sets the level of the
+``gscsim`` loggers on every run, leaving the root level alone.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import argparse
 import csv
 import functools
 import hashlib
+import io
 import json
 import logging
 import os
@@ -58,16 +59,16 @@ def _load_json(path: Path) -> dict:
 
 def _publish(out: Path, command: str, config_obj, seed,
              files) -> tuple[list[Path], Path]:
-    """Create ``out``, write each ``(name, writer)`` of ``files`` there, then
-    ``manifest.json``; returns the output paths and the manifest path.
-
-    Each command calls this once, after every result is computed."""
+    """Create ``out``, write the text of each ``(name, text)`` of ``files``
+    there, then ``manifest.json``, whose entries hash the very bytes written;
+    returns the output paths and the manifest path.  Each command calls this
+    once, after every output is rendered."""
     out.mkdir(parents=True, exist_ok=True)
     outputs, entries = [], []
-    for name, write in files:
+    for name, text in files:
+        data = text.encode()
         path = out / name
-        write(path)
-        data = path.read_bytes()
+        path.write_bytes(data)
         outputs.append(path)
         entries.append({"path": name, "sha256": hashlib.sha256(data).hexdigest(),
                         "bytes": len(data)})
@@ -85,23 +86,24 @@ def _publish(out: Path, command: str, config_obj, seed,
     return outputs, path
 
 
-def write_timeseries_csv(ts, path: Path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ts.COLUMNS)
-        for period, east, south, total, alive, welfare in ts.rows():
-            writer.writerow([period, east, south, total,
-                             "true" if alive else "false", repr(welfare)])
+def _csv_text(rows) -> str:
+    """``rows`` as CSV text, every line ended in ``\\r\\n`` as ``csv`` writes it."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
-def write_equilibrium_csv(solution, path: Path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["location", "wage", "price_index", "composite_cost"])
-        for i in range(len(solution.wages)):
-            writer.writerow([i, repr(float(solution.wages[i])),
-                             repr(float(solution.prices[i])),
-                             repr(float(solution.costs[i]))])
+def timeseries_csv(ts) -> str:
+    return _csv_text([ts.COLUMNS, *(
+        [period, east, south, total, "true" if alive else "false", repr(welfare)]
+        for period, east, south, total, alive, welfare in ts.rows())])
+
+
+def equilibrium_csv(solution) -> str:
+    return _csv_text([["location", "wage", "price_index", "composite_cost"],
+                      *([i, repr(float(wage)), repr(float(price)), repr(float(cost))]
+                        for i, (wage, price, cost) in enumerate(
+                            zip(solution.wages, solution.prices, solution.costs)))])
 
 
 def _cell_name(mode: str, realization: str, env: str) -> str:
@@ -126,10 +128,9 @@ def _cmd_simulate(args) -> int:
                  "timeseries.csv", "chart.svg", run_scenario(config))]
     files = []
     for _, title, csv_name, svg_name, ts in runs:
-        files.append((csv_name, functools.partial(write_timeseries_csv, ts)))
+        files.append((csv_name, timeseries_csv(ts)))
         if args.plot:
-            svg = timeseries_chart(ts, title)
-            files.append((svg_name, lambda path, svg=svg: path.write_text(svg)))
+            files.append((svg_name, timeseries_chart(ts, title)))
     outputs, manifest = _publish(Path(args.out), "simulate", config.to_dict(),
                                  config.seed, files)
     for label, _, _, _, ts in runs:
@@ -146,7 +147,7 @@ def _cmd_equilibrium(args) -> int:
     (csv_path,), _ = _publish(
         Path(args.out), "equilibrium",
         {"params": params.to_dict(), "tolerance": solver.tolerance}, None,
-        [("equilibrium.csv", functools.partial(write_equilibrium_csv, solution))])
+        [("equilibrium.csv", equilibrium_csv(solution))])
     print(f"converged in {solution.iterations} iterations, "
           f"residual norm {solution.residual_norm:.3e}")
     print(f"wrote {csv_path}")
@@ -157,16 +158,15 @@ def _cmd_reliance(args, metric: str) -> int:
     focus = args.focus.split(",") if args.focus else None
     compute = compute_fir if metric == "fir" else compute_fmr
     matrix = compute(load_table(args.table), args.sector, focus=focus, measure=args.measure)
-    files = [(f"{metric}.csv", matrix.to_csv)]
+    matrices = [(f"{metric}.csv", matrix)]
     if args.diff:
-        other = compute(load_table(args.diff), args.sector, focus=focus,
-                        measure=args.measure)
-        files.append((f"{metric}_change.csv", reliance_change(other, matrix).to_csv))
+        other = compute(load_table(args.diff), args.sector, focus=focus, measure=args.measure)
+        matrices.append((f"{metric}_change.csv", reliance_change(other, matrix)))
     outputs, _ = _publish(Path(args.out), metric,
                           {"table": str(args.table), "diff": args.diff,
                            "sector": args.sector, "focus": focus,
                            "measure": args.measure},
-                          None, files)
+                          None, [(name, _csv_text(m.csv_rows())) for name, m in matrices])
     for p in outputs:
         print(f"wrote {p}")
     return EXIT_OK

@@ -205,17 +205,16 @@ class RelianceMatrix:
         i = self.rows.index(row_country)
         return float(np.nansum(self.values[i]) + self.domestic[i])
 
+    def csv_rows(self, decimals: int = 1):
+        """The header, then one row per country: values as printed, diagonal blank."""
+        yield [self.metric, *self.columns]
+        for country, values in zip(self.rows, self.values):
+            yield [country, *("" if np.isnan(val) else f"{val:.{decimals}f}" for val in values)]
+
     def to_csv(self, path, decimals: int = 1):
-        """Write the matrix with values rounded as printed; diagonal blank."""
+        """Write :meth:`csv_rows` to ``path``: the bytes ``gscsim fir``/``fmr`` publish."""
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([self.metric] + list(self.columns))
-            for i, country in enumerate(self.rows):
-                cells = []
-                for j in range(len(self.columns)):
-                    val = self.values[i, j]
-                    cells.append("" if np.isnan(val) else f"{val:.{decimals}f}")
-                writer.writerow([country] + cells)
+            csv.writer(fh).writerows(self.csv_rows(decimals))
 
 
 def _content_columns(table: WorldIOTable, cols: np.ndarray, measure: str) -> np.ndarray:

@@ -103,6 +103,35 @@ def test_simulate_matrix_outputs(tmp_path):
     assert len(read_manifest(out)["outputs"]) == 12
 
 
+@pytest.mark.parametrize("command, n_outputs", [
+    ("simulate", 12), ("equilibrium", 1), ("fir", 2), ("fmr", 1)])
+def test_manifest_lists_exactly_the_bytes_on_disk(tmp_path, command, n_outputs):
+    # Three countries, each selling inputs abroad, so gross content exists too.
+    Z = np.array([[0.0, 10.0, 5.0], [40.0, 0.0, 25.0], [5.0, 15.0, 0.0]])
+    F = np.diag([95.0, 60.0, 45.0])
+    x = Z.sum(axis=1) + F.sum(axis=1)
+    table = tmp_path / "world.csv"
+    write_table(WorldIOTable(countries=["ALP", "BET", "GAM"], sectors=["MFG"],
+                             Z=Z, F=F, v=x - Z.sum(axis=0), x=x), table)
+    reliance = ["--table", str(table), "--sector", "MFG"]
+    argv = {"simulate": ["--config", write_json(tmp_path / "cfg.json", scenario_dict()),
+                         "--matrix", "--plot"],
+            "equilibrium": ["--params", write_json(tmp_path / "econ.json",
+                                                   symmetric_two_tier().to_dict())],
+            "fir": [*reliance, "--diff", str(table)],
+            "fmr": [*reliance, "--measure", "gross"]}[command]
+    out = tmp_path / "out"
+    assert main([command, *argv, "--out", str(out)]) == 0
+    entries = read_manifest(out)["outputs"]
+    assert len(entries) == n_outputs
+    assert sorted(e["path"] for e in entries) == sorted(
+        p.name for p in out.iterdir() if p.name != "manifest.json")
+    for entry in entries:
+        data = (out / entry["path"]).read_bytes()
+        assert entry["sha256"] == hashlib.sha256(data).hexdigest(), entry["path"]
+        assert entry["bytes"] == len(data), entry["path"]
+
+
 def test_usage_error_leaves_the_next_run_as_a_fresh_process_writes(tmp_path, capsys):
     # main parses with one parser per process; a failed parse must not
     # change what the next call writes.

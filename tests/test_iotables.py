@@ -21,6 +21,7 @@ from gscsim import (
     write_table,
 )
 from gscsim import iotables
+from gscsim.cli import main
 from gscsim.iotables import FD_PREFIX, OUT_LABEL, VA_LABEL
 
 
@@ -897,6 +898,12 @@ def test_reliance_to_csv(tmp_path):
     assert lines[0] == "fir,ALP,BET"
     assert lines[1] == "ALP,,40.0"       # blank diagonal, one decimal
     assert lines[2] == "BET,0.0,"
+    # to_csv and the CLI share one row rule, so gscsim fir publishes these bytes
+    table_path = tmp_path / "world.csv"
+    write_table(two_country_table(), table_path)
+    assert main(["fir", "--table", str(table_path), "--sector", "MFG",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "fir.csv").read_bytes() == path.read_bytes()
 
 
 def test_index_and_labels():

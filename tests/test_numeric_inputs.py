@@ -872,7 +872,7 @@ def test_scalar_functions_reject_nan():
 # ---------------------------------------------------------------------------
 # non-numeric values name their field
 
-TEXT = (["a", "b"], "abc", [[1.0, 2.0], [3.0]], {"x": 1})
+TEXT = (["a", "b"], "abc", [[1.0, 2.0], [3.0]], {"x": 1}, "3", ["1", "2"], b"2")
 
 
 @pytest.mark.parametrize("key", ("T", "L", "tau", "alpha", "beta"))
@@ -909,7 +909,7 @@ def test_non_numeric_integer_names_its_field(key, value):
         ScenarioConfig.from_dict({**SCENARIO, key: value})
 
 
-SCALAR_TEXT = ("abc", [1.0, 2.0], {"x": 1}, None)
+SCALAR_TEXT = ("abc", [1.0, 2.0], {"x": 1}, None, "3", b"2")
 
 
 @pytest.mark.parametrize("field,build", [
@@ -947,12 +947,17 @@ def test_non_numeric_costs_name_their_field():
         SourcingAllocation.uniform_tiers([0.5, 0.5], "ten", 2)
 
 
-def test_numeric_strings_still_convert():
-    cfg = ScenarioConfig.from_dict({**SCENARIO, "horizon": "20"})
-    assert cfg.horizon == 20 and isinstance(cfg.horizon, int)
-    params = EconomyParams.from_dict({**ECONOMY, "L": ["1", "2.5"]})
-    assert params.L.tolist() == [1.0, 2.5]
-    assert EconomyParams.from_dict({**ECONOMY, "theta": "4.5"}).theta == 4.5
+@pytest.mark.parametrize("value", [
+    "1", b"1", bytearray(b"1"), np.str_("1"), ["1"], (1.0, "1"),
+    np.array(["1"]), np.array([b"1"]), np.array([1.0, "1"], dtype=object),
+], ids=repr)
+def test_numeric_text_is_not_a_number(value):
+    # float and numpy read "1" as 1, so text in a config used to load.
+    array = isinstance(value, (list, tuple, np.ndarray))
+    with pytest.raises(ValueError, match="^x must be a number, got "):
+        _within(value, "x", "(0, 1]", array=array)
+    with pytest.raises(ValueError, match="^n must be a whole number, got "):
+        _whole(value, "n", "[1, inf)", array=array)
 
 
 def test_cli_names_non_numeric_field(tmp_path, capsys):
@@ -969,6 +974,21 @@ def test_cli_names_non_numeric_field(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "theta must be a number, got 'abc'" in err
     assert "could not convert" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("simulate", {**SCENARIO, "horizon": "3", "shock_period": "2"},
+     "horizon must be a whole number, got '3'"),
+    ("equilibrium", {**ECONOMY, "L": ["1", "2"]}, "L must be a number, got ['1', '2']"),
+])
+def test_cli_refuses_numeric_text(tmp_path, capsys, command, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    flag = "--config" if command == "simulate" else "--params"
+    assert main([command, flag, str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
