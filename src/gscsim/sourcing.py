@@ -60,7 +60,11 @@ def crra_utility(value: float, rho: float) -> float:
         return -math.inf if rho >= 1.0 else 0.0
     if rho == 1.0:
         return math.log(value)
-    return value ** (1.0 - rho) / (1.0 - rho)
+    try:
+        return value ** (1.0 - rho) / (1.0 - rho)
+    except OverflowError:
+        raise ValueError(f"utility of {value!r} at rho = {rho!r} "
+                         "is past float64's range") from None
 
 
 @dataclass
@@ -167,7 +171,11 @@ def _value_from_counts(counts: np.ndarray, params: EconomyParams,
     s = (params.sigma - 1.0) / params.sigma
     per_location = (1.0 / costs) ** s          # variety quantity q = 1/c
     basket = float(counts.sum(axis=1) @ per_location)
-    return basket ** (params.sigma / (params.sigma - 1.0))
+    try:
+        return basket ** (params.sigma / (params.sigma - 1.0))
+    except OverflowError:
+        raise ValueError(f"the basket of {int(counts.sum())} suppliers at sigma = "
+                         f"{params.sigma!r} is past float64's range") from None
 
 
 def allocation_value(alloc: SourcingAllocation, shock: ShockDraw,

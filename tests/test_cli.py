@@ -205,6 +205,20 @@ def test_simulate_error_exit_codes(tmp_path, capsys):
     assert "eta" in capsys.readouterr().err
 
 
+def test_simulate_refuses_a_basket_past_float64(tmp_path, capsys):
+    # sigma 1.01 and 1000 suppliers per tier lie inside the config ranges,
+    # but the planner's basket, 2000 ** 101, does not fit a float64: the run
+    # used to end with an OverflowError traceback and exit 1.
+    economy = symmetric_two_tier(sigma=1.01).to_dict()
+    cfg = write_json(tmp_path / "cfg.json", scenario_dict(
+        economy=economy, decision_mode="planner", suppliers_per_tier=1000, grid_resolution=11))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: the basket of 2000 suppliers at sigma = 1.01 is past float64's range\n")
+    assert not out.exists()
+
+
 def test_simulate_rejects_bad_utility_section(tmp_path, capsys):
     # json reads NaN and Infinity; a NaN rho used to exit 0 with every
     # supplier in East.

@@ -3,6 +3,8 @@ the same records the same way in this process and with --src naming a copy
 of the same sources, its failing CLI runs leave no output, and --compare
 names what differs."""
 
+import ast
+import functools
 import importlib.util
 import json
 import os
@@ -13,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "identity.py"
@@ -122,9 +125,42 @@ def test_a_run_uses_one_blas_thread_and_an_import_changes_nothing(tmp_path, monk
     assert [os.environ[var] for var in BLAS_THREAD_VARS] == ["1", "1", "1"]
 
 
+def records(tool, cases) -> dict:
+    """Record name -> outcome of each (name, call) pair of a family, each
+    call made before the family writes its next input."""
+    return {name: tool._outcome(call) for name, call in cases}
+
+
+def test_the_record_rule_tells_each_pair_apart():
+    tool = load_tool()
+    error = tool.EquilibriumConvergenceError
+
+    def raising(err):
+        def call():
+            raise err
+        return call
+
+    pairs = [
+        (np.zeros(3, dtype=np.float64), np.zeros(3, dtype=np.int64)),
+        (np.zeros(4), np.zeros((2, 2))),
+        (1.5, np.float64(1.5)),
+    ]
+    outcomes = [(tool._outcome(lambda a=a: a), tool._outcome(lambda b=b: b)) for a, b in pairs]
+    for a, b in [(ValueError("bad"), TypeError("bad")),
+                 (error("no convergence", 1e-3, 10), error("no convergence", 1e-3, 11)),
+                 (error("no convergence", 1e-3, 10), error("no convergence", 2e-3, 10))]:
+        outcomes.append((tool._outcome(raising(a)), tool._outcome(raising(b))))
+    for first, second in outcomes:
+        assert first != second and tool._digest(first) != tool._digest(second)
+
+
 def test_failed_runs_leave_no_output(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    runs = load_tool().failed_runs(smoke=True)
+    tool = load_tool()
+    # each field but the file digests is recorded as its repr
+    runs = {name: {key: value if key == "files" else ast.literal_eval(value)
+                   for key, value in run.items()}
+            for name, run in records(tool, tool._failed_cases(smoke=True)).items()}
     assert {name: run["exit"] for name, run in runs.items()} == {
         "cli-fail/fir-diff-missing/s0": 3,
         "cli-fail/fmr-bad-sector/s0": 2,
@@ -141,38 +177,35 @@ def test_failed_runs_leave_no_output(tmp_path, monkeypatch):
 
 def test_objective_records_repeat():
     tool = load_tool()
-    first, second = {}, {}
-    tool._objective_records(first)
-    tool._objective_records(second)
+    first = records(tool, tool._objective_cases())
+    second = records(tool, tool._objective_cases())
     assert len(first) == tool.N_ALLOCATIONS and first == second
 
 
 def test_solve_records_repeat():
     tool = load_tool()
-    first, second = {}, {}
-    tool._solve_records(first, n_draws=6, smoke=True)
-    tool._solve_records(second, n_draws=6, smoke=True)
+    first = records(tool, tool._solve_cases(smoke=True, n_draws=6))
+    second = records(tool, tool._solve_cases(smoke=True, n_draws=6))
     names = [name for name, _ in tool.inputs.ladder(0, smoke=True)]
     assert sorted(first) == sorted([f"solve/ladder/s0/{name}" for name in names]
                                    + [f"solve/{name}" for name, _ in tool.census_draws(6)]
                                    + ["solve/overflow/s7", "solve/overflow/s8"])
     assert first == second
     stiff = dict(tool.inputs.ladder(0))["stiff01_j3n1"]
-    message, iterations, _ = tool._solve_outcome(stiff)
+    message, iterations, _ = tool._outcome(functools.partial(tool.solve_equilibrium, stiff))
     assert message.startswith("EquilibriumConvergenceError: no convergence after 5000 ")
-    assert iterations == 5000
-    for name, economy in tool.overflow_draws():
-        message, iterations, _ = tool._solve_outcome(economy)
+    assert iterations == repr(5000)
+    for name, _ in tool.overflow_draws():
+        message, iterations, _ = first[f"solve/{name}"]
         assert re.fullmatch(r"EquilibriumConvergenceError: overflow encountered in \w+ at sweep 4",
                             message), name
-        assert iterations == 4
+        assert iterations == repr(4)
 
 
 def test_chain_records_repeat():
     tool = load_tool()
-    first, second = {}, {}
-    tool._chain_records(first, n_economies=6)
-    tool._chain_records(second, n_economies=6)
+    first = records(tool, tool._chain_cases(n_economies=6))
+    second = records(tool, tool._chain_cases(n_economies=6))
     assert first == second
     names = [name for name, _, _ in tool.chain_economies(6)]
     assert {key.split("/")[1] for key in first} == set(names)
@@ -186,9 +219,8 @@ def test_chain_records_repeat():
 
 def test_reliance_records_repeat():
     tool = load_tool()
-    first, second = {}, {}
-    tool._reliance_records(first, smoke=True)
-    tool._reliance_records(second, smoke=True)
+    first = records(tool, tool._reliance_cases(smoke=True))
+    second = records(tool, tool._reliance_cases(smoke=True))
     assert first == second
     kinds = {key.split("/")[1] for key in first}
     assert kinds == {"pair", "fault", "bounds", "cycle"}
@@ -198,28 +230,27 @@ def test_reliance_records_repeat():
     for name, table in tool.bound_tables(6):
         A = table.Z / table.x[None, :]
         assert A.sum(axis=0).max() > 1.0 and A.sum(axis=1).max() > 1.0
-    refused = tool._reliance_outcome(tool.compute_fir, tool.three_cycles(smoke=True)[2][1], "MFG")
+    refused = tool._outcome(functools.partial(
+        tool.compute_fir, tool.three_cycles(smoke=True)[2][1], "MFG"))
     assert refused.startswith("TableFormatError: input coefficients are not productive")
 
 
 def test_loader_records_cover_every_loader_input(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     tool = load_tool()
-    records = {}
-    tool._loader_records(True, records)
+    loaded = records(tool, tool._loader_cases(smoke=True))
     tests = tool._load_module("test_iotables", TOOL.parents[1] / "tests" / "test_iotables.py")
-    assert set(records) == {"loader/pair/s0/a", "loader/pair/s0/b"} | {
+    assert set(loaded) == {"loader/pair/s0/a", "loader/pair/s0/b"} | {
         f"loader/input/{name}" for name in tests.loader_inputs(tmp_path)}
     # a message names the file as the record loaded it, relative to the run
-    assert tool._loader_outcome("empty.csv") == (
+    assert loaded["loader/input/empty"] == (
         "TableFormatError: empty.csv: too few rows for an IO table")
 
 
 def test_scenario_run_records_repeat():
     tool = load_tool()
-    first, second = {}, {}
-    tool._scenario_run_records(first, seeds=(0,), smoke=True)
-    tool._scenario_run_records(second, seeds=(0,), smoke=True)
+    first = records(tool, tool._scenario_cases(seeds=(0,), smoke=True))
+    second = records(tool, tool._scenario_cases(seeds=(0,), smoke=True))
     assert first == second
     # per config 6 matrix cells, 3 scripted runs and 3 Monte Carlo sizes,
     # and the regime path from both regimes

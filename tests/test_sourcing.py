@@ -134,6 +134,14 @@ def test_crra_utility():
         UtilitySpec(rho=-0.5)
 
 
+@pytest.mark.parametrize("value,rho", [(0.5, 2000.0), (1e-300, 3.0)])
+def test_crra_utility_past_float64_is_refused(value, rho):
+    # The power used to raise a bare OverflowError.
+    message = f"utility of {value!r} at rho = {rho!r} is past float64's range"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        crra_utility(value, rho)
+
+
 def test_utility_spec_of_is_crra_utility():
     for rho in (0.0, 1.0, 2.0):
         for value in (0.0, 1.5):
@@ -209,6 +217,19 @@ def test_allocation_value_validation():
         allocation_value(alloc, ShockDraw(None), params, np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
         allocation_value(alloc, ShockDraw(None), params, np.ones(3))
+
+
+def test_a_basket_past_float64_is_refused():
+    # Two tiers of 1000 suppliers at sigma 1.01 aggregate to 2000 ** 101,
+    # past float64; the power used to raise a bare OverflowError.
+    params = symmetric_two_tier(sigma=1.01)
+    message = f"^{re.escape('the basket of 2000 suppliers at sigma = 1.01 is past')}"
+    alloc = SourcingAllocation.uniform_tiers([0.5, 0.5], 1000, 2)
+    with pytest.raises(ValueError, match=message):
+        allocation_value(alloc, ShockDraw(None), params, UNIT_COSTS)
+    with pytest.raises(ValueError, match=message):
+        planner_risk_sourcing(params, SHOCKS, UtilitySpec(2.0), grid_resolution=11,
+                              suppliers_per_tier=1000, costs=UNIT_COSTS)
 
 
 def test_objectives_reject_non_finite_and_zero_costs():

@@ -4,76 +4,75 @@
     python3 tools/identity.py --compare parent.json change.json
 
 A run writes one JSON object mapping each record name to the sha256 of the
-record's canonical serialisation.  gscsim is imported from the ``src/`` next
-to this directory, or with ``--src DIR`` from ``DIR``, so one copy of the
-tool digests any revision's sources on the same inputs and records: for
-example ``git archive REV src | tar -x -C /tmp/rev`` and ``--src
-/tmp/rev/src``.  A run that imports gscsim from anywhere but ``DIR`` exits
-2.  Run it on two source trees on one machine and ``--compare`` lists the
-records whose digests differ, or that only one side has, and exits 1 if
-there are any.  A run uses one BLAS thread
-(``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` are
-set to 1 whatever the environment holds), so the thread count of the machine
-or the shell changes no digest.  Digests are not pinned anywhere: numpy and
-BLAS builds may differ in the last bits.
+record's outcome.  gscsim is imported from the ``src/`` next to this
+directory, or with ``--src DIR`` from ``DIR``, so one copy of the tool
+digests any revision's sources on the same inputs and records: for example
+``git archive REV src | tar -x -C /tmp/rev`` and ``--src /tmp/rev/src``.  A
+run that imports gscsim from anywhere but ``DIR`` exits 2.  Run it on two
+source trees on one machine and ``--compare`` lists the records whose
+digests differ, or that only one side has, and exits 1 if there are any.  A
+run uses one BLAS thread (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` are set to 1 whatever the environment holds), so the
+thread count of the machine or the shell changes no digest.  Digests are not
+pinned anywhere: numpy and BLAS builds may differ in the last bits.
 
-The inputs are the benchmark's own, from ``bench/inputs.py``.  Records:
+Every record is a (name, call) pair, and one rule, :func:`_outcome`, makes
+the call's outcome: the type and message of the error it raises, with the
+``iterations`` and ``residual_norm`` of a failed solve, or else what it
+returns, an array or a numpy scalar as its dtype, shape and the sha256 of
+its bytes, a dataclass field by field, a dict or a sequence item by item,
+and anything else as its exact repr.
 
-* ``config/...``: ``json.dumps(to_dict())`` and the manifest's config hash
-  of the scenario configs of seeds 0-3 and the ladder economies of seeds 0-1;
-* ``cli/...``: in-process ``simulate --matrix --plot`` on those scenario
-  configs, ``equilibrium`` on those economies (some exit 4), and
-  ``fir --diff`` and ``fmr --measure gross`` on ``table_pair(0)``, each with
-  its exit code, stdout, stderr, output files and the manifest without
-  ``created_utc``;
-* ``phi/...``: the allocation bytes of ``choose_allocation`` under both
-  information environments and of both public planners, per scenario config;
-* ``error/...``: the error text, or the JSON form, of each config that
-  :func:`_malformed` lists, and under ``error/range/...`` of each bounded
-  field of the README's config-ranges table set one step past each bound
-  (:func:`range_cases`);
-* ``cli-fail/...``: the CLI runs of :func:`failed_runs`, each exiting 2, 3
-  or 4 into an ``--out`` that did not exist, with the files the run left
-  there and whether it created ``--out``;
-* ``objective/...``: ``risk_objective``, ``ambiguity_objective``, and
-  ``allocation_value`` and ``chain_survives`` under each shock branch, of
-  random allocations (2 locations, 1-3 tiers, 1-30 suppliers per tier)
-  spread over the scenario economies at their equilibrium costs;
-* ``solve/...``: ``solve_equilibrium`` on the ladder economies of seeds 0-1,
-  on the draws of :func:`census_draws` and on the two draws of
-  :func:`overflow_draws`, whose float fault comes after sweep 0, each as the
-  bytes of wages, prices and costs with ``iterations``, ``walras_history``
-  and ``residual_norm``, or as the error a failed solve raises with its
-  iteration count and residual norm;
-* ``chain/...``: every public function of ``gscsim.chains`` on the economies
-  of :func:`chain_economies` at random costs, each result as its bytes or
-  repr, or the error it raises; and per economy, ``price_indices`` at the
-  costs given as float32, as a list, as a strided float64 view, with a NaN,
-  with a zero and with one location too many;
-* ``reliance/...``: ``compute_fir`` and ``compute_fmr`` under both measures
-  on ``table_pair`` seeds 0-3 (both tables, sectors MFG, S05 and S29, five
-  focus choices), on the tables of :func:`bound_tables` and on the
-  three-cycles of :func:`three_cycles`, each as the matrix bytes or the
-  error text; and one bad measure, focus or sector at a time on
-  ``table_pair(0)``;
-* ``loader/...``: ``load_table`` on the ``table_pair`` tables of seeds 0-3,
-  written by ``write_table_csv`` of ``bench/inputs.py``, and on each text of
-  ``loader_inputs`` in ``tests/test_iotables.py`` (a module that imports
-  pytest), each file named by a relative path, as its labels and array
-  bytes or as the error text;
-* ``scenario/...``: every ``TimeSeries`` column, the allocation and the
-  labels of each ``run_matrix`` cell and of ``run_scenario`` under each
-  realisation, on the scenario configs of seeds 0-3;
-  ``monte_carlo_survival`` at 1, 7 and 1000 runs with the config's seed;
-  and per seed, the ``simulate_regime`` path from both regimes over the
-  first 10**5 draws of the benchmark's regime input.
+The inputs are the benchmark's own, from ``bench/inputs.py``.  The records,
+one generator of pairs per family:
 
-``--smoke`` keeps seed 0 and the benchmark's smoke sizes, keeps of the
-``solve`` records those of the smoke ladder, of the first
-``N_SMOKE_CENSUS_DRAWS`` census draws and of both overflow draws (about
-5 s of solves), keeps every
-``loader_inputs`` text, and leaves out the ``cli-fail``, ``objective``,
-``chain``, ``reliance`` and ``scenario`` records.
+* ``config/...``, ``cli/...`` and ``phi/...`` (:func:`_config_cases`): the
+  JSON text and manifest config hash of the scenario configs of seeds 0-3
+  and the ladder economies of seeds 0-1; in-process ``simulate --matrix
+  --plot`` on those scenario configs, ``equilibrium`` on those economies
+  (some exit 4), and ``fir --diff`` and ``fmr --measure gross`` on
+  ``table_pair(0)``, each as its exit code, stdout, stderr, output files and
+  manifest without ``created_utc``; and ``choose_allocation`` under both
+  information environments and both public planners, per scenario config;
+* ``loader/...`` (:func:`_loader_cases`): ``load_table`` on the
+  ``table_pair`` tables of seeds 0-3, written by ``write_table_csv`` of
+  ``bench/inputs.py``, and on each text of ``loader_inputs`` in
+  ``tests/test_iotables.py`` (a module that imports pytest), each file named
+  by a relative path;
+* ``error/...`` (:func:`_error_cases`): each config that :func:`_malformed`
+  lists, and under ``error/range/...`` each bounded field of the README's
+  config-ranges table set one step past each bound (:func:`range_cases`);
+* ``solve/...`` (:func:`_solve_cases`): ``solve_equilibrium`` on the ladder
+  economies of seeds 0-1, on the draws of :func:`census_draws` and on the
+  two draws of :func:`overflow_draws`, whose float fault comes after sweep 0;
+* ``cli-fail/...`` (:func:`_failed_cases`): CLI runs that exit 2, 3 or 4
+  into an ``--out`` that did not exist, with the files each left there and
+  whether it created ``--out``;
+* ``objective/...`` (:func:`_objective_cases`): ``risk_objective``,
+  ``ambiguity_objective``, and ``allocation_value`` and ``chain_survives``
+  under each shock branch, of random allocations (2 locations, 1-3 tiers,
+  1-30 suppliers per tier) spread over the scenario economies at their
+  equilibrium costs;
+* ``chain/...`` (:func:`_chain_cases`): every public function of
+  ``gscsim.chains`` on the economies of :func:`chain_economies` at random
+  costs; and per economy, ``price_indices`` at the costs given as float32,
+  as a list, as a strided float64 view, with a NaN, with a zero and with one
+  location too many;
+* ``reliance/...`` (:func:`_reliance_cases`): ``compute_fir`` and
+  ``compute_fmr`` under both measures on ``table_pair`` seeds 0-3 (both
+  tables, sectors MFG, S05 and S29, five focus choices), on the tables of
+  :func:`bound_tables` and on the three-cycles of :func:`three_cycles`; and
+  one bad measure, focus or sector at a time on ``table_pair(0)``;
+* ``scenario/...`` (:func:`_scenario_cases`): each ``run_matrix`` cell and
+  ``run_scenario`` under each realisation, on the scenario configs of seeds
+  0-3; ``monte_carlo_survival`` at 1, 7 and 1000 runs with the config's
+  seed; and per seed, the ``simulate_regime`` path from both regimes over
+  the first 10**5 draws of the benchmark's regime input.
+
+``--smoke`` keeps the first four families at seed 0 and the benchmark's
+smoke sizes: of the ``solve`` records those of the smoke ladder, of the
+first ``N_SMOKE_CENSUS_DRAWS`` census draws and of both overflow draws
+(about 5 s of solves), and every ``loader_inputs`` text.
 """
 
 from __future__ import annotations
@@ -84,6 +83,7 @@ import functools
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import math
 import os
@@ -91,7 +91,7 @@ import re
 import shutil
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -259,14 +259,52 @@ def range_cases(scenario: dict) -> list[tuple[str, object]]:
     return cases
 
 
+def _error_cases():
+    scenario = inputs.scenario_configs(0, smoke=True)[0][1]
+    for name, cls, value in _malformed(scenario):
+        yield f"error/{name}", functools.partial(cls.from_dict, value)
+    for name, call in range_cases(scenario):
+        yield f"error/{name}", call
+
+
 def _digest(obj) -> str:
     data = obj if isinstance(obj, bytes) else json.dumps(obj, sort_keys=True).encode()
     return hashlib.sha256(data).hexdigest()
 
 
-def _config_hash(obj) -> str:
-    """The ``config_hash`` the CLI writes to a manifest."""
-    return _digest(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode())
+def _view(value):
+    """A value in record form: an array or a numpy scalar as its dtype, shape
+    and the sha256 of its bytes, a dataclass field by field, a dict or a
+    sequence item by item, and anything else as its exact repr."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = np.asarray(value)
+        return [value.dtype.str, list(value.shape), _digest(value.tobytes())]
+    if is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, dict):
+        return {str(key): _view(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_view(item) for item in value]
+    return repr(value)
+
+
+def _outcome(call):
+    """The one record rule: the :func:`_view` of what ``call()`` returns, or
+    the type and message of the error it raises, with the iteration count
+    and residual norm that a failed solve carries."""
+    try:
+        return _view(call())
+    except EquilibriumConvergenceError as err:
+        return [f"{type(err).__name__}: {err}", _view(err.iterations), _view(err.residual_norm)]
+    except (ValueError, TypeError, KeyError) as err:    # TableFormatError included
+        return f"{type(err).__name__}: {err}"
+
+
+def _config_forms(config) -> list:
+    """A config's JSON text, and the compact sorted text whose sha256 the CLI
+    writes to a manifest as ``config_hash``."""
+    d = config.to_dict()
+    return [json.dumps(d), json.dumps(d, sort_keys=True, separators=(",", ":"))]
 
 
 def _run_cli(argv: list[str], out: str = "out") -> dict:
@@ -285,80 +323,70 @@ def _run_cli(argv: list[str], out: str = "out") -> dict:
             "files": files}
 
 
-def _scenario_records(seed: int, smoke: bool, out: dict) -> None:
-    for name, cfg in inputs.scenario_configs(seed, smoke=smoke):
-        key = f"s{seed}/{name}"
-        config = ScenarioConfig.from_dict(cfg)
-        d = config.to_dict()
-        out[f"config/scenario/{key}"] = _digest([json.dumps(d), _config_hash(d)])
-        inputs.write_json(cfg, "config.json")
-        out[f"cli/simulate/{key}"] = _digest(_run_cli(
-            ["simulate", "--config", "config.json", "--matrix", "--plot"]))
-        solution = solve_equilibrium(config.economy)
-        for env in INFO_ENVS:
-            alloc = choose_allocation(replace(config, info_env=env), solution)
-            out[f"phi/choose/{key}/{env}"] = _digest(alloc.phi.tobytes() + alloc.M.tobytes())
-        kw = dict(grid_resolution=config.grid_resolution,
-                  suppliers_per_tier=config.suppliers_per_tier, costs=solution.costs)
-        for planner, alloc in (
-                ("risk", planner_risk_sourcing(config.economy, config.shock, config.utility, **kw)),
-                ("ambiguity", planner_ambiguity_sourcing(config.economy, config.shock,
-                                                         config.beliefs, config.utility, **kw))):
-            out[f"phi/{planner}/{key}"] = _digest(alloc.phi.tobytes() + alloc.M.tobytes())
-
-
-def _ladder_records(seed: int, smoke: bool, out: dict) -> None:
-    for name, economy in inputs.ladder(seed, smoke=smoke):
-        key = f"s{seed}/{name}"
-        d = economy.to_dict()
-        out[f"config/economy/{key}"] = _digest([json.dumps(d), _config_hash(d)])
-        inputs.write_json(d, "economy.json")
-        out[f"cli/equilibrium/{key}"] = _digest(_run_cli(
-            ["equilibrium", "--params", "economy.json"]))
-
-
-def _table_records(smoke: bool, out: dict) -> None:
+def _config_cases(smoke: bool = False):
+    for seed in SCENARIO_SEEDS[:1] if smoke else SCENARIO_SEEDS:
+        for name, cfg in inputs.scenario_configs(seed, smoke=smoke):
+            key = f"s{seed}/{name}"
+            config = ScenarioConfig.from_dict(cfg)
+            yield f"config/scenario/{key}", functools.partial(_config_forms, config)
+            inputs.write_json(cfg, "config.json")
+            yield f"cli/simulate/{key}", functools.partial(
+                _run_cli, ["simulate", "--config", "config.json", "--matrix", "--plot"])
+            solution = solve_equilibrium(config.economy)
+            for env in INFO_ENVS:
+                yield f"phi/choose/{key}/{env}", functools.partial(
+                    choose_allocation, replace(config, info_env=env), solution)
+            kw = dict(grid_resolution=config.grid_resolution,
+                      suppliers_per_tier=config.suppliers_per_tier, costs=solution.costs)
+            yield f"phi/risk/{key}", functools.partial(
+                planner_risk_sourcing, config.economy, config.shock, config.utility, **kw)
+            yield f"phi/ambiguity/{key}", functools.partial(
+                planner_ambiguity_sourcing, config.economy, config.shock, config.beliefs,
+                config.utility, **kw)
+    for seed in LADDER_SEEDS[:1] if smoke else LADDER_SEEDS:
+        for name, economy in inputs.ladder(seed, smoke=smoke):
+            yield f"config/economy/s{seed}/{name}", functools.partial(_config_forms, economy)
+            inputs.write_json(economy.to_dict(), "economy.json")
+            yield f"cli/equilibrium/s{seed}/{name}", functools.partial(
+                _run_cli, ["equilibrium", "--params", "economy.json"])
     table_a, table_b, focus = inputs.table_pair(TABLE_SEED, smoke=smoke)
     inputs.write_table_csv(table_a, "a.csv")
     inputs.write_table_csv(table_b, "b.csv")
     sector = ["--sector", inputs.TARGET_SECTOR]
-    out[f"cli/fir-diff/s{TABLE_SEED}"] = _digest(_run_cli(
-        ["fir", "--table", "a.csv", *sector, "--focus", ",".join(focus), "--diff", "b.csv"]))
-    out[f"cli/fmr-gross/s{TABLE_SEED}"] = _digest(_run_cli(
-        ["fmr", "--table", "a.csv", *sector, "--measure", "gross"]))
+    yield f"cli/fir-diff/s{TABLE_SEED}", functools.partial(
+        _run_cli, ["fir", "--table", "a.csv", *sector, "--focus", ",".join(focus), "--diff", "b.csv"])
+    yield f"cli/fmr-gross/s{TABLE_SEED}", functools.partial(
+        _run_cli, ["fmr", "--table", "a.csv", *sector, "--measure", "gross"])
 
 
-def _loader_outcome(path: str):
-    """The labels and the digest of each array ``load_table`` reads from
-    ``path``, or the error it raises."""
-    try:
-        table = load_table(path)
-    except ValueError as err:               # TableFormatError included
-        return f"{type(err).__name__}: {err}"
-    return [table.countries, table.sectors,
-            *(_digest(getattr(table, attr).tobytes()) for attr in ("Z", "F", "v", "x"))]
-
-
-def _loader_records(smoke: bool, out: dict) -> None:
+def _loader_cases(smoke: bool = False):
     for seed in SCENARIO_SEEDS[:1] if smoke else SCENARIO_SEEDS:
         table_a, table_b, _ = inputs.table_pair(seed, smoke=smoke)
         for label, table in (("a", table_a), ("b", table_b)):
             inputs.write_table_csv(table, "table.csv")
-            out[f"loader/pair/s{seed}/{label}"] = _digest(_loader_outcome("table.csv"))
+            yield f"loader/pair/s{seed}/{label}", functools.partial(load_table, "table.csv")
     tests = _load_module("test_iotables", ROOT / "tests" / "test_iotables.py")
     for name, text in tests.loader_inputs(Path(".")).items():
         with open(f"{name}.csv", "w", newline="") as fh:
             fh.write(text)
-        out[f"loader/input/{name}"] = _digest(_loader_outcome(f"{name}.csv"))
+        yield f"loader/input/{name}", functools.partial(load_table, f"{name}.csv")
 
 
-def failed_runs(smoke: bool = False) -> dict[str, dict]:
-    """Record name -> :func:`_run_cli` of each failing run, plus ``out_exists``.
+def _failed_run(argv: list[str]) -> dict:
+    """:func:`_run_cli` into ``failed``, which must not exist before the run
+    and is removed after it, plus whether the run created it."""
+    if Path("failed").exists():
+        raise RuntimeError("failed/ exists before a failing run")
+    record = _run_cli(argv, "failed")
+    record["out_exists"] = Path("failed").exists()
+    shutil.rmtree("failed", ignore_errors=True)
+    return record
 
-    Each run writes into ``failed``, which must not exist before it and is
-    removed after it.  The stiff economies are the ladder's of seed 0, which
-    exit 4 under the damped solver.
-    """
+
+def _failed_cases(smoke: bool = False):
+    """Failing CLI runs.  The stiff economies are the ladder's of seed 0,
+    which exit 4 under the damped solver; the input files go once the last
+    run is done."""
     table, _, _ = inputs.table_pair(TABLE_SEED, smoke=smoke)
     inputs.write_table_csv(table, "fail.csv")
     stiff = dict(inputs.ladder(0))
@@ -377,22 +405,24 @@ def failed_runs(smoke: bool = False) -> dict[str, dict]:
         "simulate-invalid-json": ["simulate", "--config", "invalid.json"],
         "equilibrium-stiff01_j3n1/s0": ["equilibrium", "--params", "stiff01.json"],
     }
-    records = {}
     for name, argv in runs.items():
-        if Path("failed").exists():
-            raise RuntimeError("failed/ exists before a failing run")
-        record = _run_cli(argv, "failed")
-        record["out_exists"] = Path("failed").exists()
-        shutil.rmtree("failed", ignore_errors=True)
-        records[f"cli-fail/{name}"] = record
+        yield f"cli-fail/{name}", functools.partial(_failed_run, argv)
     for path in ("fail.csv", "stiff09.json", "stiff01.json", "invalid.json"):
         os.remove(path)
-    return records
 
 
-def _objective_records(out: dict) -> None:
-    """The sourcing objectives of random allocations.  Each value is kept as
-    its repr, which is exact and also tells a Python float from a numpy one."""
+def _objectives(alloc: SourcingAllocation, config: ScenarioConfig, costs) -> list:
+    """An allocation, its risk and ambiguity objectives, and its value and
+    survival under each shock branch."""
+    econ, shock = config.economy, config.shock
+    values = [alloc, risk_objective(alloc, econ, shock, config.utility, costs),
+              ambiguity_objective(alloc, econ, shock, config.beliefs, config.utility, costs)]
+    for draw in BRANCHES:
+        values += [allocation_value(alloc, draw, econ, costs), chain_survives(alloc, draw)]
+    return values
+
+
+def _objective_cases():
     cases = []
     for seed in SCENARIO_SEEDS:
         for _, cfg in inputs.scenario_configs(seed):
@@ -400,20 +430,13 @@ def _objective_records(out: dict) -> None:
             cases.append((config, solve_equilibrium(config.economy).costs))
     rng = np.random.default_rng(ALLOCATION_SEED)
     for k in range(N_ALLOCATIONS):
-        config, costs = cases[k % len(cases)]
         n_tiers = int(rng.integers(1, 4))
         south = rng.random(n_tiers)
         corner = rng.random(n_tiers) < 0.25      # a whole tier in one location
         south[corner] = rng.integers(0, 2, size=int(corner.sum()))
         alloc = SourcingAllocation(phi=np.stack([1.0 - south, south]),
                                    M=rng.integers(1, 31, size=n_tiers))
-        econ, shock = config.economy, config.shock
-        values = [risk_objective(alloc, econ, shock, config.utility, costs),
-                  ambiguity_objective(alloc, econ, shock, config.beliefs, config.utility, costs)]
-        for draw in BRANCHES:
-            values += [allocation_value(alloc, draw, econ, costs), chain_survives(alloc, draw)]
-        out[f"objective/{k:03d}"] = _digest([alloc.phi.tobytes().hex(), alloc.M.tolist(),
-                                             [repr(v) for v in values]])
+        yield f"objective/{k:03d}", functools.partial(_objectives, alloc, *cases[k % len(cases)])
 
 
 def census_draws(n: int = N_CENSUS_DRAWS) -> list[tuple[str, EconomyParams]]:
@@ -438,35 +461,12 @@ def overflow_draws() -> list[tuple[str, EconomyParams]]:
             for s in (7, 8)]
 
 
-def _solve_outcome(economy: EconomyParams) -> list:
-    """What ``solve_equilibrium`` returns, or the error it raises."""
-    try:
-        sol = solve_equilibrium(economy)
-    except (EquilibriumConvergenceError, ValueError) as err:
-        return [f"{type(err).__name__}: {err}", getattr(err, "iterations", None),
-                getattr(err, "residual_norm", None)]
-    return [sol.wages.tobytes().hex(), sol.prices.tobytes().hex(), sol.costs.tobytes().hex(),
-            sol.iterations, sol.walras_history, sol.residual_norm]
-
-
-def _solve_records(out: dict, n_draws: int = N_CENSUS_DRAWS, smoke: bool = False) -> None:
-    cases = [(f"ladder/s{seed}/{name}", economy)
-             for seed in (LADDER_SEEDS[:1] if smoke else LADDER_SEEDS)
-             for name, economy in inputs.ladder(seed, smoke=smoke)]
-    for name, economy in cases + census_draws(n_draws) + overflow_draws():
-        out[f"solve/{name}"] = _digest(_solve_outcome(economy))
-
-
-def _outcome(call):
-    """What ``call()`` returns, arrays as dtype, shape and hex bytes and
-    anything else as its repr, or the error it raises."""
-    try:
-        value = call()
-    except (ValueError, TypeError) as err:
-        return f"{type(err).__name__}: {err}"
-    values = value if isinstance(value, tuple) else (value,)
-    return [[v.dtype.str, v.shape, v.tobytes().hex()] if isinstance(v, np.ndarray) else repr(v)
-            for v in values]
+def _solve_cases(smoke: bool = False, n_draws: int = N_CENSUS_DRAWS):
+    ladders = [(f"ladder/s{seed}/{name}", economy)
+               for seed in (LADDER_SEEDS[:1] if smoke else LADDER_SEEDS)
+               for name, economy in inputs.ladder(seed, smoke=smoke)]
+    for name, economy in ladders + census_draws(n_draws) + overflow_draws():
+        yield f"solve/{name}", functools.partial(solve_equilibrium, economy)
 
 
 def chain_economies(n: int = N_CHAIN_ECONOMIES) -> list[tuple[str, EconomyParams, np.ndarray]]:
@@ -484,33 +484,33 @@ def chain_economies(n: int = N_CHAIN_ECONOMIES) -> list[tuple[str, EconomyParams
     return out
 
 
-def _chain_records(out: dict, n_economies: int = N_CHAIN_ECONOMIES) -> None:
+def _chain_cases(n_economies: int = N_CHAIN_ECONOMIES):
     for k, (name, p, costs) in enumerate(chain_economies(n_economies)):
         rng = np.random.default_rng((CHAIN_SEED, k, 1))    # the arguments besides costs
         J, N = p.n_locations, p.n_tiers
         path, dest = rng.integers(0, J, size=N), int(rng.integers(0, J))
         weights, z, pi_jj = rng.uniform(0.5, 2.0, size=J), float(rng.uniform(0.2, 3.0)), 0.5
         prices = chains.price_indices(p, costs)
-        calls = {
-            "kappa": lambda: chains.kappa(p.theta, p.sigma),
-            "composite_cost": lambda: chains.composite_cost(costs, prices, p.gamma),
-            "enumerate_paths": lambda: chains.enumerate_paths(J, N),
-            "path_scale_matrix": lambda: chains.path_scale_matrix(p, costs),
-            "chain_cost_scale": lambda: chains.chain_cost_scale(path, dest, p, costs),
-            "path_share": lambda: chains.path_share(path, dest, p, costs),
-            "path_share_matrix": lambda: chains.path_share_matrix(p, costs),
-            "price_indices": lambda: chains.price_indices(p, costs),
-            "price_index": lambda: chains.price_index(dest, p, costs),
-            "final_demand_shares": lambda: chains.final_demand_shares(p, costs),
-            "tier_participation": lambda: chains.tier_participation(p, costs),
-            "intermediate_flow_shares": lambda: chains.intermediate_flow_shares(p, costs),
+        calls = {      # each function and its arguments
+            "kappa": (chains.kappa, p.theta, p.sigma),
+            "composite_cost": (chains.composite_cost, costs, prices, p.gamma),
+            "enumerate_paths": (chains.enumerate_paths, J, N),
+            "path_scale_matrix": (chains.path_scale_matrix, p, costs),
+            "chain_cost_scale": (chains.chain_cost_scale, path, dest, p, costs),
+            "path_share": (chains.path_share, path, dest, p, costs),
+            "path_share_matrix": (chains.path_share_matrix, p, costs),
+            "price_indices": (chains.price_indices, p, costs),
+            "price_index": (chains.price_index, dest, p, costs),
+            "final_demand_shares": (chains.final_demand_shares, p, costs),
+            "tier_participation": (chains.tier_participation, p, costs),
+            "intermediate_flow_shares": (chains.intermediate_flow_shares, p, costs),
             "intermediate_flow_shares/weighted":
-                lambda: chains.intermediate_flow_shares(p, costs, weights),
-            "local_chain_real_wage": lambda: chains.local_chain_real_wage(dest, p, pi_jj),
-            "chain_productivity_location": lambda: chains.chain_productivity_location(path, p),
-            "chain_productivity_cdf": lambda: chains.chain_productivity_cdf(z, path, p),
+                (chains.intermediate_flow_shares, p, costs, weights),
+            "local_chain_real_wage": (chains.local_chain_real_wage, dest, p, pi_jj),
+            "chain_productivity_location": (chains.chain_productivity_location, path, p),
+            "chain_productivity_cdf": (chains.chain_productivity_cdf, z, path, p),
             "chain_productivity_theta_sensitivity":
-                lambda: chains.chain_productivity_theta_sensitivity(z, path, p),
+                (chains.chain_productivity_theta_sensitivity, z, path, p),
         }
         # The costs in every form the interval rule converts or refuses.
         forms = {
@@ -521,30 +521,10 @@ def _chain_records(out: dict, n_economies: int = N_CHAIN_ECONOMIES) -> None:
             "zero": np.where(np.arange(J) == J - 1, 0.0, costs),
             "too-long": np.append(costs, 1.0),
         }
-        calls.update({f"costs/{form}": functools.partial(chains.price_indices, p, value)
+        calls.update({f"costs/{form}": (chains.price_indices, p, value)
                       for form, value in forms.items()})
-        for fn, call in calls.items():
-            out[f"chain/{name}/{fn}"] = _digest(_outcome(call))
-
-
-def _reliance_outcome(compute, table: WorldIOTable, sector: str = inputs.TARGET_SECTOR,
-                      focus=None, measure: str = "va"):
-    """The bytes of a reliance matrix, or the error computing it raises."""
-    try:
-        m = compute(table, sector, focus=focus, measure=measure)
-    except ValueError as err:               # TableFormatError included
-        return f"{type(err).__name__}: {err}"
-    return [m.metric, m.target_sector, m.measure, m.rows, m.columns,
-            m.values.tobytes().hex(), m.domestic.tobytes().hex()]
-
-
-def _both_ways(out: dict, key: str, table: WorldIOTable, sector: str = inputs.TARGET_SECTOR,
-               focus=None) -> None:
-    """FIR and FMR records of ``table`` under both measures."""
-    for measure in ("va", "gross"):
-        for compute in (compute_fir, compute_fmr):
-            out[f"reliance/{key}/{measure}/{compute.__name__[-3:]}"] = _digest(
-                _reliance_outcome(compute, table, sector, focus, measure))
+        for fn, (function, *args) in calls.items():
+            yield f"chain/{name}/{fn}", functools.partial(function, *args)
 
 
 def bound_tables(n: int = N_BOUND_TABLES) -> list[tuple[str, WorldIOTable]]:
@@ -597,103 +577,75 @@ def three_cycles(smoke: bool = False) -> list[tuple[str, WorldIOTable]]:
     return tables
 
 
-def _reliance_records(out: dict, smoke: bool = False) -> None:
+def _reliance_cases(smoke: bool = False):
     sectors = SMOKE_RELIANCE_SECTORS if smoke else RELIANCE_SECTORS
+    target = inputs.TARGET_SECTOR
+    both_ways = []     # (key, table, sector, focus), each under both measures
     for seed in SCENARIO_SEEDS[:1] if smoke else SCENARIO_SEEDS:
         table_a, table_b, focus = inputs.table_pair(seed, smoke=smoke)
         countries = table_a.countries
         focuses = {"all": None, "bench": focus, "reversed": focus[::-1],
                    "one": focus[0], "third": countries[::3]}
-        for label, table in (("a", table_a), ("b", table_b)):
-            for sector in sectors:
-                for how, chosen in focuses.items():
-                    _both_ways(out, f"pair/s{seed}/{label}/{sector}/{how}", table, sector, chosen)
+        both_ways += [(f"pair/s{seed}/{label}/{sector}/{how}", table, sector, chosen)
+                      for label, table in (("a", table_a), ("b", table_b))
+                      for sector in sectors for how, chosen in focuses.items()]
         if seed == 0:       # one bad argument at a time
             faults = {"measure": dict(measure="bogus"), "focus-unknown": dict(focus=["ZZZ"]),
                       "focus-repeated": dict(focus=[focus[0], focus[0]]),
-                      "sector": dict(sector="NOPE")}
+                      "sector": dict(target_sector="NOPE")}
             for fault, kw in faults.items():
                 for compute in (compute_fir, compute_fmr):
-                    out[f"reliance/fault/{fault}/{compute.__name__[-3:]}"] = _digest(
-                        _reliance_outcome(compute, table_a, **kw))
-    for name, table in bound_tables(6 if smoke else N_BOUND_TABLES):
-        _both_ways(out, f"bounds/{name}", table)
-    for name, table in three_cycles(smoke):
-        _both_ways(out, f"cycle/{name}", table)
+                    yield f"reliance/fault/{fault}/{compute.__name__[-3:]}", functools.partial(
+                        compute, table_a, **{"target_sector": target, **kw})
+    both_ways += [(f"bounds/{name}", table, target, None)
+                  for name, table in bound_tables(6 if smoke else N_BOUND_TABLES)]
+    both_ways += [(f"cycle/{name}", table, target, None) for name, table in three_cycles(smoke)]
+    for key, table, sector, focus in both_ways:
+        for measure in ("va", "gross"):
+            for compute in (compute_fir, compute_fmr):
+                yield f"reliance/{key}/{measure}/{compute.__name__[-3:]}", functools.partial(
+                    compute, table, sector, focus=focus, measure=measure)
 
 
-def _series(ts) -> list:
-    """Every column of a ``TimeSeries`` as dtype and hex bytes, then its
-    allocation's bytes and its three labels."""
-    return ([[column, getattr(ts, column).dtype.str, getattr(ts, column).tobytes().hex()]
-             for column in ts.COLUMNS]
-            + [ts.allocation.phi.tobytes().hex(), ts.allocation.M.tobytes().hex(),
-               ts.decision_mode, ts.info_env, ts.realization])
-
-
-def _scenario_run_records(out: dict, seeds=SCENARIO_SEEDS, smoke: bool = False) -> None:
+def _scenario_cases(seeds=SCENARIO_SEEDS, smoke: bool = False):
     for seed in seeds:
         for name, cfg in inputs.scenario_configs(seed, smoke=smoke):
             key = f"scenario/s{seed}/{name}"
             config = ScenarioConfig.from_dict(cfg)
             for (realization, env), ts in run_matrix(config).items():
-                out[f"{key}/matrix/{realization}/{env}"] = _digest(_series(ts))
+                yield f"{key}/matrix/{realization}/{env}", lambda ts=ts: ts
             for realization in REALIZATIONS:
-                ts = run_scenario(replace(config, realization=realization))
-                out[f"{key}/run/{realization}"] = _digest(_series(ts))
+                yield f"{key}/run/{realization}", functools.partial(
+                    run_scenario, replace(config, realization=realization))
             for n_runs in MC_RUNS:
-                mc = monte_carlo_survival(config, n_runs, config.seed)
-                out[f"{key}/mc/{n_runs}"] = _digest(
-                    [repr(v) for v in (mc.survival_rate, mc.mean_welfare, mc.stderr, mc.n_runs)])
+                yield f"{key}/mc/{n_runs}", functools.partial(
+                    monte_carlo_survival, config, n_runs, config.seed)
         shock, draws = inputs.regime_inputs(seed)
         for initial in (0, 1):
-            path = simulate_regime(ShockParams(**shock), draws[:REGIME_DRAWS], initial=initial)
-            out[f"scenario/s{seed}/regime/{initial}"] = _digest(
-                [path.dtype.str, path.tobytes().hex()])
-
-
-def _error_records(out: dict) -> None:
-    scenario = inputs.scenario_configs(0, smoke=True)[0][1]
-    cases = [(name, functools.partial(cls.from_dict, value))
-             for name, cls, value in _malformed(scenario)] + range_cases(scenario)
-    for name, call in cases:
-        try:
-            config = call()
-            outcome = "ok " + json.dumps(getattr(config, "to_dict", config.__repr__)())
-        except (ValueError, TypeError, KeyError) as err:
-            outcome = f"{type(err).__name__}: {err}"
-        out[f"error/{name}"] = _digest(outcome)
+            yield f"scenario/s{seed}/regime/{initial}", functools.partial(
+                simulate_regime, ShockParams(**shock), draws[:REGIME_DRAWS], initial=initial)
 
 
 def collect(smoke: bool = False) -> dict[str, str]:
-    """Record name -> digest for the whole corpus, or its smoke subset.
+    """Record name -> digest of its :func:`_outcome`, for the whole corpus or
+    its smoke subset.
 
-    CLI runs take relative paths inside a temporary working directory, so
-    that neither manifests nor messages name the directory.
+    Every call runs in one temporary working directory, before its family
+    writes the next input there, so that CLI runs and loads take relative
+    paths and neither manifests nor messages name the directory.
     """
-    out: dict[str, str] = {}
+    families = [_config_cases(smoke), _loader_cases(smoke), _error_cases(),
+                _solve_cases(smoke, N_SMOKE_CENSUS_DRAWS if smoke else N_CENSUS_DRAWS)]
+    if not smoke:
+        families += [_failed_cases(), _objective_cases(), _chain_cases(), _reliance_cases(),
+                     _scenario_cases()]
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for seed in SCENARIO_SEEDS[:1] if smoke else SCENARIO_SEEDS:
-                _scenario_records(seed, smoke, out)
-            for seed in LADDER_SEEDS[:1] if smoke else LADDER_SEEDS:
-                _ladder_records(seed, smoke, out)
-            _table_records(smoke, out)
-            _loader_records(smoke, out)
-            if not smoke:
-                out.update({name: _digest(record)
-                            for name, record in failed_runs().items()})
+            out = {name: _digest(_outcome(call)) for name, call in itertools.chain(*families)}
         finally:
             os.chdir(cwd)
-    _error_records(out)
-    _solve_records(out, N_SMOKE_CENSUS_DRAWS if smoke else N_CENSUS_DRAWS, smoke)
-    if not smoke:
-        _objective_records(out)
-        _chain_records(out)
-        _reliance_records(out)
-        _scenario_run_records(out)
     return dict(sorted(out.items()))
 
 
