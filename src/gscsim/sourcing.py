@@ -61,10 +61,12 @@ def crra_utility(value: float, rho: float) -> float:
     if rho == 1.0:
         return math.log(value)
     try:
-        return value ** (1.0 - rho) / (1.0 - rho)
-    except OverflowError:
-        raise ValueError(f"utility of {value!r} at rho = {rho!r} "
-                         "is past float64's range") from None
+        utility = value ** (1.0 - rho) / (1.0 - rho)
+        if not math.isinf(utility):     # the division can pass float64 too
+            return utility
+    except OverflowError:               # the power passed float64
+        pass
+    raise ValueError(f"utility of {value!r} at rho = {rho!r} is past float64's range")
 
 
 @dataclass

@@ -44,3 +44,14 @@ def random_economy(rng, J=None, N=None, gamma=1.0) -> EconomyParams:
 
 def random_costs(rng, J) -> np.ndarray:
     return rng.uniform(0.4, 2.5, size=J)
+
+
+# Seed 1000 of the census recipe at gamma 0.05 (J 2, N 2, theta 5.62): the
+# inner cost loop contracts with modulus 1 - gamma and spends its 500 passes.
+COST_STALL = {
+    "T": [[1.6773544933056348, 1.008119856361697], [1.8218975640501316, 0.9775907002019719]],
+    "L": [0.9223183979627776, 1.630522328287391],
+    "tau": [[1.0, 1.6909776605667108], [1.6442977767247373, 1.0]],
+    "alpha": [0.35188592966523224, 0.9871964655137377],
+    "beta": [1.0463170622275724, 0.6400101397290342],
+    "theta": 5.6230510820379775, "sigma": 2.19117043250983, "gamma": 0.05}

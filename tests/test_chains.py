@@ -325,6 +325,7 @@ def test_chain_productivity_cdf_frozen():
     assert chain_productivity_cdf(0.5, home, params) == pytest.approx(math.exp(-2.0), rel=1e-14)
     assert chain_productivity_cdf(0.0, home, params) == 0.0
     assert chain_productivity_cdf(-3.0, home, params) == 0.0
+    assert chain_productivity_cdf(math.inf, home, params) == 1.0
 
 
 def test_chain_productivity_cdf_monotone():

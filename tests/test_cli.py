@@ -17,6 +17,7 @@ from gscsim import EconomyParams, WorldIOTable, write_table
 from gscsim.cli import main
 
 from conftest import (
+    COST_STALL,
     ORACLE_L,
     ORACLE_T,
     ORACLE_TAU,
@@ -26,7 +27,6 @@ from conftest import (
 )
 from test_equilibrium import STIFF09_J2N1, overflowing_economy, read_oracle_wages
 from test_iotables import two_country_table
-from test_numeric_inputs import COST_STALL
 
 
 def scenario_dict(**overrides) -> dict:

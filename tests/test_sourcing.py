@@ -128,15 +128,21 @@ def test_crra_utility():
     assert crra_utility(0.0, 1.0) == -math.inf
     assert crra_utility(0.0, 2.0) == -math.inf
     assert crra_utility(0.0, 0.5) == 0.0
-    with pytest.raises(ValueError):
-        crra_utility(-1.0, 2.0)
+    for value in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="^utility is defined for nonnegative values$"):
+            crra_utility(value, 2.0)
     with pytest.raises(ValueError):
         UtilitySpec(rho=-0.5)
 
 
-@pytest.mark.parametrize("value,rho", [(0.5, 2000.0), (1e-300, 3.0)])
+@pytest.mark.parametrize("value,rho", [
+    (0.5, 2000.0), (1e-300, 3.0),
+    # The power, 1.79e308, fits; the division by 1 - rho does not.
+    (math.exp(-(math.log(np.finfo(float).max) + math.log(0.995)) / 0.99), 1.99),
+])
 def test_crra_utility_past_float64_is_refused(value, rho):
-    # The power used to raise a bare OverflowError.
+    # The power used to raise a bare OverflowError, and the division to
+    # return -inf.
     message = f"utility of {value!r} at rho = {rho!r} is past float64's range"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         crra_utility(value, rho)

@@ -206,10 +206,11 @@ def _malformed(scenario: dict) -> list[tuple[str, type, object]]:
 
 # The README table of config ranges, one row per bounded field: section,
 # field, "real" or "whole", the range as "(0, 1]" or "[1, horizon]", and the
-# default; tests/test_numeric_inputs.py checks the table against the code.
+# default.  tests/test_numeric_inputs.py builds its config rows from this
+# table and ECONOMY_ENTRY, and checks every row against the code.
 RANGE_ROW = re.compile(r"^\| `(\w+)\.(\w+)` \| (real|whole) \| `([^`]+)` \| ([^|]+?) \|$",
                        re.MULTILINE)
-# The entry of each economy array that a range record sets.
+# The entry of each economy array that a range record, or a test row, sets.
 ECONOMY_ENTRY = {"T": (0, 0), "L": 0, "tau": (0, 1), "alpha": 0, "beta": 0}
 
 
